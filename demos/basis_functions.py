@@ -14,8 +14,7 @@ import numpy as np
 from gtbezier import (
     bernstein_equivalent_nodeset,
     bernstein_reference,
-    eval_gt_basis,
-    eval_rational_basis,
+    log_basis_matrix,
     rational_basis_matrix,
     validate_node_set,
 )
@@ -28,8 +27,8 @@ out.mkdir(parents=True, exist_ok=True)
 # ------------------------------------------------------------------
 # two nodes {0, 1}: the basis is the pair 1 - t, t
 ns = validate_node_set([0, 1])
-print("nodes {0, 1}:  beta_0(0.5) =", eval_gt_basis(ns, 0, 0.5),
-      "  beta_1(0.5) =", eval_gt_basis(ns, 1, 0.5))
+beta = np.exp(log_basis_matrix(ns, 0.5))[0]
+print("nodes {0, 1}:  beta_0(0.5) =", beta[0], "  beta_1(0.5) =", beta[1])
 
 # ------------------------------------------------------------------
 # integer nodes with binomial coefficients reproduce Bernstein polynomials
@@ -37,8 +36,7 @@ n = 4
 nsb = bernstein_equivalent_nodeset(n)
 xs = np.linspace(0, 1, 7)
 print(f"\ndegeneration at degree {n} (evaluate at t = {n}x):")
-for x in xs:
-    gt = eval_gt_basis(nsb, 2, n * x)
+for x, gt in zip(xs, np.exp(log_basis_matrix(nsb, n * xs))[:, 2]):
     ref = bernstein_reference(n, 2, x)
     print(f"  x={x:.3f}  basis={gt:.12f}  bernstein={ref:.12f}  diff={abs(gt-ref):.1e}")
 
@@ -48,9 +46,9 @@ prob = datasets.circle_problem()
 ns = prob.nodeset
 a0, an = ns.domain
 print("\ncircle benchmark nodes:", np.round(ns.nodes, 4))
-mid = eval_rational_basis(ns, prob.weights, 0.5 * (a0 + an))
-print("rational basis at the midpoint:", np.round(mid.values, 4), " sum:", mid.values.sum())
-print("at the left endpoint:", eval_rational_basis(ns, prob.weights, a0).values)
+mid, left = rational_basis_matrix(ns, prob.weights, [0.5 * (a0 + an), a0])
+print("rational basis at the midpoint:", np.round(mid, 4), " sum:", mid.sum())
+print("at the left endpoint:", left)
 
 grid = np.linspace(a0, an, 4001)
 table = rational_basis_matrix(ns, prob.weights, grid)

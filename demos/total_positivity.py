@@ -10,10 +10,9 @@ import numpy as np
 
 from gtbezier import (
     GenVandermondeSpec,
-    collocation_matrix,
     generalized_vandermonde,
     is_totally_positive,
-    minor_det,
+    log_basis_matrix,
     power_reduction,
     rational_collocation_matrix,
     validate_node_set,
@@ -24,9 +23,9 @@ from gtbezier import datasets
 # ------------------------------------------------------------------
 # a hand-checkable 2x2 case on nodes {0, 1}
 ns = validate_node_set([0, 1])
-b = collocation_matrix(ns, [1 / 3, 2 / 3])
+b = np.exp(log_basis_matrix(ns, [1 / 3, 2 / 3]))
 print("collocation matrix B at t = 1/3, 2/3:\n", b)
-print("det B =", minor_det(b, [0, 1], [0, 1]))
+print("det B =", np.linalg.det(b))
 
 # the power matrix has entries x_i^(l*k_j); row/column scalings connect it to B
 a = power_reduction(ns, [1 / 3, 2 / 3])
@@ -40,15 +39,20 @@ print("\ngeneralized Vandermonde (real exponents):\n", np.round(w, 4))
 print("det =", np.linalg.det(w))
 
 # ------------------------------------------------------------------
-# full verdicts via minor enumeration
+# full verdicts via minor enumeration: every minor up to 8 x 8, consecutive
+# windows above that
 prob = datasets.circle_problem()
 params = np.linspace(0.3, 2.9, 5)
 c = rational_collocation_matrix(prob.nodeset, prob.weights, params)
-report = is_totally_positive(c, method="exhaustive")
+report = is_totally_positive(c)
 print("\ncircle-configuration collocation at 5 interior parameters:")
-print("  is_tp =", report.is_tp, " is_stp =", report.is_stp)
-print("  smallest contiguous minor =", report.min_contiguous_minor)
+print("  is_tp =", report.is_tp, " is_stp =", report.is_stp, f" ({report.method} minors)")
 print("  tightest minor witness:", report.witness)
+
+helix = datasets.helix_problem()
+report = is_totally_positive(
+    rational_collocation_matrix(helix.nodeset, helix.weights, helix.params))
+print("helix collocation (31 x 31): is_tp =", report.is_tp, f" ({report.method} minors)")
 
 # ------------------------------------------------------------------
 # randomized suite cycling the four boundary cases

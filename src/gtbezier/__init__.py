@@ -2,15 +2,13 @@
 and progressive iterative approximation of the curves they blend."""
 
 from .basis import (
-    BasisValues,
     NodeSet,
     bernstein_equivalent_nodeset,
     bernstein_reference,
-    eval_gt_basis,
-    eval_rational_basis,
     log_basis_matrix,
     rational_basis_matrix,
     validate_node_set,
+    validate_params,
     validate_weights,
 )
 from .curve import (
@@ -38,10 +36,8 @@ from .totalpos import (
     GenVandermondeSpec,
     NtpSuiteReport,
     TpReport,
-    collocation_matrix,
     generalized_vandermonde,
     is_totally_positive,
-    minor_det,
     power_reduction,
     rational_collocation_matrix,
     verify_ntp_suite,

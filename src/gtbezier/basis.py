@@ -99,8 +99,22 @@ def validate_weights(ns: NodeSet, weights=None) -> np.ndarray:
 
 def _check_domain(ns: NodeSet, ts: np.ndarray):
     a0, an = ns.domain
-    if np.any(ts < a0) or np.any(ts > an):
+    if ts.size and not (a0 <= ts.min() and ts.max() <= an):  # NaN fails too
         raise ValueError(f"parameter out of domain [{a0}, {an}]")
+
+
+def validate_params(ns: NodeSet, params) -> np.ndarray:
+    """Check a parameter sequence against its node set: non-empty, finite,
+    strictly increasing and inside [a_0, a_n] (endpoints allowed)."""
+    p = _as_float_vector(params, "params")
+    if p.size == 0:
+        raise ValueError("params must not be empty")
+    if np.any(np.diff(p) <= 0):
+        raise ValueError("params must be strictly increasing")
+    _check_domain(ns, p)
+    p = p.copy()
+    p.setflags(write=False)
+    return p
 
 
 def log_basis_matrix(ns: NodeSet, ts) -> np.ndarray:
@@ -126,13 +140,6 @@ def log_basis_matrix(ns: NodeSet, ts) -> np.ndarray:
     return np.log(ns.coefficients)[None, :] + term0 + term1
 
 
-def eval_gt_basis(ns: NodeSet, i: int, t: float) -> float:
-    """Raw (unnormalized) value of the i-th basis function at t."""
-    if not 0 <= i < ns.size:
-        raise IndexError(f"basis index {i} out of range 0..{ns.size - 1}")
-    return float(np.exp(log_basis_matrix(ns, t)[0, i]))
-
-
 def rational_basis_matrix(ns: NodeSet, weights: np.ndarray, ts) -> np.ndarray:
     """Weight-normalized basis values at each parameter; rows sum to one.
 
@@ -147,22 +154,6 @@ def rational_basis_matrix(ns: NodeSet, weights: np.ndarray, ts) -> np.ndarray:
     if not np.all(np.isfinite(denom)) or np.any(denom == 0.0):
         raise ArithmeticError("zero denominator in rational basis; underflow bug")
     return raw / denom
-
-
-@dataclass(frozen=True)
-class BasisValues:
-    """Basis values at one parameter; normalized means they sum to one."""
-
-    values: np.ndarray
-    parameter: float
-    normalized: bool
-
-
-def eval_rational_basis(ns: NodeSet, weights, t: float) -> BasisValues:
-    """All rational basis values at t: non-negative and summing to one."""
-    w = validate_weights(ns, weights)
-    row = rational_basis_matrix(ns, w, [t])[0]
-    return BasisValues(row, float(t), True)
 
 
 def bernstein_reference(n: int, i: int, x: float) -> float:

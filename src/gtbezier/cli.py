@@ -6,11 +6,12 @@ Subcommands:
     pia-fit      progressive iterative fit of a configured problem
     example      reproduce the circle or helix fitting benchmark
 
-Exit codes: 0 success, 1 verification failure, 2 config error,
-3 I/O error, 4 divergence.
+Exit codes: 0 success, 1 verification failure, 2 config or argument
+error, 3 I/O error, 4 divergence.
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -55,6 +56,26 @@ _CURVE_STYLES = {
 _CONTROL_STYLE = {"stroke": "#888888", "dasharray": "1.5% 1.5%"}
 
 
+def _at_least(convert, low):
+    """argparse type: a finite int or float (per convert) that is at least low."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} {text!r}") from None
+        if not math.isfinite(value) or value < low:
+            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
+        return value
+
+    return parse
+
+
+_POSITIVE_INT = _at_least(int, 1)
+_COUNT = _at_least(int, 0)
+_TOLERANCE = _at_least(float, 0.0)
+
+
 def _outdir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -72,8 +93,6 @@ def cmd_basis_eval(args) -> int:
     ns = config_node_set(cfg)
     w = config_weights(cfg, ns)
     grid = args.grid if args.grid is not None else cfg.grid
-    if grid < 1:
-        raise ConfigError("grid must be at least 1")
     a0, an = ns.domain
     ts = np.linspace(a0, an, grid) if grid > 1 else np.array([a0])
     values = rational_basis_matrix(ns, w, ts)
@@ -126,8 +145,6 @@ def cmd_pia_fit(args) -> int:
     problem = config_fit_problem(cfg)
     max_iter = args.iterations if args.iterations is not None else cfg.max_iter
     tol = args.tol if args.tol is not None else cfg.tol
-    if max_iter < 1:
-        raise ConfigError("iterations must be at least 1")
     state = pia_run(problem, max_iter=max_iter, tol=tol)
     out = _outdir(args)
     curve, polyline = _write_fit_outputs(out, "", problem, state)
@@ -199,27 +216,28 @@ def _parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser("basis-eval", help="tabulate rational basis values on a grid")
     be.add_argument("--config", required=True)
-    be.add_argument("--grid", type=int, default=None, help="grid size (overrides config)")
+    be.add_argument("--grid", type=_POSITIVE_INT, default=None, help="grid size (overrides config)")
     be.add_argument("--out", default="out")
     be.set_defaults(func=cmd_basis_eval)
 
     tp = sub.add_parser("tp-check", help="randomized total-positivity verification")
     tp.add_argument("--config", required=True)
-    tp.add_argument("--trials", type=int, default=100)
+    tp.add_argument("--trials", type=_POSITIVE_INT, default=100)
     tp.add_argument("--seed", type=int, default=0)
     tp.add_argument("--out", default="out")
     tp.set_defaults(func=cmd_tp_check)
 
     pf = sub.add_parser("pia-fit", help="progressive iterative fit of a configured problem")
     pf.add_argument("--config", required=True)
-    pf.add_argument("--iterations", type=int, default=None, help="overrides config max_iter")
-    pf.add_argument("--tol", type=float, default=None, help="overrides config tol")
+    pf.add_argument("--iterations", type=_POSITIVE_INT, default=None,
+                    help="overrides config max_iter")
+    pf.add_argument("--tol", type=_TOLERANCE, default=None, help="overrides config tol")
     pf.add_argument("--out", default="out")
     pf.set_defaults(func=cmd_pia_fit)
 
     ex = sub.add_parser("example", help="reproduce the circle or helix benchmark")
     ex.add_argument("which", choices=("circle", "helix"))
-    ex.add_argument("--iterations", type=int, default=None,
+    ex.add_argument("--iterations", type=_COUNT, default=None,
                     help="iteration count (0 writes the initial curves only)")
     ex.add_argument("--out", default="out")
     ex.set_defaults(func=cmd_example)

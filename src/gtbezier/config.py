@@ -1,6 +1,6 @@
 """JSON run configurations for the command-line front end.
 
-A config is a single JSON object; numbers are parsed as doubles. Fields:
+A config is a single JSON object; list entries are parsed as doubles. Fields:
 
     mode          "fit" | "eval" | "tp-check" (optional; checked against
                   the subcommand when present)
@@ -10,13 +10,13 @@ A config is a single JSON object; numbers are parsed as doubles. Fields:
     weights       optional, default 1 per node
     points        control or data points (list of [x, y] or [x, y, z])
     params        fit parameters, one per point
-    max_iter      optional, default 20
-    tol           optional, default 0
-    grid          optional grid size for basis tables, default 101
-    out           optional output directory
+    max_iter      optional integer, default 20
+    tol           optional number, default 0
+    grid          optional integer grid size for basis tables, default 101
 """
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 from .basis import NodeSet, validate_node_set, validate_weights
@@ -28,7 +28,7 @@ class ConfigError(ValueError):
 
 
 _FIELDS = ("mode", "nodes", "coefficients", "scale", "weights", "points",
-           "params", "max_iter", "tol", "grid", "out")
+           "params", "max_iter", "tol", "grid")
 _MODES = ("fit", "eval", "tp-check")
 
 
@@ -44,7 +44,6 @@ class RunConfig:
     max_iter: int = 20
     tol: float = 0.0
     grid: int = 101
-    out: str | None = None
 
 
 def load_config(path) -> RunConfig:
@@ -59,6 +58,13 @@ def load_config(path) -> RunConfig:
     unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
+    # exact type tests: JSON true/false load as bool, a subclass of int
+    for name in ("max_iter", "grid"):
+        if name in raw and type(raw[name]) is not int:
+            raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
+    for name in ("scale", "tol"):
+        if name in raw and not (type(raw[name]) in (int, float) and math.isfinite(raw[name])):
+            raise ConfigError(f"{name} must be a finite number, got {raw[name]!r}")
     cfg = RunConfig(**raw)
     if cfg.mode is not None and cfg.mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg.mode!r}")

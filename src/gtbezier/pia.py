@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NodeSet, validate_weights
+from .basis import NodeSet, validate_params, validate_weights
 from .curve import GTBezierCurve, as_control_polygon
 from .totalpos import rational_collocation_matrix
 
@@ -42,18 +42,11 @@ class FitProblem:
     def __post_init__(self):
         data = as_control_polygon(self.data)
         w = validate_weights(self.nodeset, self.weights)
-        params = np.asarray(self.params, dtype=float)
-        if params.ndim != 1 or params.size != data.shape[0]:
-            raise ValueError("one parameter per data point required")
         if data.shape[0] != self.nodeset.size:
             raise ValueError("data point count must match node count")
-        if np.any(np.diff(params) <= 0):
-            raise ValueError("params must be strictly increasing")
-        a0, an = self.nodeset.domain
-        if params[0] < a0 or params[-1] > an:
-            raise ValueError(f"params out of domain [{a0}, {an}]")
-        params = params.copy()
-        params.setflags(write=False)
+        params = validate_params(self.nodeset, self.params)
+        if params.size != data.shape[0]:
+            raise ValueError("one parameter per data point required")
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", w)

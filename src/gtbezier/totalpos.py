@@ -15,44 +15,24 @@ from itertools import combinations
 
 import numpy as np
 
-from .basis import NodeSet, log_basis_matrix, rational_basis_matrix, validate_weights
+from .basis import NodeSet, rational_basis_matrix, validate_params, validate_weights
 
 # Exhaustive enumeration touches sum_k C(d,k)^2 minors; 8 keeps that instant.
+# Larger matrices are checked on consecutive row/column windows only.
 EXHAUSTIVE_LIMIT = 8
 DEFAULT_REL_TOL = 1e-9
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
 
 
-def _checked_params(ns: NodeSet, params, strict_interior=False) -> np.ndarray:
-    p = np.asarray(params, dtype=float)
-    if p.ndim != 1 or p.size == 0:
-        raise ValueError("params must be a non-empty one-dimensional sequence")
-    if np.any(np.diff(p) <= 0):
-        raise ValueError("params must be strictly increasing")
-    a0, an = ns.domain
-    if strict_interior:
-        if p[0] <= a0 or p[-1] >= an:
-            raise ValueError(f"params must lie strictly inside ({a0}, {an})")
-    elif p[0] < a0 or p[-1] > an:
-        raise ValueError(f"params out of domain [{a0}, {an}]")
-    return p
-
-
-def collocation_matrix(ns: NodeSet, params) -> np.ndarray:
-    """Raw basis collocation matrix with entry (i, j) = beta_j(t_i)."""
-    p = _checked_params(ns, params)
-    return np.exp(log_basis_matrix(ns, p))
-
-
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
     """Collocation matrix of the rational basis; every row sums to one."""
     w = validate_weights(ns, weights)
-    p = _checked_params(ns, params)
+    p = validate_params(ns, params)
     return rational_basis_matrix(ns, w, p)
 
 
-def power_reduction(ns: NodeSet, params, strict_interior=False) -> np.ndarray:
+def power_reduction(ns: NodeSet, params) -> np.ndarray:
     """Power matrix that is TP exactly when the collocation matrix is.
 
     Entry (i, j) = x_i ** (l * k_j) with x_i = (t_i - a_0)/(a_n - t_i) and
@@ -60,7 +40,7 @@ def power_reduction(ns: NodeSet, params, strict_interior=False) -> np.ndarray:
     row and column scalings. A parameter equal to an endpoint yields the
     exact 0/1 border row of the bordered variants.
     """
-    p = _checked_params(ns, params, strict_interior)
+    p = validate_params(ns, params)
     a0, an = ns.domain
     expo = ns.scale * (ns.nodes - a0)
     out = np.empty((p.size, ns.size))
@@ -121,17 +101,6 @@ def generalized_vandermonde(spec: GenVandermondeSpec) -> np.ndarray:
     return mat
 
 
-def _checked_index(idx, bound, name) -> np.ndarray:
-    arr = np.asarray(idx, dtype=np.intp)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name} index set must be a non-empty sequence")
-    if np.any(np.diff(arr) <= 0):
-        raise ValueError(f"{name} index set must be strictly increasing")
-    if arr[0] < 0 or arr[-1] >= bound:
-        raise ValueError(f"{name} index set out of bounds")
-    return arr
-
-
 def _det_stack(subs: np.ndarray) -> np.ndarray:
     """Determinants of an (..., k, k) stack: closed-form expansion for
     k <= 3, LAPACK LU with partial pivoting above."""
@@ -147,18 +116,6 @@ def _det_stack(subs: np.ndarray) -> np.ndarray:
             + subs[..., 0, 2] * (subs[..., 1, 0] * subs[..., 2, 1] - subs[..., 1, 1] * subs[..., 2, 0])
         )
     return np.linalg.det(subs)
-
-
-def minor_det(m, row_idx, col_idx) -> float:
-    """Determinant of the submatrix on strictly increasing index sets."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    rows = _checked_index(row_idx, m.shape[0], "row")
-    cols = _checked_index(col_idx, m.shape[1], "column")
-    if rows.size != cols.size:
-        raise ValueError("row and column index sets must have equal length")
-    return float(_det_stack(m[np.ix_(rows, cols)]))
 
 
 @lru_cache(maxsize=None)
@@ -193,26 +150,26 @@ class TpReport:
     """Verdict of a total-positivity check.
 
     witness records the minor with the smallest acceptance margin as
-    (row indices, column indices, determinant value). The contiguous
-    method certifies STP; its TP verdict is advisory (exhaustive
-    enumeration is the TP certificate).
+    (row indices, column indices, determinant value). method names the
+    minors that were checked: "exhaustive" (every minor, a TP certificate)
+    or "contiguous" (consecutive windows only, an STP certificate whose TP
+    verdict is advisory).
     """
 
     is_tp: bool
     is_stp: bool
-    min_contiguous_minor: float
     witness: tuple | None
     method: str
 
 
-def is_totally_positive(m, tol: float = DEFAULT_REL_TOL, method: str = "exhaustive") -> TpReport:
+def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
     """Check total positivity of a matrix by minor enumeration.
 
-    method="exhaustive" enumerates every minor up to order min(rows, cols);
-    only feasible for dimensions up to EXHAUSTIVE_LIMIT. method="contiguous"
-    checks minors on consecutive row/column windows only. A minor passes as
-    non-negative when det >= -tol*scale and counts as strictly positive when
-    det > tol*scale, with scale the product of the submatrix row norms.
+    Every minor up to order min(rows, cols) is enumerated when neither
+    dimension exceeds EXHAUSTIVE_LIMIT; above it only minors on consecutive
+    row/column windows are checked. A minor passes as non-negative when
+    det >= -tol*scale and counts as strictly positive when det > tol*scale,
+    with scale the product of the submatrix row norms.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.size == 0:
@@ -221,27 +178,15 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL, method: str = "exhausti
         raise ValueError("matrix entries must be finite")
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    if method not in ("exhaustive", "contiguous"):
-        raise ValueError(f"unknown method {method!r}")
-    if method == "exhaustive" and max(m.shape) > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"matrix of shape {m.shape} too large for exhaustive minor "
-            f"enumeration (limit {EXHAUSTIVE_LIMIT}); use method='contiguous'"
-        )
+    method = "exhaustive" if max(m.shape) <= EXHAUSTIVE_LIMIT else "contiguous"
+    sets = _combo_array if method == "exhaustive" else _window_array
 
     all_ok = True
     all_strict = True
-    min_contig = np.inf
     worst_margin = np.inf
     witness = None
     for k in range(1, min(m.shape) + 1):
-        win_dets, _, _, _ = _minor_batch(m, _window_array(m.shape[0], k), _window_array(m.shape[1], k))
-        min_contig = min(min_contig, float(win_dets.min()))
-        if method == "exhaustive":
-            rows, cols = _combo_array(m.shape[0], k), _combo_array(m.shape[1], k)
-        else:
-            rows, cols = _window_array(m.shape[0], k), _window_array(m.shape[1], k)
-        dets, scales, rset, cset = _minor_batch(m, rows, cols)
+        dets, scales, rset, cset = _minor_batch(m, sets(m.shape[0], k), sets(m.shape[1], k))
         margins = dets + tol * scales
         all_ok = all_ok and bool(np.all(margins >= 0.0))
         all_strict = all_strict and bool(np.all(dets > tol * scales))
@@ -249,7 +194,7 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL, method: str = "exhausti
         if margins[i] < worst_margin:
             worst_margin = float(margins[i])
             witness = (tuple(int(r) for r in rset[i]), tuple(int(c) for c in cset[i]), float(dets[i]))
-    return TpReport(all_ok, all_strict, min_contig, witness, method)
+    return TpReport(all_ok, all_strict, witness, method)
 
 
 @dataclass(frozen=True)
@@ -292,17 +237,15 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     Trials cycle through the four boundary cases (all-interior parameters,
     left endpoint touched, right endpoint touched, both touched), draw a
     strictly increasing parameter sequence, build the rational collocation
-    matrix, and verify total positivity (exhaustively when the dimension
-    allows, by contiguous windows otherwise). Deterministic for a fixed
-    seed: each trial's RNG stream derives from (seed, trial index), so
-    trials could run in any order or concurrently.
+    matrix, and verify total positivity with is_totally_positive.
+    Deterministic for a fixed seed: each trial's RNG stream derives from
+    (seed, trial index), so trials could run in any order or concurrently.
     """
     w = validate_weights(ns, weights)
     if trials < 1:
         raise ValueError("need at least one trial")
     a0, an = ns.domain
     eps = 1e-6 * (an - a0)
-    method = "exhaustive" if ns.size <= EXHAUSTIVE_LIMIT else "contiguous"
     failures = 0
     failed = []
     worst = (np.inf, None, None)  # (witness det, witness, case)
@@ -310,7 +253,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
         case = BOUNDARY_CASES[trial % len(BOUNDARY_CASES)]
         rng = np.random.default_rng([seed, trial])
         params = _draw_params(rng, case, a0, an, eps, ns.size)
-        report = is_totally_positive(rational_collocation_matrix(ns, w, params), method=method)
+        report = is_totally_positive(rational_collocation_matrix(ns, w, params))
         if not report.is_tp:
             failures += 1
             failed.append((trial, case))

@@ -9,8 +9,6 @@ from gtbezier import (
     NodeSet,
     bernstein_equivalent_nodeset,
     bernstein_reference,
-    eval_gt_basis,
-    eval_rational_basis,
     log_basis_matrix,
     rational_basis_matrix,
     validate_node_set,
@@ -72,47 +70,45 @@ def test_validate_weights():
         validate_weights(ns, [1, 1, 1])
 
 
+def _raw(ns, t):
+    """Raw basis values at one parameter."""
+    return np.exp(log_basis_matrix(ns, t))[0]
+
+
 def test_eval_linear_hand_values():
     # beta_0(t) = 1 - t and beta_1(t) = t on nodes {0, 1}
     ns = validate_node_set([0, 1])
-    assert eval_gt_basis(ns, 0, 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert eval_gt_basis(ns, 1, 0.0) == 0.0
-    assert eval_gt_basis(ns, 0, 0.0) == 1.0
+    np.testing.assert_allclose(_raw(ns, 0.5), [0.5, 0.5], atol=1e-15)
+    assert _raw(ns, 0.0).tolist() == [1.0, 0.0]
 
 
 def test_eval_degenerates_to_quadratic_bernstein():
     ns = validate_node_set([0, 1, 2], [0.25, 0.5, 0.25])
     # t = 2x with x = 0.5: B^2_1(0.5) = 2 * 0.5 * 0.5
-    assert eval_gt_basis(ns, 1, 1.0) == pytest.approx(0.5, abs=1e-15)
+    assert _raw(ns, 1.0)[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_errors():
     ns = validate_node_set([0, 1])
-    with pytest.raises(ValueError, match="domain"):
-        eval_gt_basis(ns, 0, 1.5)
-    with pytest.raises(ValueError, match="domain"):
-        eval_gt_basis(ns, 0, -0.1)
-    with pytest.raises(IndexError):
-        eval_gt_basis(ns, 2, 0.5)
-    with pytest.raises(IndexError):
-        eval_gt_basis(ns, -1, 0.5)
+    for ts in (1.5, -0.1, [0.2, 1.5]):
+        with pytest.raises(ValueError, match="domain"):
+            log_basis_matrix(ns, ts)
+        with pytest.raises(ValueError, match="domain"):
+            rational_basis_matrix(ns, validate_weights(ns), ts)
 
 
 def test_rational_symmetry():
     ns = validate_node_set([0, 1])
-    bv = eval_rational_basis(ns, [1, 1], 0.5)
-    np.testing.assert_allclose(bv.values, [0.5, 0.5], atol=1e-15)
-    assert bv.normalized
+    np.testing.assert_allclose(rational_basis_matrix(ns, validate_weights(ns), [0.5]),
+                               [[0.5, 0.5]], atol=1e-15)
 
 
 def test_rational_endpoint_vectors_exact():
     ns = validate_node_set([0, 1])
-    assert eval_rational_basis(ns, [1, 1], 0.0).values.tolist() == [1.0, 0.0]
-    assert eval_rational_basis(ns, [1, 1], 1.0).values.tolist() == [0.0, 1.0]
+    assert rational_basis_matrix(ns, validate_weights(ns), [0.0, 1.0]).tolist() == [
+        [1.0, 0.0], [0.0, 1.0]]
     prob = datasets.circle_problem()
-    a0, an = prob.nodeset.domain
-    lo = eval_rational_basis(prob.nodeset, prob.weights, a0).values
-    hi = eval_rational_basis(prob.nodeset, prob.weights, an).values
+    lo, hi = rational_basis_matrix(prob.nodeset, prob.weights, prob.nodeset.domain)
     assert lo.tolist() == [1.0, 0.0, 0.0, 0.0, 0.0]
     assert hi.tolist() == [0.0, 0.0, 0.0, 0.0, 1.0]
 
@@ -120,9 +116,9 @@ def test_rational_endpoint_vectors_exact():
 def test_rational_partition_at_midpoint():
     prob = datasets.circle_problem()
     a0, an = prob.nodeset.domain
-    bv = eval_rational_basis(prob.nodeset, prob.weights, 0.5 * (a0 + an))
-    assert abs(bv.values.sum() - 1.0) < 1e-12
-    assert np.all(bv.values >= 0)
+    row = rational_basis_matrix(prob.nodeset, prob.weights, [0.5 * (a0 + an)])[0]
+    assert abs(row.sum() - 1.0) < 1e-12
+    assert np.all(row >= 0)
 
 
 def test_partition_of_unity_random_parameters():

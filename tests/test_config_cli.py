@@ -1,10 +1,16 @@
 """Tests for config loading, CSV/SVG export, and the command-line interface."""
 
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtbezier
 import gtbezier.cli as cli
 from gtbezier import datasets
 from gtbezier.config import (
@@ -64,12 +70,24 @@ def test_config_defaults(tmp_path):
 @pytest.mark.parametrize(
     "payload,msg",
     [
-        ({"nodes": [0, 1], "bogus": 1}, "unknown config fields"),
+        ({"nodes": [0, 1], "bogus": 1, "out": "x"}, "unknown config fields"),
         ({"nodes": [0, 1], "mode": "dance"}, "mode must be"),
         ({}, "requires a 'nodes'"),
         ({"nodes": [0, 1], "max_iter": 0}, "max_iter"),
         ({"nodes": [0, 1], "tol": -1}, "tol"),
         ({"nodes": [0, 1], "grid": 0}, "grid"),
+        ({"nodes": [0, 1], "out": "x"}, r"unknown config fields \['out'\]"),
+        ({"nodes": [0, 1], "max_iter": "5"}, "max_iter must be an integer"),
+        ({"nodes": [0, 1], "max_iter": True}, "max_iter must be an integer"),
+        ({"nodes": [0, 1], "max_iter": 5.0}, "max_iter must be an integer"),
+        ({"nodes": [0, 1], "grid": 2.5}, "grid must be an integer"),
+        ({"nodes": [0, 1], "grid": None}, "grid must be an integer"),
+        ({"nodes": [0, 1], "tol": "0"}, "tol must be a finite number"),
+        ({"nodes": [0, 1], "tol": False}, "tol must be a finite number"),
+        ({"nodes": [0, 1], "tol": float("nan")}, "tol must be a finite number"),
+        ({"nodes": [0, 1], "scale": "2"}, "scale must be a finite number"),
+        ({"nodes": [0, 1], "scale": True}, "scale must be a finite number"),
+        ({"nodes": [0, 1], "scale": float("inf")}, "scale must be a finite number"),
     ],
 )
 def test_config_structural_errors(tmp_path, payload, msg):
@@ -77,6 +95,34 @@ def test_config_structural_errors(tmp_path, payload, msg):
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=msg):
         load_config(path)
+
+
+@pytest.mark.parametrize(
+    "config,argv,msg",
+    [
+        ({"max_iter": "5"}, ["pia-fit"], "config error: max_iter must be an integer"),
+        ({"grid": 2.5}, ["basis-eval"], "config error: grid must be an integer"),
+        ({"max_iter": True}, ["pia-fit"], "config error: max_iter must be an integer"),
+        ({"out": "x"}, ["pia-fit"], "config error: .*unknown config fields"),
+        ({}, ["tp-check", "--trials", "0"], "argument --trials: must be"),
+        ({}, ["pia-fit", "--tol", "-1"], "argument --tol: must be"),
+        ({}, ["basis-eval", "--grid", "0"], "argument --grid: must be"),
+        ({}, ["example", "circle", "--iterations", "-1"], "argument --iterations: must be"),
+    ],
+)
+def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
+    # a fresh interpreter, so that an uncaught exception would show as a
+    # traceback and exit status 1
+    path = _circle_config(tmp_path, mode=None, **config)
+    if argv[0] != "example":
+        argv = argv + ["--config", str(path)]
+    env = dict(os.environ, PYTHONPATH=str(Path(gtbezier.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "gtbezier.cli", *argv],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert re.search(msg, proc.stderr.splitlines()[-1])
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_rejects_invalid_json(tmp_path):

@@ -1,19 +1,23 @@
 """Tests for collocation matrices, power reduction, generalized Vandermonde
 matrices, and the total-positivity checks."""
 
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from gtbezier import (
+    EXHAUSTIVE_LIMIT,
     GenVandermondeSpec,
     NodeSet,
-    collocation_matrix,
+    NtpSuiteReport,
     generalized_vandermonde,
     is_totally_positive,
-    minor_det,
+    log_basis_matrix,
     power_reduction,
     rational_collocation_matrix,
     validate_node_set,
+    validate_params,
     verify_ntp_suite,
 )
 from gtbezier import datasets
@@ -39,10 +43,27 @@ def _interior_params(rng, ns, count=None):
             return p
 
 
+def _raw_collocation(ns, params):
+    """Collocation matrix of the raw basis, entry (i, j) = beta_j(t_i)."""
+    return np.exp(log_basis_matrix(ns, validate_params(ns, params)))
+
+
+def _all_minors(m):
+    """Test oracle: determinants and row-norm scales of every minor of a
+    square matrix, by itertools enumeration and np.linalg.det."""
+    dets, scales = [], []
+    for k in range(1, m.shape[0] + 1):
+        sets = np.array(list(combinations(range(m.shape[0]), k)))
+        subs = m[sets[:, None, :, None], sets[None, :, None, :]].reshape(-1, k, k)
+        dets.append(np.linalg.det(subs))
+        scales.append(np.prod(np.linalg.norm(subs, axis=2), axis=1))
+    return np.concatenate(dets), np.concatenate(scales)
+
+
 def test_collocation_hand_values():
     ns = validate_node_set([0, 1])
     np.testing.assert_allclose(
-        collocation_matrix(ns, [1 / 3, 2 / 3]),
+        _raw_collocation(ns, [1 / 3, 2 / 3]),
         [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
         atol=1e-15,
     )
@@ -50,15 +71,23 @@ def test_collocation_hand_values():
 
 def test_collocation_endpoint_rows():
     ns = validate_node_set([0, 1])
-    np.testing.assert_array_equal(collocation_matrix(ns, [0.0, 1.0]), np.eye(2))
+    np.testing.assert_array_equal(_raw_collocation(ns, [0.0, 1.0]), np.eye(2))
 
 
 def test_collocation_rejects_bad_params():
     ns = validate_node_set([0, 1])
-    with pytest.raises(ValueError, match="increasing"):
-        collocation_matrix(ns, [0.5, 0.2])
-    with pytest.raises(ValueError, match="domain"):
-        collocation_matrix(ns, [0.5, 1.2])
+    for build in (validate_params, power_reduction,
+                  lambda ns, p: rational_collocation_matrix(ns, None, p)):
+        with pytest.raises(ValueError, match="increasing"):
+            build(ns, [0.5, 0.2])
+        with pytest.raises(ValueError, match="domain"):
+            build(ns, [0.5, 1.2])
+        with pytest.raises(ValueError, match="empty"):
+            build(ns, [])
+        with pytest.raises(ValueError, match="finite"):
+            build(ns, [0.5, np.nan])
+    p = validate_params(ns, [0.0, 1.0])
+    assert not p.flags.writeable
 
 
 def test_collocation_chebyshev_minors_positive():
@@ -66,9 +95,10 @@ def test_collocation_chebyshev_minors_positive():
     a0, an = ns.domain
     k = np.arange(5)
     cheb = np.sort(0.5 * (a0 + an) + 0.5 * (an - a0) * np.cos((2 * k + 1) * np.pi / 10))
-    report = is_totally_positive(collocation_matrix(ns, cheb), method="exhaustive")
-    assert report.is_tp
-    assert report.min_contiguous_minor > 0
+    report = is_totally_positive(_raw_collocation(ns, cheb))
+    assert report.method == "exhaustive"
+    assert report.is_tp and report.is_stp
+    assert report.witness[2] > 0
 
 
 def test_rational_collocation_unit_weights():
@@ -110,8 +140,6 @@ def test_power_reduction_border_rows():
     ns = validate_node_set([0, 1])
     np.testing.assert_array_equal(power_reduction(ns, [0.0, 0.5]), [[1.0, 0.0], [1.0, 1.0]])
     np.testing.assert_array_equal(power_reduction(ns, [0.5, 1.0]), [[1.0, 1.0], [0.0, 1.0]])
-    with pytest.raises(ValueError, match="strictly inside"):
-        power_reduction(ns, [0.0, 0.5], strict_interior=True)
 
 
 def test_power_reduction_tp_equivalent_to_collocation():
@@ -121,7 +149,7 @@ def test_power_reduction_tp_equivalent_to_collocation():
     for _ in range(50):
         ns = _random_node_set(rng)
         params = _interior_params(rng, ns)
-        b = collocation_matrix(ns, params)
+        b = _raw_collocation(ns, params)
         a = power_reduction(ns, params)
         assert is_totally_positive(b).is_tp == is_totally_positive(a).is_tp
 
@@ -190,49 +218,45 @@ def _cofactor_det(m):
     return total
 
 
-def test_minor_det_hand_values():
-    assert minor_det(np.eye(3), [0, 1], [0, 1]) == 1.0
-    assert minor_det([[1, 0.5], [1, 2]], [0, 1], [0, 1]) == pytest.approx(1.5)
-
-
-def test_minor_det_matches_cofactor_oracle():
+def test_witness_det_matches_cofactor_oracle():
+    # random matrices are far from TP, so the witness is a negative minor of
+    # any order; its determinant must be the minor its indices name
     rng = np.random.default_rng(31)
-    m = rng.normal(size=(6, 6))
-    for k in (1, 2, 3, 4, 5, 6):
-        rows = np.sort(rng.choice(6, size=k, replace=False))
-        cols = np.sort(rng.choice(6, size=k, replace=False))
-        expected = _cofactor_det(m[np.ix_(rows, cols)])
-        assert minor_det(m, rows, cols) == pytest.approx(expected, rel=1e-10)
-
-
-def test_minor_det_index_errors():
-    with pytest.raises(ValueError, match="increasing"):
-        minor_det(np.eye(3), [1, 0], [0, 1])
-    with pytest.raises(ValueError, match="bounds"):
-        minor_det(np.eye(3), [0, 3], [0, 1])
-    with pytest.raises(ValueError, match="equal length"):
-        minor_det(np.eye(3), [0, 1], [0, 1, 2])
+    orders = set()
+    for n in (1, 2, 3, 4, 5, 6):
+        for _ in range(20):
+            m = rng.normal(size=(n, n))
+            rows, cols, det = is_totally_positive(m).witness
+            orders.add(len(rows))
+            expected = _cofactor_det(m[np.ix_(rows, cols)])
+            assert det == pytest.approx(expected, rel=1e-10)
+    assert orders == {1, 2, 3, 4, 5, 6}
 
 
 def test_is_tp_identity_and_antidiagonal():
     rep = is_totally_positive(np.eye(2))
     assert rep.is_tp and not rep.is_stp
-    assert rep.min_contiguous_minor == 0.0
+    assert rep.witness[2] == 0.0
     rep = is_totally_positive([[0.0, 1.0], [1.0, 0.0]])
     assert not rep.is_tp
     assert rep.witness[2] == pytest.approx(-1.0)
 
 
-def test_is_tp_rejects_oversized_exhaustive():
-    with pytest.raises(ValueError, match="too large"):
-        is_totally_positive(np.ones((9, 9)))
-    # contiguous method still works above the exhaustive limit
-    assert is_totally_positive(np.ones((9, 9)), method="contiguous").is_tp
+def test_is_tp_selects_enumeration_by_size():
+    assert EXHAUSTIVE_LIMIT == 8
+    assert is_totally_positive(np.ones((8, 8))).method == "exhaustive"
+    assert is_totally_positive(np.ones((2, 8))).method == "exhaustive"
+    assert is_totally_positive(np.ones((9, 9))).method == "contiguous"
+    assert is_totally_positive(np.ones((2, 9))).method == "contiguous"
+    assert is_totally_positive(np.ones((9, 9))).is_tp
+    # the helix collocation matrix is 31 x 31; the verdict never refuses a size
+    prob = datasets.helix_problem()
+    rep = is_totally_positive(
+        rational_collocation_matrix(prob.nodeset, prob.weights, prob.params))
+    assert rep.method == "contiguous" and rep.is_tp
 
 
 def test_is_tp_input_validation():
-    with pytest.raises(ValueError, match="method"):
-        is_totally_positive(np.eye(2), method="fast")
     with pytest.raises(ValueError, match="non-negative"):
         is_totally_positive(np.eye(2), tol=-1.0)
     with pytest.raises(ValueError, match="finite"):
@@ -243,23 +267,30 @@ def test_example_collocation_is_tp():
     prob = datasets.circle_problem()
     rng = np.random.default_rng(37)
     params = _interior_params(rng, prob.nodeset)
-    rep = is_totally_positive(
-        rational_collocation_matrix(prob.nodeset, prob.weights, params), method="exhaustive"
-    )
-    assert rep.is_tp
+    rep = is_totally_positive(rational_collocation_matrix(prob.nodeset, prob.weights, params))
+    assert rep.is_tp and rep.method == "exhaustive"
 
 
 def test_contiguous_stp_implies_exhaustive_tp():
+    # above EXHAUSTIVE_LIMIT only windows are checked; a window STP verdict
+    # (every window minor positive, tol=0) must hold up against all minors,
+    # enumerated by the oracle and accepted as in the exhaustive verdict
     rng = np.random.default_rng(41)
-    checked = 0
-    for _ in range(40):
-        ns = _random_node_set(rng)
-        mat = collocation_matrix(ns, _interior_params(rng, ns))
-        contiguous = is_totally_positive(mat, method="contiguous")
-        if contiguous.is_stp:
-            checked += 1
-            assert is_totally_positive(mat, method="exhaustive").is_tp
-    assert checked > 10
+    for n, count in ((9, 48619), (9, 48619), (10, 184755)):
+        while True:
+            nodes = np.sort(rng.uniform(0.0, 3.0, n))
+            if np.all(np.diff(nodes) > 0.05):
+                break
+        ns = NodeSet(nodes, rng.uniform(0.2, 2.0, n), rng.uniform(0.3, 2.0))
+        mat = _raw_collocation(ns, _interior_params(rng, ns))
+        report = is_totally_positive(mat, tol=0.0)
+        assert report.method == "contiguous" and report.is_stp
+        dets, scales = _all_minors(mat)
+        assert dets.size == count
+        assert np.all(dets >= -1e-9 * scales)
+        # negative control: a column swap leaves a negative window minor
+        swapped = mat[:, [1, 0] + list(range(2, n))]
+        assert not is_totally_positive(swapped).is_tp
 
 
 def test_positive_scaling_preserves_tp():
@@ -303,3 +334,22 @@ def test_ntp_suite_deterministic():
     assert a == b
     with pytest.raises(ValueError, match="trial"):
         verify_ntp_suite(prob.nodeset, prob.weights, trials=0)
+
+
+def test_ntp_suite_reports_pinned():
+    # pinned suite reports, witnesses included: the 5-node circle is judged
+    # on every minor, the 31-node helix on contiguous windows
+    circle = datasets.circle_problem()
+    report = verify_ntp_suite(circle.nodeset, circle.weights, trials=400, seed=20240809)
+    assert report == NtpSuiteReport(
+        trials=400, failures=0, worst_minor=0.0, worst_witness=((0,), (1,), 0.0),
+        worst_case="left", failed_trials=())
+    ns, w = datasets.helix_node_set(), datasets.helix_weights()
+    assert verify_ntp_suite(ns, w, trials=8, seed=3) == NtpSuiteReport(
+        trials=8, failures=0, worst_minor=0.0, worst_witness=((0,), (1,), 0.0),
+        worst_case="left", failed_trials=())
+    # a one-trial suite is interior only, so its witness is a nonzero minor
+    interior = verify_ntp_suite(ns, w, trials=1, seed=3)
+    assert interior.worst_case == "interior"
+    assert interior.worst_witness[:2] == ((0, 1, 2, 3, 4, 5), (25, 26, 27, 28, 29, 30))
+    assert interior.worst_minor == pytest.approx(6.678522287174328e-208, rel=1e-9)
