@@ -1,6 +1,7 @@
 """JSON run configurations for the command-line front end.
 
-A config is a single JSON object; list entries are parsed as doubles. Fields:
+A config is a single JSON object; list entries must be finite JSON numbers
+and are parsed as doubles. Fields:
 
     mode          "fit" | "eval" | "tp-check" (optional; checked against
                   the subcommand when present)
@@ -25,6 +26,18 @@ from .pia import FitProblem
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+def _is_finite_number(value) -> bool:
+    # exact type test: JSON true/false load as bool, a subclass of int
+    try:
+        return type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_number_list(value) -> bool:
+    return type(value) is list and all(_is_finite_number(v) for v in value)
 
 
 _FIELDS = ("mode", "nodes", "coefficients", "scale", "weights", "points",
@@ -58,13 +71,18 @@ def load_config(path) -> RunConfig:
     unknown = set(raw) - set(_FIELDS)
     if unknown:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
-    # exact type tests: JSON true/false load as bool, a subclass of int
     for name in ("max_iter", "grid"):
         if name in raw and type(raw[name]) is not int:
             raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
     for name in ("scale", "tol"):
-        if name in raw and not (type(raw[name]) in (int, float) and math.isfinite(raw[name])):
+        if name in raw and not _is_finite_number(raw[name]):
             raise ConfigError(f"{name} must be a finite number, got {raw[name]!r}")
+    for name in ("nodes", "coefficients", "weights", "params"):
+        if name in raw and not _is_number_list(raw[name]):
+            raise ConfigError(f"{name} must be a list of finite numbers, got {raw[name]!r}")
+    points = raw.get("points", [])
+    if type(points) is not list or not all(_is_number_list(p) for p in points):
+        raise ConfigError(f"points must be a list of lists of finite numbers, got {points!r}")
     cfg = RunConfig(**raw)
     if cfg.mode is not None and cfg.mode not in _MODES:
         raise ConfigError(f"mode must be one of {_MODES}, got {cfg.mode!r}")

@@ -9,9 +9,12 @@ Because the rational basis is normalized totally positive, the iteration
 matrix I - C (C the rational collocation matrix at the fit parameters)
 has spectral radius below one whenever C is nonsingular, and the curves
 converge to interpolate the data.
+
+C depends only on the problem, so a FitProblem builds it once, as a
+read-only field; pia_run iterates on one control array in place.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,13 +34,15 @@ class FitProblem:
     """Data points with assigned parameters over a node-set configuration.
 
     One data point per node; parameters strictly increasing within the
-    node interval (endpoints allowed).
+    node interval (endpoints allowed). collocation is the read-only
+    rational collocation matrix C at the parameters, built once here.
     """
 
     data: np.ndarray
     params: np.ndarray
     nodeset: NodeSet
     weights: np.ndarray
+    collocation: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         data = as_control_polygon(self.data)
@@ -50,6 +55,9 @@ class FitProblem:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", w)
+        c = rational_collocation_matrix(self.nodeset, w, params)
+        c.setflags(write=False)
+        object.__setattr__(self, "collocation", c)
 
 
 @dataclass(frozen=True)
@@ -71,13 +79,16 @@ def fitted_curve(problem: FitProblem, state: PiaState) -> GTBezierCurve:
     return GTBezierCurve(problem.nodeset, problem.weights, state.control)
 
 
-def _collocation(problem: FitProblem) -> np.ndarray:
-    return rational_collocation_matrix(problem.nodeset, problem.weights, problem.params)
+def _residuals(problem: FitProblem, control: np.ndarray):
+    """Residuals P_i - C^k(t_i) of the curve with these control points, and
+    their maximum Euclidean norm (the recorded fit error)."""
+    delta = problem.data - problem.collocation @ control
+    return delta, float(np.max(np.linalg.norm(delta, axis=1)))
 
 
 def adjustment_vectors(problem: FitProblem, state: PiaState) -> np.ndarray:
     """Residuals P_i - C^k(t_i) driving the next control update."""
-    return problem.data - _collocation(problem) @ state.control
+    return _residuals(problem, state.control)[0]
 
 
 def pia_step(problem: FitProblem, state: PiaState) -> PiaState:
@@ -85,8 +96,7 @@ def pia_step(problem: FitProblem, state: PiaState) -> PiaState:
 
     The recorded error is the maximum Euclidean norm of the residuals.
     """
-    delta = adjustment_vectors(problem, state)
-    err = float(np.max(np.linalg.norm(delta, axis=1)))
+    delta, err = _residuals(problem, state.control)
     return PiaState(
         control=state.control + delta,
         iteration=state.iteration + 1,
@@ -105,22 +115,24 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
         raise ValueError("max_iter must be at least 1")
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    state = pia_init(problem)
+    control = problem.data.copy()
+    history = []
     for _ in range(max_iter):
-        state = pia_step(problem, state)
-        err = state.error_history[-1]
-        first = state.error_history[0]
+        delta, err = _residuals(problem, control)
+        control += delta
+        history.append(err)
+        first = history[0]
         if first > 0 and err > DIVERGENCE_FACTOR * first:
             raise DivergenceError(
                 f"fit error {err:.3e} exceeds {DIVERGENCE_FACTOR:.0e} x initial {first:.3e}"
             )
         if err <= tol:
             break
-    return state
+    return PiaState(control, len(history), tuple(history))
 
 
 def iteration_spectrum(problem: FitProblem) -> float:
     """Spectral radius of I - C for the problem's rational collocation
     matrix C; a value below one certifies convergence of the iteration."""
-    c = _collocation(problem)
+    c = problem.collocation
     return float(np.max(np.abs(np.linalg.eigvals(np.eye(c.shape[0]) - c))))

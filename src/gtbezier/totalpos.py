@@ -43,15 +43,12 @@ def power_reduction(ns: NodeSet, params) -> np.ndarray:
     p = validate_params(ns, params)
     a0, an = ns.domain
     expo = ns.scale * (ns.nodes - a0)
+    inner = (p > a0) & (p < an)
+    x = (p[inner] - a0) / (an - p[inner])
     out = np.empty((p.size, ns.size))
-    for r, t in enumerate(p):
-        if t == a0:
-            out[r] = (ns.nodes == a0).astype(float)
-        elif t == an:
-            out[r] = (ns.nodes == an).astype(float)
-        else:
-            x = (t - a0) / (an - t)
-            out[r] = np.exp(expo * np.log(x))
+    out[inner] = np.exp(expo[None, :] * np.log(x)[:, None])
+    out[p == a0] = ns.nodes == a0
+    out[p == an] = ns.nodes == an
     return out
 
 
@@ -170,6 +167,12 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
     row/column windows are checked. A minor passes as non-negative when
     det >= -tol*scale and counts as strictly positive when det > tol*scale,
     with scale the product of the submatrix row norms.
+
+    Rows whose largest entry exceeds one are first scaled down by an exact
+    power of two, so that minors of large entries do not overflow; a
+    positive row scaling keeps the sign of every minor and scales its
+    tolerance alike. The witness is chosen and reported in the original
+    scale, where its determinant may be infinite.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.size == 0:
@@ -178,6 +181,11 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
         raise ValueError("matrix entries must be finite")
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
+    row_max = np.max(np.abs(m), axis=1)
+    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
+    scaled = bool(shifts.any())
+    if scaled:
+        m = np.ldexp(m, -shifts[:, None])
     method = "exhaustive" if max(m.shape) <= EXHAUSTIVE_LIMIT else "contiguous"
     sets = _combo_array if method == "exhaustive" else _window_array
 
@@ -190,6 +198,11 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
         margins = dets + tol * scales
         all_ok = all_ok and bool(np.all(margins >= 0.0))
         all_strict = all_strict and bool(np.all(dets > tol * scales))
+        if scaled:
+            # the witness is chosen and reported in the original scale
+            unscale = shifts[rset].sum(axis=1)
+            with np.errstate(over="ignore"):
+                margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
         i = int(np.argmin(margins))
         if margins[i] < worst_margin:
             worst_margin = float(margins[i])

@@ -5,10 +5,12 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gtbezier
 import gtbezier.cli as cli
@@ -88,6 +90,14 @@ def test_config_defaults(tmp_path):
         ({"nodes": [0, 1], "scale": "2"}, "scale must be a finite number"),
         ({"nodes": [0, 1], "scale": True}, "scale must be a finite number"),
         ({"nodes": [0, 1], "scale": float("inf")}, "scale must be a finite number"),
+        ({"nodes": [0, 1], "scale": 10**400}, "scale must be a finite number"),
+        ({"nodes": {"a": 1}}, "nodes must be a list of finite numbers"),
+        ({"nodes": [0, 1], "weights": [True, 1]}, "weights must be a list of finite numbers"),
+        ({"nodes": [0, 1], "coefficients": [1, "2"]}, "coefficients must be a list of finite"),
+        ({"nodes": [0, 1], "params": [0, float("nan")]}, "params must be a list of finite"),
+        ({"nodes": [0, 1], "params": None}, "params must be a list of finite numbers"),
+        ({"nodes": [0, 1], "points": [[0, 0], [1, False]]}, "points must be a list of lists"),
+        ({"nodes": [0, 1], "points": [0, 1]}, "points must be a list of lists"),
     ],
 )
 def test_config_structural_errors(tmp_path, payload, msg):
@@ -123,6 +133,39 @@ def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
     assert "Traceback" not in proc.stderr
     assert re.search(msg, proc.stderr.splitlines()[-1])
     assert not (tmp_path / "out").exists()
+
+
+# a small alphabet keeps hypothesis from building its unicode tables
+_TEXT = st.text("aé\"\\", max_size=3)
+_SCALARS = st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | _TEXT
+_NUMBERS = st.lists(st.integers(-3, 6) | st.floats(-1e3, 1e3) | st.floats()
+                    | st.just(10**400), max_size=7)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    command=st.sampled_from(["basis-eval", "tp-check", "pia-fit"]),
+    overrides=st.dictionaries(
+        st.sampled_from(["mode", "nodes", "coefficients", "scale", "weights", "points",
+                         "params", "max_iter", "tol", "grid"]),
+        _JSON | _NUMBERS | st.lists(_NUMBERS, max_size=6),
+        max_size=3,
+    ),
+)
+def test_fuzzed_config_ends_in_documented_exit_code(command, overrides):
+    # a valid circle config with up to three fields replaced by random JSON;
+    # integers stay small so that grids and iteration counts stay cheap
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _circle_config(Path(tmp), **{"mode": None, **overrides})
+        argv = [command, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if command == "tp-check":
+            argv += ["--trials", "2"]
+        assert cli.main(argv) in (0, 1, 2, 3, 4)
 
 
 def test_config_rejects_invalid_json(tmp_path):

@@ -15,6 +15,7 @@ from gtbezier import (
     pia_init,
     pia_run,
     pia_step,
+    rational_collocation_matrix,
     validate_node_set,
 )
 from gtbezier import datasets
@@ -147,16 +148,65 @@ def test_trajectory_affine_equivariance():
 
 
 def test_divergence_guard(monkeypatch):
+    # C = 3I makes the iteration matrix I - C = -2I: every residual doubles
+    # per step through the real loop until the guard trips
+    monkeypatch.setattr(gtbezier.pia, "rational_collocation_matrix",
+                        lambda ns, w, params: 3.0 * np.eye(5))
     problem = datasets.circle_problem()
-    grow = {"factor": 1.0}
-
-    def exploding(problem, state):
-        grow["factor"] *= 1e3
-        return grow["factor"] * np.ones_like(state.control)
-
-    monkeypatch.setattr(gtbezier.pia, "adjustment_vectors", exploding)
-    with pytest.raises(DivergenceError):
+    with pytest.raises(DivergenceError, match="exceeds"):
         pia_run(problem, max_iter=50)
+
+
+# helix fit to 1e-4, pinned bit for bit: the loop's arithmetic must not change
+HELIX_TOL_STEPS = 7938
+HELIX_TOL_HISTORY = {
+    0: 0.8390353985920224,
+    9: 0.08919763998075712,
+    99: 0.0019060481452272946,
+    999: 0.0004895336865253291,
+    7937: 9.999309188635794e-05,
+}
+
+
+def test_helix_run_to_tolerance_pinned():
+    state = pia_run(datasets.helix_problem(), max_iter=100000, tol=1e-4)
+    assert state.iteration == HELIX_TOL_STEPS == len(state.error_history)
+    for k, err in HELIX_TOL_HISTORY.items():
+        assert state.error_history[k] == err, k
+
+
+def test_run_equals_chained_steps():
+    problem = datasets.circle_problem()
+    state = pia_init(problem)
+    for _ in range(25):
+        state = pia_step(problem, state)
+    run = pia_run(problem, max_iter=25)
+    assert run.iteration == state.iteration == 25
+    assert run.error_history == state.error_history
+    assert np.array_equal(run.control, state.control)
+
+
+def test_collocation_built_once_and_read_only(monkeypatch):
+    reference = datasets.circle_problem()
+    calls = []
+    build = gtbezier.pia.rational_collocation_matrix
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(gtbezier.pia, "rational_collocation_matrix", counting)
+    problem = FitProblem(reference.data, reference.params, reference.nodeset, reference.weights)
+    data = problem.data.copy()
+    pia_run(problem, max_iter=200)
+    iteration_spectrum(problem)
+    assert len(calls) == 1
+    assert problem.collocation.flags.writeable is False
+    np.testing.assert_array_equal(problem.data, data)
+    np.testing.assert_array_equal(
+        problem.collocation,
+        rational_collocation_matrix(problem.nodeset, problem.weights, problem.params),
+    )
 
 
 def test_fitted_curve_wraps_state():
@@ -194,11 +244,11 @@ def _power_iteration_radius(m, iters=3000, seed=1):
 
 def test_iteration_spectrum_matches_power_iteration():
     problem = datasets.circle_problem()
-    c = gtbezier.pia._collocation(problem)
+    c = problem.collocation
     oracle = _power_iteration_radius(np.eye(5) - c)
     assert iteration_spectrum(problem) == pytest.approx(oracle, abs=1e-9)
     helix = datasets.helix_problem()
-    ch = gtbezier.pia._collocation(helix)
+    ch = helix.collocation
     oracle_h = _power_iteration_radius(np.eye(31) - ch)
     assert oracle_h < 1.0
     assert iteration_spectrum(helix) == pytest.approx(oracle_h, abs=1e-3)

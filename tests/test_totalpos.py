@@ -1,6 +1,7 @@
 """Tests for collocation matrices, power reduction, generalized Vandermonde
 matrices, and the total-positivity checks."""
 
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -43,7 +44,7 @@ def _interior_params(rng, ns, count=None):
             return p
 
 
-def _raw_collocation(ns, params):
+def _raw_collocation_matrix(ns, params):
     """Collocation matrix of the raw basis, entry (i, j) = beta_j(t_i)."""
     return np.exp(log_basis_matrix(ns, validate_params(ns, params)))
 
@@ -63,7 +64,7 @@ def _all_minors(m):
 def test_collocation_hand_values():
     ns = validate_node_set([0, 1])
     np.testing.assert_allclose(
-        _raw_collocation(ns, [1 / 3, 2 / 3]),
+        _raw_collocation_matrix(ns, [1 / 3, 2 / 3]),
         [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
         atol=1e-15,
     )
@@ -71,7 +72,7 @@ def test_collocation_hand_values():
 
 def test_collocation_endpoint_rows():
     ns = validate_node_set([0, 1])
-    np.testing.assert_array_equal(_raw_collocation(ns, [0.0, 1.0]), np.eye(2))
+    np.testing.assert_array_equal(_raw_collocation_matrix(ns, [0.0, 1.0]), np.eye(2))
 
 
 def test_collocation_rejects_bad_params():
@@ -95,7 +96,7 @@ def test_collocation_chebyshev_minors_positive():
     a0, an = ns.domain
     k = np.arange(5)
     cheb = np.sort(0.5 * (a0 + an) + 0.5 * (an - a0) * np.cos((2 * k + 1) * np.pi / 10))
-    report = is_totally_positive(_raw_collocation(ns, cheb))
+    report = is_totally_positive(_raw_collocation_matrix(ns, cheb))
     assert report.method == "exhaustive"
     assert report.is_tp and report.is_stp
     assert report.witness[2] > 0
@@ -149,7 +150,7 @@ def test_power_reduction_tp_equivalent_to_collocation():
     for _ in range(50):
         ns = _random_node_set(rng)
         params = _interior_params(rng, ns)
-        b = _raw_collocation(ns, params)
+        b = _raw_collocation_matrix(ns, params)
         a = power_reduction(ns, params)
         assert is_totally_positive(b).is_tp == is_totally_positive(a).is_tp
 
@@ -256,6 +257,26 @@ def test_is_tp_selects_enumeration_by_size():
     assert rep.method == "contiguous" and rep.is_tp
 
 
+def test_is_tp_large_entries_do_not_overflow():
+    # raw basis entries reach 3.4e114, so unscaled minors overflow to inf;
+    # positive row scalings keep every minor's sign, so the verdict must
+    # match that of the row-normalized matrix
+    mpmath = pytest.importorskip("mpmath")
+    ns = NodeSet(np.arange(9.0), np.ones(9), 8.0)
+    m = np.exp(log_basis_matrix(ns, np.linspace(0.3, 7.7, 9)))
+    assert m.max() > 1e114
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = is_totally_positive(m)
+        normalized = is_totally_positive(m / m.max(axis=1, keepdims=True))
+    assert rep.is_tp and normalized.is_tp
+    assert rep.is_stp == normalized.is_stp
+    rows, cols, det = rep.witness
+    with mpmath.workdps(50):
+        exact = mpmath.det(mpmath.matrix(m[np.ix_(rows, cols)].tolist()))
+        assert det == pytest.approx(float(exact), rel=1e-9)
+
+
 def test_is_tp_input_validation():
     with pytest.raises(ValueError, match="non-negative"):
         is_totally_positive(np.eye(2), tol=-1.0)
@@ -282,7 +303,7 @@ def test_contiguous_stp_implies_exhaustive_tp():
             if np.all(np.diff(nodes) > 0.05):
                 break
         ns = NodeSet(nodes, rng.uniform(0.2, 2.0, n), rng.uniform(0.3, 2.0))
-        mat = _raw_collocation(ns, _interior_params(rng, ns))
+        mat = _raw_collocation_matrix(ns, _interior_params(rng, ns))
         report = is_totally_positive(mat, tol=0.0)
         assert report.method == "contiguous" and report.is_stp
         dets, scales = _all_minors(mat)
