@@ -12,11 +12,11 @@ from pathlib import Path
 import numpy as np
 
 from gtbezier import (
+    NodeSet,
     bernstein_equivalent_nodeset,
     bernstein_reference,
     log_basis_matrix,
     rational_basis_matrix,
-    validate_node_set,
 )
 from gtbezier import datasets
 from gtbezier.export import write_svg
@@ -26,7 +26,7 @@ out.mkdir(parents=True, exist_ok=True)
 
 # ------------------------------------------------------------------
 # two nodes {0, 1}: the basis is the pair 1 - t, t
-ns = validate_node_set([0, 1])
+ns = NodeSet([0, 1])
 beta = np.exp(log_basis_matrix(ns, 0.5))[0]
 print("nodes {0, 1}:  beta_0(0.5) =", beta[0], "  beta_1(0.5) =", beta[1])
 

@@ -10,19 +10,19 @@ import numpy as np
 
 from gtbezier import (
     GenVandermondeSpec,
+    NodeSet,
     generalized_vandermonde,
     is_totally_positive,
     log_basis_matrix,
     power_reduction,
     rational_collocation_matrix,
-    validate_node_set,
     verify_ntp_suite,
 )
 from gtbezier import datasets
 
 # ------------------------------------------------------------------
 # a hand-checkable 2x2 case on nodes {0, 1}
-ns = validate_node_set([0, 1])
+ns = NodeSet([0, 1])
 b = np.exp(log_basis_matrix(ns, [1 / 3, 2 / 3]))
 print("collocation matrix B at t = 1/3, 2/3:\n", b)
 print("det B =", np.linalg.det(b))

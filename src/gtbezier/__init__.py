@@ -7,29 +7,22 @@ from .basis import (
     bernstein_reference,
     log_basis_matrix,
     rational_basis_matrix,
-    validate_node_set,
     validate_params,
     validate_weights,
 )
 from .curve import (
     GTBezierCurve,
     as_control_polygon,
-    classical_bezier,
     curve_points,
-    eval_curve,
-    rational_bezier,
     sample_polyline,
 )
 from .pia import (
     DivergenceError,
     FitProblem,
     PiaState,
-    adjustment_vectors,
     fitted_curve,
     iteration_spectrum,
-    pia_init,
     pia_run,
-    pia_step,
 )
 from .totalpos import (
     EXHAUSTIVE_LIMIT,

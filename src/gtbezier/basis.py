@@ -29,11 +29,15 @@ def _as_float_vector(values, name):
 
 @dataclass(frozen=True)
 class NodeSet:
-    """Sorted real nodes with per-node coefficients and a positive scale."""
+    """Sorted real nodes with per-node coefficients and a positive scale.
+
+    Coefficients default to 1 for every node and the scale to 1. Invalid
+    input raises ValueError; nothing is silently repaired.
+    """
 
     nodes: np.ndarray
-    coefficients: np.ndarray
-    scale: float
+    coefficients: np.ndarray | None = None
+    scale: float = 1.0
 
     def __post_init__(self):
         nodes = _as_float_vector(self.nodes, "nodes")
@@ -43,7 +47,10 @@ class NodeSet:
             raise ValueError("nodes must be non-decreasing")
         if nodes[0] == nodes[-1]:
             raise ValueError("degenerate node range: first and last node coincide")
-        coeffs = _as_float_vector(self.coefficients, "coefficients")
+        if self.coefficients is None:
+            coeffs = np.ones_like(nodes)
+        else:
+            coeffs = _as_float_vector(self.coefficients, "coefficients")
         if coeffs.shape != nodes.shape:
             raise ValueError("coefficients must match nodes in length")
         if np.any(coeffs <= 0):
@@ -68,18 +75,6 @@ class NodeSet:
     def domain(self) -> tuple[float, float]:
         """The parameter interval [a_0, a_n]."""
         return float(self.nodes[0]), float(self.nodes[-1])
-
-
-def validate_node_set(nodes, coefficients=None, scale=1.0) -> NodeSet:
-    """Validate raw node data and return an immutable NodeSet.
-
-    Coefficients default to 1 for every node when not supplied. Invalid
-    input raises ValueError; nothing is silently repaired.
-    """
-    nodes = _as_float_vector(nodes, "nodes")
-    if coefficients is None:
-        coefficients = np.ones_like(nodes)
-    return NodeSet(nodes, coefficients, scale)
 
 
 def validate_weights(ns: NodeSet, weights=None) -> np.ndarray:

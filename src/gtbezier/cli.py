@@ -37,7 +37,7 @@ from .export import (
     write_points_csv,
     write_svg,
 )
-from .pia import DivergenceError, fitted_curve, iteration_spectrum, pia_init, pia_run
+from .pia import DivergenceError, fitted_curve, iteration_spectrum, pia_run
 from .totalpos import verify_ntp_suite
 
 EXIT_OK = 0
@@ -47,6 +47,7 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 POLYLINE_SAMPLES = 401
+MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
 
 _CURVE_STYLES = {
     "gt": {"stroke": "#d62728"},
@@ -64,7 +65,7 @@ def _at_least(convert, low):
             value = convert(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"invalid {convert.__name__} {text!r}") from None
-        if not math.isfinite(value) or value < low:
+        if not low <= value < math.inf:  # NaN fails; an int of any size compares exactly
             raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
         return value
 
@@ -93,8 +94,9 @@ def cmd_basis_eval(args) -> int:
     ns = config_node_set(cfg)
     w = config_weights(cfg, ns)
     grid = args.grid if args.grid is not None else cfg.grid
-    a0, an = ns.domain
-    ts = np.linspace(a0, an, grid) if grid > 1 else np.array([a0])
+    if grid > MAX_GRID:
+        raise ConfigError(f"grid must be at most {MAX_GRID}")
+    ts = np.linspace(*ns.domain, grid)
     values = rational_basis_matrix(ns, w, ts)
     out = _outdir(args)
     header = ("t",) + tuple(f"T{j}" for j in range(ns.size))
@@ -186,10 +188,7 @@ def cmd_example(args) -> int:
     svg_layers = []
     data = next(iter(problems.values())).data
     for label, problem in problems.items():
-        if max_iter == 0:
-            state = pia_init(problem)
-        else:
-            state = pia_run(problem, max_iter=max_iter)
+        state = pia_run(problem, max_iter=max_iter)
         histories.append(state.error_history)
         curve, polyline = _write_fit_outputs(out, f"{args.which}_{label}_", problem, state)
         if curve.dim == 2:

@@ -13,14 +13,15 @@ and are parsed as doubles. Fields:
     params        fit parameters, one per point
     max_iter      optional integer, default 20
     tol           optional number, default 0
-    grid          optional integer grid size for basis tables, default 101
+    grid          optional integer grid size for basis tables, default 101,
+                  at most cli.MAX_GRID
 """
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 
-from .basis import NodeSet, validate_node_set, validate_weights
+from .basis import NodeSet, validate_weights
 from .pia import FitProblem
 
 
@@ -40,8 +41,6 @@ def _is_number_list(value) -> bool:
     return type(value) is list and all(_is_finite_number(v) for v in value)
 
 
-_FIELDS = ("mode", "nodes", "coefficients", "scale", "weights", "points",
-           "params", "max_iter", "tol", "grid")
 _MODES = ("fit", "eval", "tp-check")
 
 
@@ -57,6 +56,9 @@ class RunConfig:
     max_iter: int = 20
     tol: float = 0.0
     grid: int = 101
+
+
+_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
 def load_config(path) -> RunConfig:
@@ -97,17 +99,9 @@ def load_config(path) -> RunConfig:
     return cfg
 
 
-def save_config(cfg: RunConfig, path):
-    """Write a config back out; load_config(save_config(c)) is equivalent to c."""
-    data = {k: v for k, v in asdict(cfg).items() if v is not None}
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def config_node_set(cfg: RunConfig) -> NodeSet:
     try:
-        return validate_node_set(cfg.nodes, cfg.coefficients, cfg.scale)
+        return NodeSet(cfg.nodes, cfg.coefficients, cfg.scale)
     except ValueError as exc:
         raise ConfigError(f"invalid node set: {exc}") from exc
 

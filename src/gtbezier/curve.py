@@ -1,16 +1,10 @@
-"""Curves blended from rational toric Bernstein bases, plus the classical
-and rational Bezier constructions used as fitting baselines."""
+"""Curves blended from rational toric Bernstein bases."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (
-    NodeSet,
-    bernstein_equivalent_nodeset,
-    rational_basis_matrix,
-    validate_weights,
-)
+from .basis import NodeSet, rational_basis_matrix, validate_weights
 
 
 def as_control_polygon(points) -> np.ndarray:
@@ -56,11 +50,6 @@ def curve_points(curve: GTBezierCurve, ts) -> np.ndarray:
     return rational_basis_matrix(curve.nodeset, curve.weights, ts) @ curve.control
 
 
-def eval_curve(curve: GTBezierCurve, t: float) -> np.ndarray:
-    """Point on the curve at t: a convex combination of the control points."""
-    return curve_points(curve, [t])[0]
-
-
 def sample_polyline(curve: GTBezierCurve, count: int) -> np.ndarray:
     """Evaluate at count uniformly spaced parameters, endpoints included."""
     if count < 2:
@@ -68,16 +57,3 @@ def sample_polyline(curve: GTBezierCurve, count: int) -> np.ndarray:
     a0, an = curve.nodeset.domain
     return curve_points(curve, np.linspace(a0, an, count))
 
-
-def classical_bezier(control) -> GTBezierCurve:
-    """Degree-(m-1) Bezier curve as a node-set curve on 0..m-1 with unit
-    weights; evaluating at t = n*x reproduces the classical curve at x."""
-    ctrl = as_control_polygon(control)
-    n = ctrl.shape[0] - 1
-    return GTBezierCurve(bernstein_equivalent_nodeset(n), np.ones(n + 1), ctrl)
-
-
-def rational_bezier(control, weights) -> GTBezierCurve:
-    """Rational Bezier baseline: Bernstein-equivalent nodes, given weights."""
-    ctrl = as_control_polygon(control)
-    return GTBezierCurve(bernstein_equivalent_nodeset(ctrl.shape[0] - 1), weights, ctrl)

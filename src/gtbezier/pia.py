@@ -11,7 +11,8 @@ has spectral radius below one whenever C is nonsingular, and the curves
 converge to interpolate the data.
 
 C depends only on the problem, so a FitProblem builds it once, as a
-read-only field; pia_run iterates on one control array in place.
+read-only field; pia_run, the one iteration loop, updates one control
+array in place. pia_run(problem, 0) is the initial state.
 """
 
 from dataclasses import dataclass, field
@@ -62,16 +63,15 @@ class FitProblem:
 
 @dataclass(frozen=True)
 class PiaState:
-    """Current control points, iteration counter, and per-iteration errors."""
+    """Current control points and the fit error recorded at each iteration."""
 
     control: np.ndarray
-    iteration: int
     error_history: tuple
 
-
-def pia_init(problem: FitProblem) -> PiaState:
-    """Initial state: control points are the data points themselves."""
-    return PiaState(problem.data.copy(), 0, ())
+    @property
+    def iteration(self) -> int:
+        """Number of updates applied to the initial control points."""
+        return len(self.error_history)
 
 
 def fitted_curve(problem: FitProblem, state: PiaState) -> GTBezierCurve:
@@ -79,46 +79,25 @@ def fitted_curve(problem: FitProblem, state: PiaState) -> GTBezierCurve:
     return GTBezierCurve(problem.nodeset, problem.weights, state.control)
 
 
-def _residuals(problem: FitProblem, control: np.ndarray):
-    """Residuals P_i - C^k(t_i) of the curve with these control points, and
-    their maximum Euclidean norm (the recorded fit error)."""
-    delta = problem.data - problem.collocation @ control
-    return delta, float(np.max(np.linalg.norm(delta, axis=1)))
-
-
-def adjustment_vectors(problem: FitProblem, state: PiaState) -> np.ndarray:
-    """Residuals P_i - C^k(t_i) driving the next control update."""
-    return _residuals(problem, state.control)[0]
-
-
-def pia_step(problem: FitProblem, state: PiaState) -> PiaState:
-    """One update: add each residual to its control point.
-
-    The recorded error is the maximum Euclidean norm of the residuals.
-    """
-    delta, err = _residuals(problem, state.control)
-    return PiaState(
-        control=state.control + delta,
-        iteration=state.iteration + 1,
-        error_history=state.error_history + (err,),
-    )
-
-
 def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
     """Iterate until the max residual norm drops to tol or max_iter is hit.
 
+    Starts from the data points as control points; each update adds the
+    residuals P_i - C^k(t_i) to them and records their maximum Euclidean
+    norm. max_iter = 0 returns that initial state with an empty history.
     Raises DivergenceError if the error grows past DIVERGENCE_FACTOR times
     the first recorded error; that cannot happen for a totally positive,
     nonsingular collocation matrix and signals a misconfigured problem.
     """
-    if max_iter < 1:
-        raise ValueError("max_iter must be at least 1")
+    if max_iter < 0:
+        raise ValueError("max_iter must be non-negative")
     if tol < 0:
         raise ValueError("tol must be non-negative")
     control = problem.data.copy()
     history = []
     for _ in range(max_iter):
-        delta, err = _residuals(problem, control)
+        delta = problem.data - problem.collocation @ control
+        err = float(np.max(np.linalg.norm(delta, axis=1)))
         control += delta
         history.append(err)
         first = history[0]
@@ -128,7 +107,7 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
             )
         if err <= tol:
             break
-    return PiaState(control, len(history), tuple(history))
+    return PiaState(control, tuple(history))
 
 
 def iteration_spectrum(problem: FitProblem) -> float:

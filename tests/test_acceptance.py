@@ -19,14 +19,11 @@ from gtbezier import (
     bernstein_equivalent_nodeset,
     bernstein_reference,
     curve_points,
-    eval_curve,
     generalized_vandermonde,
     is_totally_positive,
     iteration_spectrum,
     log_basis_matrix,
-    pia_init,
     pia_run,
-    pia_step,
     power_reduction,
     rational_basis_matrix,
     rational_collocation_matrix,
@@ -217,13 +214,12 @@ def test_c9_property_suite():
     assert np.max(np.abs(curve_points(curve, ts) @ a.T + b
                          - curve_points(mapped_curve, ts))) < 1e-10
     mapped_prob = FitProblem(prob.data @ a.T + b, prob.params, prob.nodeset, prob.weights)
-    s, sm = pia_init(prob), pia_init(mapped_prob)
-    for _ in range(10):
-        s, sm = pia_step(prob, s), pia_step(mapped_prob, sm)
+    for k in range(1, 11):
+        s, sm = pia_run(prob, k), pia_run(mapped_prob, k)
         assert np.max(np.abs(s.control @ a.T + b - sm.control)) < 1e-10
     # endpoint interpolation is exact
     a0, an = curve.nodeset.domain
-    assert eval_curve(curve, a0).tolist() == curve.control[0].tolist()
-    assert eval_curve(curve, an).tolist() == curve.control[-1].tolist()
+    assert curve_points(curve, [a0])[0].tolist() == curve.control[0].tolist()
+    assert curve_points(curve, [an])[0].tolist() == curve.control[-1].tolist()
     _finish(9, 30.0, t0,
             "100 scaled TP verdicts stable; affine invariance <= 1e-10; endpoints exact")

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gtbezier import (
     NodeSet,
@@ -11,25 +12,24 @@ from gtbezier import (
     bernstein_reference,
     log_basis_matrix,
     rational_basis_matrix,
-    validate_node_set,
     validate_weights,
 )
 from gtbezier import datasets
 
 
 def test_validate_minimal():
-    ns = validate_node_set([0, 1], [1, 1], 1)
+    ns = NodeSet([0, 1], [1, 1], 1)
     assert ns.size == 2
     assert ns.domain == (0.0, 1.0)
 
 
 def test_validate_defaults_coefficients_to_one():
-    ns = validate_node_set([0, 2, 5])
+    ns = NodeSet([0, 2, 5])
     assert np.all(ns.coefficients == 1.0)
 
 
 def test_validate_example_configuration():
-    ns = validate_node_set(
+    ns = NodeSet(
         [0, math.pi / 4, math.pi / 2, math.pi**2 / 4, math.pi],
         [1, 0.9, 0.8, 0.9, 1],
         4.5,
@@ -53,16 +53,16 @@ def test_validate_example_configuration():
 )
 def test_validate_rejects(nodes, coeffs, scale, msg):
     with pytest.raises(ValueError, match=msg):
-        validate_node_set(nodes, coeffs, scale)
+        NodeSet(nodes, coeffs, scale)
 
 
 def test_repeated_interior_nodes_accepted():
-    ns = validate_node_set([0, 1, 1, 2])
+    ns = NodeSet([0, 1, 1, 2])
     assert ns.size == 4
 
 
 def test_validate_weights():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     assert np.all(validate_weights(ns, None) == 1.0)
     with pytest.raises(ValueError, match="positive"):
         validate_weights(ns, [1, -1])
@@ -77,19 +77,19 @@ def _raw(ns, t):
 
 def test_eval_linear_hand_values():
     # beta_0(t) = 1 - t and beta_1(t) = t on nodes {0, 1}
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     np.testing.assert_allclose(_raw(ns, 0.5), [0.5, 0.5], atol=1e-15)
     assert _raw(ns, 0.0).tolist() == [1.0, 0.0]
 
 
 def test_eval_degenerates_to_quadratic_bernstein():
-    ns = validate_node_set([0, 1, 2], [0.25, 0.5, 0.25])
+    ns = NodeSet([0, 1, 2], [0.25, 0.5, 0.25])
     # t = 2x with x = 0.5: B^2_1(0.5) = 2 * 0.5 * 0.5
     assert _raw(ns, 1.0)[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_errors():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     for ts in (1.5, -0.1, [0.2, 1.5]):
         with pytest.raises(ValueError, match="domain"):
             log_basis_matrix(ns, ts)
@@ -98,13 +98,13 @@ def test_eval_errors():
 
 
 def test_rational_symmetry():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     np.testing.assert_allclose(rational_basis_matrix(ns, validate_weights(ns), [0.5]),
                                [[0.5, 0.5]], atol=1e-15)
 
 
 def test_rational_endpoint_vectors_exact():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     assert rational_basis_matrix(ns, validate_weights(ns), [0.0, 1.0]).tolist() == [
         [1.0, 0.0], [0.0, 1.0]]
     prob = datasets.circle_problem()
@@ -142,6 +142,42 @@ def test_nonnegativity_random_node_sets():
         assert np.all(np.exp(log_basis_matrix(ns, ts)) >= 0)
         vals = rational_basis_matrix(ns, validate_weights(ns, None), ts)
         assert np.all(vals >= 0)
+
+
+@st.composite
+def _basis_cases(draw):
+    """A node set (repeated nodes allowed), weights and parameters that
+    include both endpoints. Nodes lie on a grid offset + step * k with
+    integer k, so equal and distinct nodes stay so in floating point."""
+    ks = sorted(draw(st.lists(st.integers(0, 6), min_size=2, max_size=9)))
+    if ks[0] == ks[-1]:
+        ks[-1] += 1
+    size = len(ks)
+    offset = draw(st.floats(-100.0, 100.0))
+    step = draw(st.floats(0.01, 10.0))
+    positive = st.floats(1e-3, 1e3)
+    ns = NodeSet(offset + step * np.array(ks, dtype=float),
+                 draw(st.lists(positive, min_size=size, max_size=size)),
+                 draw(st.floats(0.01, 50.0)))
+    weights = np.array(draw(st.lists(positive, min_size=size, max_size=size)))
+    a0, an = ns.domain
+    us = np.array(draw(st.lists(st.floats(0.0, 1.0), max_size=8)))
+    ts = np.concatenate([[a0, an], np.clip(a0 + us * (an - a0), a0, an)])
+    return ns, weights, ts
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_basis_cases())
+def test_rational_basis_properties(case):
+    ns, weights, ts = case
+    mat = rational_basis_matrix(ns, weights, ts)
+    assert np.all(mat >= 0)
+    assert np.max(np.abs(mat.sum(axis=1) - 1.0)) <= 1e-12
+    for row, end in zip(mat[:2], ns.domain):
+        at_end = ns.nodes == end
+        assert np.all(row[~at_end] == 0.0)
+        if np.count_nonzero(at_end) == 1:
+            assert row.tolist() == at_end.astype(float).tolist()
 
 
 def test_bernstein_reference_values():

@@ -1,17 +1,16 @@
-"""Tests for curve evaluation and the Bezier baselines."""
+"""Tests for curve evaluation, with classical and rational Bezier curves as
+node-set curves on the Bernstein-equivalent node set."""
 
 import numpy as np
 import pytest
 
 from gtbezier import (
     GTBezierCurve,
+    NodeSet,
+    bernstein_equivalent_nodeset,
     bernstein_reference,
-    classical_bezier,
     curve_points,
-    eval_curve,
-    rational_bezier,
     sample_polyline,
-    validate_node_set,
 )
 from gtbezier import datasets
 
@@ -47,7 +46,7 @@ def _in_hull(point, hull, tol=1e-9):
 
 
 def _linear_curve():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     return GTBezierCurve(ns, np.ones(2), np.array([[0.0, 0.0], [1.0, 1.0]]))
 
 
@@ -57,14 +56,14 @@ def _circle_curve():
 
 
 def test_linear_midpoint():
-    np.testing.assert_allclose(eval_curve(_linear_curve(), 0.5), [0.5, 0.5], atol=1e-15)
+    np.testing.assert_allclose(curve_points(_linear_curve(), [0.5])[0], [0.5, 0.5], atol=1e-15)
 
 
 def test_endpoint_interpolation_exact():
     for curve in (_linear_curve(), _circle_curve()):
         a0, an = curve.nodeset.domain
-        np.testing.assert_array_equal(eval_curve(curve, a0), curve.control[0])
-        np.testing.assert_array_equal(eval_curve(curve, an), curve.control[-1])
+        np.testing.assert_array_equal(curve_points(curve, [a0, an]),
+                                      curve.control[[0, -1]])
 
 
 def test_sample_polyline_counts():
@@ -85,7 +84,7 @@ def test_polyline_stays_in_control_hull():
 
 
 def test_construction_errors():
-    ns = validate_node_set([0, 1, 2])
+    ns = NodeSet([0, 1, 2])
     with pytest.raises(ValueError, match="match node count"):
         GTBezierCurve(ns, np.ones(3), np.array([[0.0, 0.0], [1.0, 1.0]]))
     with pytest.raises(ValueError, match="R\\^2 or R\\^3"):
@@ -97,14 +96,15 @@ def test_construction_errors():
 
 
 def test_classical_bezier_line_segment():
-    curve = classical_bezier([[0.0, 0.0], [1.0, 0.0]])
-    np.testing.assert_allclose(eval_curve(curve, 0.5), [0.5, 0.0], atol=1e-15)
+    curve = GTBezierCurve(bernstein_equivalent_nodeset(1), np.ones(2), [[0.0, 0.0], [1.0, 0.0]])
+    np.testing.assert_allclose(curve_points(curve, [0.5])[0], [0.5, 0.0], atol=1e-15)
 
 
 def test_classical_bezier_quadratic_midpoint():
     # de Casteljau midpoint of [(0,0), (1,2), (2,0)] is (1, 1); x=0.5 -> t=1
-    curve = classical_bezier([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
-    np.testing.assert_allclose(eval_curve(curve, 1.0), [1.0, 1.0], atol=1e-14)
+    curve = GTBezierCurve(bernstein_equivalent_nodeset(2), np.ones(3),
+                          [[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
+    np.testing.assert_allclose(curve_points(curve, [1.0])[0], [1.0, 1.0], atol=1e-14)
 
 
 def _de_casteljau(control, x):
@@ -117,15 +117,16 @@ def _de_casteljau(control, x):
 def test_classical_bezier_matches_de_casteljau():
     rng = np.random.default_rng(19)
     control = rng.normal(size=(5, 2))
-    curve = classical_bezier(control)
+    curve = GTBezierCurve(bernstein_equivalent_nodeset(4), np.ones(5), control)
     for x in np.linspace(0.0, 1.0, 100):
-        np.testing.assert_allclose(eval_curve(curve, 4 * x), _de_casteljau(control, x), atol=1e-12)
+        np.testing.assert_allclose(curve_points(curve, [4 * x])[0], _de_casteljau(control, x),
+                                   atol=1e-12)
 
 
 def test_classical_bezier_matches_bernstein_sum():
     rng = np.random.default_rng(20)
     control = rng.normal(size=(5, 3))
-    curve = classical_bezier(control)
+    curve = GTBezierCurve(bernstein_equivalent_nodeset(4), np.ones(5), control)
     xs = np.linspace(0.0, 1.0, 100)
     got = curve_points(curve, 4 * xs)
     oracle = np.array(
@@ -137,33 +138,37 @@ def test_classical_bezier_matches_bernstein_sum():
 def test_rational_bezier_unit_weights_is_classical():
     rng = np.random.default_rng(21)
     control = rng.normal(size=(4, 2))
+    ns = bernstein_equivalent_nodeset(3)
     ts = np.linspace(0.0, 3.0, 50)
-    np.testing.assert_allclose(
-        curve_points(rational_bezier(control, np.ones(4)), ts),
-        curve_points(classical_bezier(control), ts),
-        atol=1e-14,
+    oracle = np.array(
+        [sum(bernstein_reference(3, i, t / 3) * control[i] for i in range(4)) for t in ts]
     )
+    # equal weights, of any size, cancel in the rational basis
+    for w in (np.ones(4), np.full(4, 2.5)):
+        np.testing.assert_allclose(curve_points(GTBezierCurve(ns, w, control), ts), oracle,
+                                   atol=1e-14)
 
 
 def test_rational_bezier_matches_direct_formula():
     control = np.array([[0.0, 0.0], [1.0, 2.0], [2.0, 0.0]])
     weights = np.array([1.0, 2.0, 1.0])
-    curve = rational_bezier(control, weights)
+    curve = GTBezierCurve(bernstein_equivalent_nodeset(2), weights, control)
     for x in (0.25, 0.5, 0.75):
         b = np.array([bernstein_reference(2, i, x) for i in range(3)])
         oracle = (weights * b) @ control / (weights * b).sum()
-        np.testing.assert_allclose(eval_curve(curve, 2 * x), oracle, atol=1e-14)
+        np.testing.assert_allclose(curve_points(curve, [2 * x])[0], oracle, atol=1e-14)
     # the x=0.5 point is pulled toward the middle control point
     mid_classical = _de_casteljau(control, 0.5)
-    mid_rational = eval_curve(curve, 1.0)
+    mid_rational = curve_points(curve, [1.0])[0]
     assert mid_rational[1] > mid_classical[1]
 
 
 def test_rational_bezier_example_weights():
-    curve = rational_bezier(datasets.circle_samples(), np.array(datasets.CIRCLE_WEIGHTS))
+    ns = bernstein_equivalent_nodeset(4)
+    curve = GTBezierCurve(ns, np.array(datasets.CIRCLE_WEIGHTS), datasets.circle_samples())
     assert curve.dim == 2
     with pytest.raises(ValueError, match="length"):
-        rational_bezier(datasets.circle_samples(), np.ones(4))
+        GTBezierCurve(ns, np.ones(4), datasets.circle_samples())
 
 
 def test_affine_invariance():
@@ -180,4 +185,4 @@ def test_affine_invariance():
 
 def test_eval_out_of_domain():
     with pytest.raises(ValueError, match="domain"):
-        eval_curve(_linear_curve(), 2.0)
+        curve_points(_linear_curve(), [2.0])

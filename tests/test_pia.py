@@ -8,15 +8,12 @@ from gtbezier import (
     DivergenceError,
     FitProblem,
     GTBezierCurve,
-    adjustment_vectors,
+    NodeSet,
     curve_points,
     fitted_curve,
     iteration_spectrum,
-    pia_init,
     pia_run,
-    pia_step,
     rational_collocation_matrix,
-    validate_node_set,
 )
 from gtbezier import datasets
 
@@ -26,13 +23,13 @@ HELIX_EXPECTED = {1: 8.390e-01, 10: 8.92e-02, 20: 1.90e-02, 30: 8.7e-03}
 
 
 def _line_problem():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     data = np.array([[0.0, 0.0], [2.0, 2.0]])
     return FitProblem(data, np.array([0.0, 1.0]), ns, np.ones(2))
 
 
 def test_problem_validation():
-    ns = validate_node_set([0, 1, 2])
+    ns = NodeSet([0, 1, 2])
     data = np.zeros((3, 2))
     with pytest.raises(ValueError, match="one parameter per data point"):
         FitProblem(data, [0.0, 2.0], ns, np.ones(3))
@@ -44,44 +41,50 @@ def test_problem_validation():
         FitProblem(data, [0.0, 1.0, 2.5], ns, np.ones(3))
 
 
+def _max_residual(problem, control):
+    """Max Euclidean norm of P_i - C(t_i), evaluated on the curve itself."""
+    curve = GTBezierCurve(problem.nodeset, problem.weights, control)
+    return float(np.max(np.linalg.norm(problem.data - curve_points(curve, problem.params),
+                                       axis=1)))
+
+
 def test_init_copies_data():
     problem = datasets.circle_problem()
-    state = pia_init(problem)
+    state = pia_run(problem, 0)
     assert state.iteration == 0
     assert state.error_history == ()
     np.testing.assert_array_equal(state.control, problem.data)
     assert state.control is not problem.data
-    helix = pia_init(datasets.helix_problem())
+    helix = pia_run(datasets.helix_problem(), 0)
     assert helix.control.shape == (31, 3)
 
 
 def test_fixed_point_adjustments_are_zero():
     # two data points at the curve endpoints are already interpolated
     problem = _line_problem()
-    state = pia_init(problem)
-    np.testing.assert_array_equal(adjustment_vectors(problem, state), np.zeros((2, 2)))
-    stepped = pia_step(problem, state)
-    np.testing.assert_array_equal(stepped.control, state.control)
+    assert _max_residual(problem, problem.data) == 0.0
+    stepped = pia_run(problem, 1)
+    np.testing.assert_array_equal(stepped.control, problem.data)
     assert stepped.error_history == (0.0,)
     assert stepped.iteration == 1
 
 
 def test_initial_circle_residual_magnitude():
     problem = datasets.circle_problem()
-    delta = adjustment_vectors(problem, pia_init(problem))
-    err = np.max(np.linalg.norm(delta, axis=1))
+    err = pia_run(problem, 1).error_history[0]
+    assert err == _max_residual(problem, problem.data)
     assert CIRCLE_EXPECTED[1] / 10 < err < CIRCLE_EXPECTED[1] * 10
 
 
 def test_step_bookkeeping_and_error_consistency():
     problem = datasets.circle_problem()
-    s0 = pia_init(problem)
-    s1 = pia_step(problem, s0)
-    s2 = pia_step(problem, s1)
+    s1 = pia_run(problem, 1)
+    s2 = pia_run(problem, 2)
     assert len(s2.error_history) == 2
     assert s2.iteration == 2
-    independent = float(np.max(np.linalg.norm(adjustment_vectors(problem, s1), axis=1)))
-    assert s2.error_history[-1] == independent
+    assert s2.error_history[0] == s1.error_history[0]
+    # the second recorded error is the residual of the one-step curve
+    assert s2.error_history[-1] == _max_residual(problem, s1.control)
 
 
 def test_run_stops_at_tolerance():
@@ -90,7 +93,10 @@ def test_run_stops_at_tolerance():
     assert state.iteration == 1  # first error is already 0
     assert state.error_history == (0.0,)
     with pytest.raises(ValueError, match="max_iter"):
-        pia_run(problem, max_iter=0)
+        pia_run(problem, max_iter=-1)
+    initial = pia_run(problem, max_iter=0)
+    assert initial.iteration == 0 and initial.error_history == ()
+    np.testing.assert_array_equal(initial.control, problem.data)
     with pytest.raises(ValueError, match="tol"):
         pia_run(problem, max_iter=1, tol=-1.0)
 
@@ -141,9 +147,8 @@ def test_trajectory_affine_equivariance():
     mapped = FitProblem(
         problem.data @ a.T + b, problem.params, problem.nodeset, problem.weights
     )
-    s, sm = pia_init(problem), pia_init(mapped)
-    for _ in range(10):
-        s, sm = pia_step(problem, s), pia_step(mapped, sm)
+    for k in range(1, 11):
+        s, sm = pia_run(problem, k), pia_run(mapped, k)
         np.testing.assert_allclose(s.control @ a.T + b, sm.control, atol=1e-10)
 
 
@@ -176,14 +181,18 @@ def test_helix_run_to_tolerance_pinned():
 
 
 def test_run_equals_chained_steps():
+    # the update P^(k+1) = P^k + (P - C P^k), written out step by step
     problem = datasets.circle_problem()
-    state = pia_init(problem)
+    data, c = problem.data, problem.collocation
+    control, history = data.copy(), []
     for _ in range(25):
-        state = pia_step(problem, state)
+        delta = data - c @ control
+        history.append(float(np.max(np.linalg.norm(delta, axis=1))))
+        control = control + delta
     run = pia_run(problem, max_iter=25)
-    assert run.iteration == state.iteration == 25
-    assert run.error_history == state.error_history
-    assert np.array_equal(run.control, state.control)
+    assert run.iteration == len(history) == 25
+    assert run.error_history == tuple(history)
+    assert np.array_equal(run.control, control)
 
 
 def test_collocation_built_once_and_read_only(monkeypatch):

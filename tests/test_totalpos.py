@@ -17,7 +17,6 @@ from gtbezier import (
     log_basis_matrix,
     power_reduction,
     rational_collocation_matrix,
-    validate_node_set,
     validate_params,
     verify_ntp_suite,
 )
@@ -62,7 +61,7 @@ def _all_minors(m):
 
 
 def test_collocation_hand_values():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     np.testing.assert_allclose(
         _raw_collocation_matrix(ns, [1 / 3, 2 / 3]),
         [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
@@ -71,12 +70,12 @@ def test_collocation_hand_values():
 
 
 def test_collocation_endpoint_rows():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     np.testing.assert_array_equal(_raw_collocation_matrix(ns, [0.0, 1.0]), np.eye(2))
 
 
 def test_collocation_rejects_bad_params():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     for build in (validate_params, power_reduction,
                   lambda ns, p: rational_collocation_matrix(ns, None, p)):
         with pytest.raises(ValueError, match="increasing"):
@@ -103,7 +102,7 @@ def test_collocation_chebyshev_minors_positive():
 
 
 def test_rational_collocation_unit_weights():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     np.testing.assert_allclose(
         rational_collocation_matrix(ns, [1, 1], [1 / 3, 2 / 3]),
         [[2 / 3, 1 / 3], [1 / 3, 2 / 3]],
@@ -113,7 +112,7 @@ def test_rational_collocation_unit_weights():
 
 def test_rational_collocation_weighted_row():
     # weights [2, 1] at t = 1/2: (2*0.5, 1*0.5) normalized
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     np.testing.assert_allclose(
         rational_collocation_matrix(ns, [2, 1], [0.5]),
         [[2 / 3, 1 / 3]],
@@ -131,14 +130,14 @@ def test_rational_collocation_row_sums():
 
 
 def test_power_reduction_hand_values():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     a = power_reduction(ns, [1 / 3, 2 / 3])
     np.testing.assert_allclose(a, [[1.0, 0.5], [1.0, 2.0]], atol=1e-15)
     assert np.linalg.det(a) == pytest.approx(1.5)
 
 
 def test_power_reduction_border_rows():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     np.testing.assert_array_equal(power_reduction(ns, [0.0, 0.5]), [[1.0, 0.0], [1.0, 1.0]])
     np.testing.assert_array_equal(power_reduction(ns, [0.5, 1.0]), [[1.0, 1.0], [0.0, 1.0]])
 
@@ -342,7 +341,7 @@ def test_ntp_suite_example_configuration():
 
 
 def test_ntp_suite_two_nodes_identity_case():
-    ns = validate_node_set([0, 1])
+    ns = NodeSet([0, 1])
     # the both-endpoints case on two nodes is exactly the identity matrix
     np.testing.assert_array_equal(rational_collocation_matrix(ns, [1, 1], [0.0, 1.0]), np.eye(2))
     assert verify_ntp_suite(ns, None, trials=8, seed=3).passed
