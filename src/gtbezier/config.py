@@ -63,10 +63,12 @@ _FIELDS = tuple(f.name for f in fields(RunConfig))
 
 def load_config(path) -> RunConfig:
     """Load and structurally validate a JSON config file."""
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, UnicodeDecodeError and the int-digits limit
+        # (a JSON integer of more than 4300 digits) are all ValueErrors
+        except ValueError as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")

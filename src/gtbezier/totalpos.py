@@ -7,6 +7,9 @@ every minor is positive. Verdicts here are numerical: a minor counts as
 non-negative when it is >= -tol * scale, where scale is the product of
 the Euclidean norms of the submatrix rows (a Hadamard-style bound), so
 the tolerance tracks the wildly varying magnitude of the minors.
+
+Minors are enumerated over a (T, r, c) stack of matrices, one pass per order:
+is_totally_positive judges a stack of one, verify_ntp_suite chunks of trials.
 """
 
 from dataclasses import dataclass
@@ -21,6 +24,11 @@ from .basis import NodeSet, rational_basis_matrix, validate_params, validate_wei
 # Larger matrices are checked on consecutive row/column windows only.
 EXHAUSTIVE_LIMIT = 8
 DEFAULT_REL_TOL = 1e-9
+
+# Ceiling, in elements, on one order's gathered minor stack when the NTP suite
+# judges its trials in stacks: one 31-node trial alone gathers this much (at
+# order 16), so a stack of trials needs no more memory than the helix suite.
+_GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
 
@@ -126,20 +134,11 @@ def _window_array(n: int, k: int) -> np.ndarray:
     return starts[:, None] + np.arange(k, dtype=np.intp)[None, :]
 
 
-def _minor_batch(m, row_sets, col_sets):
-    """All minors indexed by the cross product of row and column sets.
-
-    Returns (dets, scales, rows, cols) flattened over the cross product;
-    scales are the per-minor products of submatrix row norms.
-    """
-    subs = m[row_sets[:, None, :, None], col_sets[None, :, None, :]]
-    nr, nc, k, _ = subs.shape
-    subs = subs.reshape(nr * nc, k, k)
-    dets = _det_stack(subs)
-    scales = np.prod(np.linalg.norm(subs, axis=2), axis=1)
-    rows = np.repeat(np.arange(nr), nc)
-    cols = np.tile(np.arange(nc), nr)
-    return dets, scales, row_sets[rows], col_sets[cols]
+def _minor_sets(rows: int, cols: int):
+    """Method name and index-set builder for a rows x cols matrix."""
+    if max(rows, cols) <= EXHAUSTIVE_LIMIT:
+        return "exhaustive", _combo_array
+    return "contiguous", _window_array
 
 
 @dataclass(frozen=True)
@@ -181,33 +180,40 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
         raise ValueError("matrix entries must be finite")
     if tol < 0:
         raise ValueError("tolerance must be non-negative")
-    row_max = np.max(np.abs(m), axis=1)
-    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
-    scaled = bool(shifts.any())
-    if scaled:
-        m = np.ldexp(m, -shifts[:, None])
-    method = "exhaustive" if max(m.shape) <= EXHAUSTIVE_LIMIT else "contiguous"
-    sets = _combo_array if method == "exhaustive" else _window_array
+    return _tp_reports(m[None], tol)[0]
 
-    all_ok = True
-    all_strict = True
-    worst_margin = np.inf
-    witness = None
-    for k in range(1, min(m.shape) + 1):
-        dets, scales, rset, cset = _minor_batch(m, sets(m.shape[0], k), sets(m.shape[1], k))
+
+def _tp_reports(stack: np.ndarray, tol: float) -> list:
+    """One TpReport per matrix of a finite (T, r, c) stack; each matrix is
+    judged exactly as is_totally_positive judges it alone."""
+    t, r, c = stack.shape
+    row_max = np.max(np.abs(stack), axis=2)
+    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
+    stack = np.ldexp(stack, -shifts[:, :, None])
+    method, sets = _minor_sets(r, c)
+    all_ok, all_strict = np.ones(t, dtype=bool), np.ones(t, dtype=bool)
+    worst_margin, witness = np.full(t, np.inf), [None] * t
+    for k in range(1, min(r, c) + 1):
+        rset, cset = sets(r, k), sets(c, k)
+        subs = stack[:, rset[:, None, :, None], cset[None, :, None, :]]
+        dets = _det_stack(subs)
+        scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)
         margins = dets + tol * scales
-        all_ok = all_ok and bool(np.all(margins >= 0.0))
-        all_strict = all_strict and bool(np.all(dets > tol * scales))
-        if scaled:
-            # the witness is chosen and reported in the original scale
-            unscale = shifts[rset].sum(axis=1)
-            with np.errstate(over="ignore"):
-                margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
-        i = int(np.argmin(margins))
-        if margins[i] < worst_margin:
-            worst_margin = float(margins[i])
-            witness = (tuple(int(r) for r in rset[i]), tuple(int(c) for c in cset[i]), float(dets[i]))
-    return TpReport(all_ok, all_strict, witness, method)
+        all_ok &= np.all(margins >= 0.0, axis=(1, 2))
+        all_strict &= np.all(dets > tol * scales, axis=(1, 2))
+        # the witness is chosen and reported in the original scale
+        unscale = shifts[:, rset].sum(axis=2)[:, :, None]
+        with np.errstate(over="ignore"):
+            margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
+        margins, dets = margins.reshape(t, -1), dets.reshape(t, -1)
+        least = np.argmin(margins, axis=1)
+        for j in np.flatnonzero(margins[np.arange(t), least] < worst_margin):
+            i = least[j]
+            worst_margin[j] = margins[j, i]
+            rows, cols = divmod(int(i), len(cset))
+            witness[j] = (tuple(rset[rows].tolist()), tuple(cset[cols].tolist()), float(dets[j, i]))
+    return [TpReport(bool(ok), bool(strict), w, method)
+            for ok, strict, w in zip(all_ok, all_strict, witness)]
 
 
 @dataclass(frozen=True)
@@ -235,13 +241,7 @@ def _draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) -
         inner = np.sort(rng.uniform(a0 + eps, an - eps, size=free))
         if free < 2 or np.all(np.diff(inner) > 0):
             break
-    parts = []
-    if fixed_low:
-        parts.append([a0])
-    parts.append(inner)
-    if fixed_high:
-        parts.append([an])
-    return np.concatenate(parts)
+    return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
 
 
 def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSuiteReport:
@@ -250,33 +250,33 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     Trials cycle through the four boundary cases (all-interior parameters,
     left endpoint touched, right endpoint touched, both touched), draw a
     strictly increasing parameter sequence, build the rational collocation
-    matrix, and verify total positivity with is_totally_positive.
+    matrix, and verify total positivity as is_totally_positive does.
     Deterministic for a fixed seed: each trial's RNG stream derives from
-    (seed, trial index), so trials could run in any order or concurrently.
+    (seed, trial index). Consecutive trials are judged as one (T, n, n)
+    stack, built by one basis call, with T as large as keeps every order's
+    gathered minors within _GATHER_LIMIT elements (at least one trial);
+    each trial's parameters, matrix and verdict are those it has alone.
     """
     w = validate_weights(ns, weights)
     if trials < 1:
         raise ValueError("need at least one trial")
     a0, an = ns.domain
     eps = 1e-6 * (an - a0)
-    failures = 0
+    n = ns.size
+    sets = _minor_sets(n, n)[1]
+    chunk = max(1, _GATHER_LIMIT // max(sets(n, k).size ** 2 for k in range(1, n + 1)))
     failed = []
     worst = (np.inf, None, None)  # (witness det, witness, case)
-    for trial in range(trials):
-        case = BOUNDARY_CASES[trial % len(BOUNDARY_CASES)]
-        rng = np.random.default_rng([seed, trial])
-        params = _draw_params(rng, case, a0, an, eps, ns.size)
-        report = is_totally_positive(rational_collocation_matrix(ns, w, params))
-        if not report.is_tp:
-            failures += 1
-            failed.append((trial, case))
-        if report.witness is not None and report.witness[2] < worst[0]:
-            worst = (report.witness[2], report.witness, case)
-    return NtpSuiteReport(
-        trials=trials,
-        failures=failures,
-        worst_minor=worst[0],
-        worst_witness=worst[1],
-        worst_case=worst[2],
-        failed_trials=tuple(failed),
-    )
+    for start in range(0, trials, chunk):
+        chunk_trials = range(start, min(start + chunk, trials))
+        cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in chunk_trials]
+        params = [validate_params(ns, _draw_params(np.random.default_rng([seed, trial]),
+                                                   case, a0, an, eps, n))
+                  for trial, case in zip(chunk_trials, cases)]
+        stack = rational_basis_matrix(ns, w, np.concatenate(params)).reshape(-1, n, n)
+        for trial, case, report in zip(chunk_trials, cases, _tp_reports(stack, DEFAULT_REL_TOL)):
+            if not report.is_tp:
+                failed.append((trial, case))
+            if report.witness is not None and report.witness[2] < worst[0]:
+                worst = (report.witness[2], report.witness, case)
+    return NtpSuiteReport(trials, len(failed), *worst, failed_trials=tuple(failed))

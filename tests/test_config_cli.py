@@ -116,12 +116,22 @@ def test_config_structural_errors(tmp_path, payload, msg):
         ({"grid": 10**400}, ["basis-eval"], "config error: grid must be at most 1000000"),
         ({}, ["basis-eval", "--grid", str(10**400)], "config error: grid must be at most"),
         ({}, ["basis-eval", "--grid", "1000001"], "config error: grid must be at most"),
+        # raw file bytes: an integer beyond the int-string digit limit, and
+        # bytes that are not UTF-8
+        pytest.param(b'{"nodes": [0, 1], "grid": ' + b"1" * 5000 + b"}", ["basis-eval"],
+                     "config error: .*not valid JSON: Exceeds the limit", id="int-digit-limit"),
+        pytest.param(b'{"nodes": [0, 1], "scale": "\xff"}', ["basis-eval"],
+                     "config error: .*not valid JSON: 'utf-8' codec can't decode", id="not-utf-8"),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
     # a fresh interpreter, so that an uncaught exception would show as a
     # traceback and exit status 1
-    path = _circle_config(tmp_path, mode=None, **config)
+    if isinstance(config, bytes):
+        path = tmp_path / "config.json"
+        path.write_bytes(config)
+    else:
+        path = _circle_config(tmp_path, mode=None, **config)
     if argv[0] != "example":
         argv = argv + ["--config", str(path)]
     env = dict(os.environ, PYTHONPATH=str(Path(gtbezier.__file__).parents[1]))

@@ -3,6 +3,7 @@ matrices, and the total-positivity checks."""
 
 import warnings
 from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -20,8 +21,9 @@ from gtbezier import (
     validate_params,
     verify_ntp_suite,
 )
-from gtbezier import datasets
+from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
+from gtbezier.totalpos import BOUNDARY_CASES, DEFAULT_REL_TOL, _draw_params, _tp_reports
 
 
 def _random_node_set(rng, max_n=5):
@@ -373,3 +375,91 @@ def test_ntp_suite_reports_pinned():
     assert interior.worst_case == "interior"
     assert interior.worst_witness[:2] == ((0, 1, 2, 3, 4, 5), (25, 26, 27, 28, 29, 30))
     assert interior.worst_minor == pytest.approx(6.678522287174328e-208, rel=1e-9)
+
+
+def _reference_suite(ns, w, trials, seed):
+    """The NTP suite one trial at a time: draw the trial's parameters, build
+    its collocation matrix, judge it alone, and fold the reports in order."""
+    a0, an = ns.domain
+    eps = 1e-6 * (an - a0)
+    failed, worst = [], (np.inf, None, None)  # (witness det, witness, case)
+    for trial in range(trials):
+        case = BOUNDARY_CASES[trial % len(BOUNDARY_CASES)]
+        params = _draw_params(np.random.default_rng([seed, trial]), case, a0, an, eps, ns.size)
+        report = is_totally_positive(rational_collocation_matrix(ns, w, params))
+        if not report.is_tp:
+            failed.append((trial, case))
+        if report.witness is not None and report.witness[2] < worst[0]:
+            worst = (report.witness[2], report.witness, case)
+    return NtpSuiteReport(trials, len(failed), worst[0], worst[1], worst[2], tuple(failed))
+
+
+def _suite_stacks(monkeypatch, ns, w, trials, seed=0):
+    """Shapes of the matrix stacks verify_ntp_suite judges, in call order."""
+    shapes, judge = [], totalpos._tp_reports
+    monkeypatch.setattr(totalpos, "_tp_reports",
+                        lambda stack, tol: shapes.append(stack.shape) or judge(stack, tol))
+    verify_ntp_suite(ns, w, trials, seed)
+    monkeypatch.undo()
+    return shapes
+
+
+def test_ntp_suite_equals_trial_by_trial_reference(monkeypatch):
+    circle = datasets.circle_problem()
+    ns, w = circle.nodeset, circle.weights
+    chunk = _suite_stacks(monkeypatch, ns, w, 400)[0][0]
+    helix = datasets.helix_node_set(), datasets.helix_weights()
+    for (ns, w), trials, seed in (((ns, w), 400, 20240809), ((ns, w), chunk + 1, 7),
+                                  (helix, 5, 3), ((bernstein_equivalent_nodeset(3), None), 100, 1),
+                                  ((NodeSet([0, 1]), None), 8, 3),
+                                  ((NodeSet(np.arange(12.0)), None), 40, 5)):
+        assert verify_ntp_suite(ns, w, trials, seed) == _reference_suite(ns, w, trials, seed)
+
+
+def test_tp_reports_judge_each_matrix_of_a_stack_alone():
+    # a same-shape stack of TP and non-TP matrices, with and without row
+    # scaling: no scaling or witness may leak from one matrix to another
+    ns, w = datasets.circle_node_set(), np.array(datasets.CIRCLE_WEIGHTS)
+    a0, an = ns.domain
+    rng = np.random.default_rng(47)
+    mats = [rational_collocation_matrix(ns, w, _draw_params(rng, case, a0, an, 1e-6, 5))
+            for case in BOUNDARY_CASES]
+    mats += [m[:, [1, 0, 2, 3, 4]] for m in mats]
+    raw = _raw_collocation_matrix(NodeSet(np.arange(5.0), np.ones(5), 8.0),
+                                  np.linspace(0.3, 3.7, 5))
+    assert raw.max() > 1e40
+    mats += [raw, np.eye(5), np.eye(5)[::-1]]
+    stack = np.array(mats)
+    reports = _tp_reports(stack, DEFAULT_REL_TOL)
+    assert reports == [_tp_reports(m[None], DEFAULT_REL_TOL)[0] for m in stack]
+    assert _tp_reports(stack[::-1], DEFAULT_REL_TOL) == reports[::-1]
+    verdicts = []
+    for m, report in zip(stack, reports):
+        dets, scales = _all_minors(m)
+        assert report.is_tp == bool(np.all(dets >= -DEFAULT_REL_TOL * scales))
+        assert report.is_stp == bool(np.all(dets > DEFAULT_REL_TOL * scales))
+        verdicts.append(report.is_tp)
+    assert verdicts == [True] * 4 + [False] * 4 + [True, True, False]
+
+
+def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
+    # every order's gathered minor stack (trials x minors x k x k elements)
+    # stays within the ceiling unless one trial alone exceeds it, as 8
+    # nodes (every minor) and the 31-node helix do
+    def gathered(trials, n):
+        count = (lambda k: comb(n, k)) if n <= EXHAUSTIVE_LIMIT else (lambda k: n - k + 1)
+        return trials * max((count(k) * k) ** 2 for k in range(1, n + 1))
+
+    circle = datasets.circle_problem()
+    for (ns, w), trials, stacked in (((circle.nodeset, circle.weights), 100, 40),
+                                     ((bernstein_equivalent_nodeset(7), None), 3, 1),
+                                     ((datasets.helix_node_set(), datasets.helix_weights()), 2, 1),
+                                     ((NodeSet(np.arange(12.0)), None), 40, 2)):
+        shapes = _suite_stacks(monkeypatch, ns, w, trials)
+        assert sum(t for t, _, _ in shapes) == trials
+        assert all(shape[1:] == (ns.size, ns.size) for shape in shapes)
+        assert all(gathered(t, ns.size) <= totalpos._GATHER_LIMIT or t == 1 for t, _, _ in shapes)
+        if stacked == 1:
+            assert {t for t, _, _ in shapes} == {1}
+        else:
+            assert shapes[0][0] >= stacked
