@@ -127,12 +127,16 @@ def log_basis_matrix(ns: NodeSet, ts) -> np.ndarray:
     h1 = ns.scale * (an - ts)
     e0 = ns.scale * (ns.nodes - a0)
     e1 = ns.scale * (an - ns.nodes)
+    # One (m, n+1) buffer; the terms are summed as (log c + h0 term) + h1 term,
+    # the order of the out-of-place formula, so the values stay bit-identical.
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_h0 = np.log(h0)[:, None]
-        log_h1 = np.log(h1)[:, None]
-        term0 = np.where(e0[None, :] == 0.0, 0.0, e0[None, :] * log_h0)
-        term1 = np.where(e1[None, :] == 0.0, 0.0, e1[None, :] * log_h1)
-    return np.log(ns.coefficients)[None, :] + term0 + term1
+        out = np.multiply.outer(np.log(h0), e0)
+        out[:, e0 == 0.0] = 0.0
+        out += np.log(ns.coefficients)
+        term1 = np.multiply.outer(np.log(h1), e1)
+    term1[:, e1 == 0.0] = 0.0
+    out += term1
+    return out
 
 
 def rational_basis_matrix(ns: NodeSet, weights: np.ndarray, ts) -> np.ndarray:
@@ -140,15 +144,17 @@ def rational_basis_matrix(ns: NodeSet, weights: np.ndarray, ts) -> np.ndarray:
 
     Stabilized softmax: the largest log term of each row is subtracted
     before exponentiation, so huge exponents (large scale times node range)
-    never overflow.
+    never overflow. Computed in place in the log-basis buffer.
     """
-    logits = log_basis_matrix(ns, ts) + np.log(weights)[None, :]
-    top = np.max(logits, axis=1, keepdims=True)
-    raw = np.exp(logits - top)
-    denom = raw.sum(axis=1, keepdims=True)
+    out = log_basis_matrix(ns, ts)
+    out += np.log(weights)
+    out -= np.max(out, axis=1, keepdims=True)
+    np.exp(out, out=out)
+    denom = out.sum(axis=1, keepdims=True)
     if not np.all(np.isfinite(denom)) or np.any(denom == 0.0):
         raise ArithmeticError("zero denominator in rational basis; underflow bug")
-    return raw / denom
+    out /= denom
+    return out
 
 
 def bernstein_reference(n: int, i: int, x: float) -> float:

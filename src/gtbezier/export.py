@@ -1,27 +1,61 @@
 """Deterministic CSV, SVG, and error-table output.
 
-Floats are written with 17 significant digits so a written value reads
-back as the identical double; identical inputs therefore produce
-byte-identical files.
+Tables are written in blocks of rows: one %-format of a repeated row
+template per block, each block written as it is made. Floats are written
+with 17 significant digits ("%.17g", the bytes of format(x, ".17g")), so a
+written value reads back as the identical double and identical inputs
+produce byte-identical files. SVG coordinates take 9 digits ("%.9g").
 """
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
+
+# Cells filled by one %-format: 1024 rows of a 32-column table, a block of
+# text a few hundred kB long.
+_BLOCK_CELLS = 2**15
 
 
 def format_float(x) -> str:
     return format(float(x), ".17g")
 
 
+def _write_rows(fh, row_format, width, rows):
+    """Write rows, a 2-D array or a list of width-cell tuples, through the
+    one-row %-template row_format, one %-format per block of rows."""
+    step = max(1, _BLOCK_CELLS // max(1, width))
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        if isinstance(block, np.ndarray):
+            cells = tuple(block.ravel().tolist())
+        else:
+            cells = tuple(chain.from_iterable(block))
+        fh.write(row_format * len(block) % cells)
+
+
 def write_csv(path, header, rows):
-    """Write a CSV file; cells may be strings, ints, or floats."""
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [c if isinstance(c, str) else format_float(c) for c in row]
-        lines.append(",".join(cells))
+    """Write a CSV file: the header line, then one line per row.
+
+    rows is a 2-D array or a sequence of rows of equal length. A column whose
+    first cell is a string holds strings; every other cell is a number
+    (int or float) and is written as a float.
+    """
+    if isinstance(rows, np.ndarray):
+        if rows.ndim != 2:
+            raise ValueError("a table array must be two-dimensional")
+        width = rows.shape[1]
+        formats = ["%.17g"] * width
+    else:
+        rows = [tuple(row) for row in rows]
+        first = rows[0] if rows else ()
+        width = len(first)
+        if any(len(row) != width for row in rows):
+            raise ValueError("rows must all have the same number of cells")
+        formats = ["%s" if isinstance(cell, str) else "%.17g" for cell in first]
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        _write_rows(fh, ",".join(formats) + "\n", width, rows)
 
 
 def write_points_csv(path, points, columns=None):
@@ -32,7 +66,10 @@ def write_points_csv(path, points, columns=None):
 
 
 def write_history_csv(path, history):
-    write_csv(path, ("iteration", "error"), [(str(k), e) for k, e in enumerate(history)])
+    """Iteration index and error per line; the index is written as a float,
+    which prints as the integer itself below 2**53."""
+    history = np.asarray(history, dtype=float)
+    write_csv(path, ("iteration", "error"), np.column_stack([np.arange(history.size), history]))
 
 
 @dataclass(frozen=True)
@@ -76,14 +113,6 @@ def format_error_table(table: ErrorTable) -> str:
     return "\n".join(lines)
 
 
-def _svg_path(points, y_flip=True):
-    pts = np.asarray(points, dtype=float)
-    sign = -1.0 if y_flip else 1.0
-    steps = [f"{'M' if i == 0 else 'L'} {format(x, '.9g')} {format(sign * y, '.9g')}"
-             for i, (x, y) in enumerate(pts)]
-    return " ".join(steps)
-
-
 def write_svg(path, curves, markers=(), title=None):
     """Plot 2D polylines as an SVG document.
 
@@ -103,28 +132,23 @@ def write_svg(path, curves, markers=(), title=None):
     hi = hi + 0.05 * span
     width, height = hi - lo
     stroke_w = 0.004 * max(width, height)
-    view = (format(lo[0], ".9g"), format(-hi[1], ".9g"),
-            format(width, ".9g"), format(height, ".9g"))
-    lines = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{view[0]} {view[1]} {view[2]} {view[3]}">',
-    ]
-    if title:
-        lines.append(f"  <title>{title}</title>")
-    for label, pts, style in curves:
-        stroke = style.get("stroke", "black")
-        dash = style.get("dasharray")
-        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        lines.append(
-            f'  <path d="{_svg_path(pts)}" fill="none" stroke="{stroke}" '
-            f'stroke-width="{format(stroke_w, ".9g")}"{dash_attr}><title>{label}</title></path>'
-        )
-    for mset in markers:
-        for x, y in np.asarray(mset, dtype=float):
-            lines.append(
-                f'  <circle cx="{format(x, ".9g")}" cy="{format(-y, ".9g")}" '
-                f'r="{format(1.8 * stroke_w, ".9g")}" fill="black"/>'
-            )
-    lines.append("</svg>")
     with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                 '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.9g %.9g %.9g %.9g">\n'
+                 % (lo[0], -hi[1], width, height))
+        if title:
+            fh.write(f"  <title>{title}</title>\n")
+        for label, pts, style in curves:
+            stroke = style.get("stroke", "black")
+            dash = style.get("dasharray")
+            dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+            xy = np.asarray(pts, dtype=float) * (1.0, -1.0)
+            fh.write('  <path d="')
+            _write_rows(fh, "M %.9g %.9g", 2, xy[:1])
+            _write_rows(fh, " L %.9g %.9g", 2, xy[1:])
+            fh.write(f'" fill="none" stroke="{stroke}" stroke-width="{stroke_w:.9g}"'
+                     f"{dash_attr}><title>{label}</title></path>\n")
+        marker_format = '  <circle cx="%%.9g" cy="%%.9g" r="%.9g" fill="black"/>\n' % (1.8 * stroke_w)
+        for mset in markers:
+            _write_rows(fh, marker_format, 2, np.asarray(mset, dtype=float) * (1.0, -1.0))
+        fh.write("</svg>\n")

@@ -242,3 +242,49 @@ def test_huge_exponents_stay_finite():
     vals = rational_basis_matrix(ns, w, ts)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
+
+
+def _where_log_basis(ns, ts):
+    """log_basis_matrix as one np.where per endpoint term: the bit-exact
+    reference for the in-place kernel."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    a0, an = ns.domain
+    e0, e1 = ns.scale * (ns.nodes - a0), ns.scale * (an - ns.nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h0 = np.log(ns.scale * (ts - a0))[:, None]
+        log_h1 = np.log(ns.scale * (an - ts))[:, None]
+        term0 = np.where(e0[None, :] == 0.0, 0.0, e0[None, :] * log_h0)
+        term1 = np.where(e1[None, :] == 0.0, 0.0, e1[None, :] * log_h1)
+    return np.log(ns.coefficients)[None, :] + term0 + term1
+
+
+def _where_rational_basis(ns, w, ts):
+    logits = _where_log_basis(ns, ts) + np.log(w)[None, :]
+    raw = np.exp(logits - np.max(logits, axis=1, keepdims=True))
+    return raw / raw.sum(axis=1, keepdims=True)
+
+
+def _kernel_cases():
+    helix = datasets.helix_node_set()
+    raw = NodeSet(helix.nodes, helix.coefficients, datasets.HELIX_SHARPNESS)
+    # repeated first and last nodes: three columns with e0 == 0, two with e1 == 0
+    repeated = NodeSet([0, 0, 0, 1, 2.5, 3, 3], [1, 2, 3, 4, 5, 6, 7], 2.5)
+    return [(datasets.circle_node_set(), np.array(datasets.CIRCLE_WEIGHTS)),
+            (helix, datasets.helix_weights()), (raw, datasets.helix_weights()),
+            (repeated, np.linspace(0.5, 2.0, 7))]
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_basis_kernel_equals_where_formula(case):
+    ns, w = _kernel_cases()[case]
+    a0, an = ns.domain
+    rng = np.random.default_rng(case)
+    ts = np.concatenate([[a0, an], np.linspace(a0, an, 1001), np.sort(rng.uniform(a0, an, 999))])
+    for got, want in ((log_basis_matrix(ns, ts), _where_log_basis(ns, ts)),
+                      (rational_basis_matrix(ns, w, ts), _where_rational_basis(ns, w, ts))):
+        assert got.shape == want.shape == (ts.size, ns.size)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    first, second = rational_basis_matrix(ns, w, ts), rational_basis_matrix(ns, w, ts)
+    assert first is not second and not np.shares_memory(first, second)
+    assert first.flags.writeable and log_basis_matrix(ns, ts).flags.writeable

@@ -23,7 +23,17 @@ from gtbezier.config import (
     config_weights,
     load_config,
 )
-from gtbezier.export import ErrorTable, format_float, make_error_table, write_error_table_csv
+from gtbezier.export import (
+    _BLOCK_CELLS,
+    ErrorTable,
+    format_float,
+    make_error_table,
+    write_csv,
+    write_error_table_csv,
+    write_history_csv,
+    write_points_csv,
+    write_svg,
+)
 from gtbezier.pia import DivergenceError
 from gtbezier.totalpos import NtpSuiteReport
 
@@ -213,6 +223,117 @@ def test_error_table_validation_and_csv(tmp_path):
     assert lines[1].startswith("a,0.5")
 
 
+# Writer byte identity: every writer's file equals a per-cell reference that
+# formats one cell at a time, as the writers did before they formatted blocks.
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, np.finfo(float).max,
+                  -np.finfo(float).max, 1e16, 1e17, 0.1, 1 / 3, -2.5, 123456789.0)
+
+
+def _reference_csv(header, rows):
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str) else format(float(c), ".17g") for c in row))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_svg(curves, markers=(), title=None):
+    """write_svg's document built one coordinate at a time."""
+    stacked = np.vstack([np.asarray(p, dtype=float) for _, p, _ in curves]
+                        + [np.asarray(m, dtype=float) for m in markers])
+    lo, hi = stacked.min(axis=0), stacked.max(axis=0)
+    span = np.maximum(hi - lo, 1e-30)
+    lo, hi = lo - 0.05 * span, hi + 0.05 * span
+    width, height = hi - lo
+    stroke_w = 0.004 * max(width, height)
+    f = lambda x: format(x, ".9g")  # noqa: E731
+    lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+             f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{f(lo[0])} {f(-hi[1])} '
+             f'{f(width)} {f(height)}">']
+    if title:
+        lines.append(f"  <title>{title}</title>")
+    for label, pts, style in curves:
+        d = " ".join(f"{'M' if i == 0 else 'L'} {f(x)} {f(-1.0 * y)}"
+                     for i, (x, y) in enumerate(np.asarray(pts, dtype=float)))
+        dash = style.get("dasharray")
+        dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
+        lines.append(f'  <path d="{d}" fill="none" stroke="{style.get("stroke", "black")}" '
+                     f'stroke-width="{f(stroke_w)}"{dash_attr}><title>{label}</title></path>')
+    for mset in markers:
+        for x, y in np.asarray(mset, dtype=float):
+            lines.append(f'  <circle cx="{f(x)}" cy="{f(-y)}" r="{f(1.8 * stroke_w)}" fill="black"/>')
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def _table(rows, width, seed):
+    """rows x width doubles: the special values first, then random bit
+    patterns (subnormals, infinities and NaNs among them)."""
+    bits = np.random.default_rng(seed).integers(0, 2**64, size=rows * width, dtype=np.uint64)
+    cells = bits.view(float)
+    head = min(cells.size, len(SPECIAL_FLOATS))
+    cells[:head] = SPECIAL_FLOATS[:head]
+    return cells.reshape(rows, width)
+
+
+@pytest.mark.parametrize("width", [2, 32])
+@pytest.mark.parametrize("rows", ["zero", "one", "block", "block+1"])
+def test_write_csv_matches_per_cell_reference(tmp_path, width, rows):
+    block = _BLOCK_CELLS // width
+    count = {"zero": 0, "one": 1, "block": block, "block+1": block + 1}[rows]
+    table = _table(count, width, seed=width * 7 + count)
+    header = tuple(f"c{j}" for j in range(width))
+    expected = _reference_csv(header, table)
+    write_csv(tmp_path / "a.csv", header, table)
+    write_csv(tmp_path / "l.csv", header, table.tolist())  # rows as lists take the same path
+    assert (tmp_path / "a.csv").read_text() == expected
+    assert (tmp_path / "l.csv").read_text() == expected
+    if width == 2:
+        write_points_csv(tmp_path / "p.csv", table)
+        assert (tmp_path / "p.csv").read_text() == _reference_csv(("x", "y"), table)
+
+
+@pytest.mark.parametrize("length", [0, 1, _BLOCK_CELLS // 2 + 1])
+def test_write_history_csv_matches_per_cell_reference(tmp_path, length):
+    history = tuple(np.abs(_table(length, 1, seed=length).ravel()).tolist())
+    write_history_csv(tmp_path / "h.csv", history)
+    expected = _reference_csv(("iteration", "error"), [(str(k), e) for k, e in enumerate(history)])
+    assert (tmp_path / "h.csv").read_text() == expected
+
+
+def test_string_cell_rows_match_per_cell_reference(tmp_path):
+    errors = np.abs(_table(3, 4, seed=11))
+    errors[np.isnan(errors)] = 0.5
+    table = ErrorTable(("gt", "bezier", "rational"), (1, 5, 10, 20), errors)
+    write_error_table_csv(tmp_path / "e.csv", table)
+    expected = _reference_csv(("curve", "1", "5", "10", "20"),
+                              [(label, *row) for label, row in zip(table.labels, table.errors)])
+    assert (tmp_path / "e.csv").read_text() == expected
+    header = ("trials", "failures", "worst_minor", "worst_case", "worst_rows", "worst_cols")
+    for worst, case, rows, cols in ((-3.8e-125, "interior", "4;5;6", "12;13;14"),
+                                    (np.inf, "", "", ""), (0.0, "left", "0", "1")):
+        report = [("4000", "0", worst, case, rows, cols)]
+        write_csv(tmp_path / "tp.csv", header, report)
+        assert (tmp_path / "tp.csv").read_text() == _reference_csv(header, report)
+    with pytest.raises(ValueError, match="same number of cells"):
+        write_csv(tmp_path / "r.csv", ("a", "b"), [(1.0, 2.0), (3.0,)])
+
+
+@pytest.mark.parametrize("points", [1, 2, _BLOCK_CELLS // 2 + 1])
+def test_write_svg_matches_per_coordinate_reference(tmp_path, points):
+    rng = np.random.default_rng(points)
+    curve = rng.normal(size=(points, 2)) * 10.0 ** rng.integers(-8, 8, size=(points, 1))
+    specials = np.array([v for v in SPECIAL_FLOATS if abs(v) < 1e30])
+    curve.ravel()[:specials.size] = specials[:curve.size]
+    polygon = rng.normal(size=(5, 2))
+    markers = [rng.normal(size=(3, 2)), rng.normal(size=(points, 2))]
+    curves = [("fit", curve, {"stroke": "#d62728"}),
+              ("control", polygon, {"stroke": "#888888", "dasharray": "1.5% 1.5%"})]
+    for title in ("pia fit", None):
+        write_svg(tmp_path / "c.svg", curves, markers=markers, title=title)
+        assert (tmp_path / "c.svg").read_text() == _reference_svg(curves, markers, title)
+
+
 def test_basis_eval_rows_sum_to_one(tmp_path):
     path = _circle_config(tmp_path, mode="eval")
     out = tmp_path / "basis_out"
@@ -319,6 +440,7 @@ def test_example_circle_zero_iterations(tmp_path):
     assert cli.main(["example", "circle", "--iterations", "0", "--out", str(out)]) == 0
     assert not (out / "circle_errors.csv").exists()
     assert (out / "circle_gt_curve.csv").exists()
+    assert (out / "circle_gt_history.csv").read_text() == "iteration,error\n"
     # initial control points are the data samples
     rows = (out / "circle_gt_control.csv").read_text().splitlines()[1:]
     got = np.array([[float(v) for v in r.split(",")] for r in rows])

@@ -463,3 +463,22 @@ def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
             assert {t for t, _, _ in shapes} == {1}
         else:
             assert shapes[0][0] >= stacked
+
+
+@pytest.mark.parametrize("bad", ["non-increasing", "out-of-domain", "nan"])
+def test_ntp_suite_rejects_bad_drawn_params(monkeypatch, bad):
+    # the suite checks each chunk's drawn parameters once, as one array
+    ns, w = datasets.circle_node_set(), datasets.CIRCLE_WEIGHTS
+    draw = totalpos._draw_params
+
+    def broken(rng, case, a0, an, eps, count):
+        params = draw(rng, case, a0, an, eps, count)
+        if bad == "non-increasing":
+            params[2] = params[1]
+        else:
+            params[-1] = an + 1.0 if bad == "out-of-domain" else np.nan
+        return params
+
+    monkeypatch.setattr(totalpos, "_draw_params", broken)
+    with pytest.raises(ValueError, match="strictly increasing inside the domain"):
+        verify_ntp_suite(ns, w, trials=10, seed=1)
