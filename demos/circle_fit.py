@@ -38,7 +38,7 @@ table = make_error_table(
     datasets.CIRCLE_CHECKPOINTS,
 )
 print("\nmax residual norm by iteration count:")
-print(format_error_table(table))
+print(format_error_table(table, datasets.CIRCLE_CHECKPOINTS))
 
 styles = {
     "gt": {"stroke": "#d62728"},

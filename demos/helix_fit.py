@@ -38,7 +38,7 @@ table = make_error_table(
     datasets.HELIX_CHECKPOINTS,
 )
 print("\nmax residual norm by iteration count:")
-print(format_error_table(table))
+print(format_error_table(table, datasets.HELIX_CHECKPOINTS))
 
 for label, problem in problems.items():
     path = out / f"helix_{label}.csv"

@@ -17,6 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Largest accepted exponent span scale * (a_n - a_0). Every log-basis term is
+# log h * l*(a_j - a_0) or log h * l*(a_n - a_j) with |log h| <= 745 for a
+# double h, so below this span each term stays under 1e303 and their sums
+# stay finite; from a span of about 1e306 the products overflow.
+MAX_EXPONENT_SPAN = 1e300
+
 
 def _as_float_vector(values, name):
     arr = np.asarray(values, dtype=float)
@@ -31,7 +37,8 @@ def _as_float_vector(values, name):
 class NodeSet:
     """Sorted real nodes with per-node coefficients and a positive scale.
 
-    Coefficients default to 1 for every node and the scale to 1. Invalid
+    Coefficients default to 1 for every node and the scale to 1; the
+    exponent span scale * (a_n - a_0) is at most MAX_EXPONENT_SPAN. Invalid
     input raises ValueError; nothing is silently repaired.
     """
 
@@ -43,7 +50,7 @@ class NodeSet:
         nodes = _as_float_vector(self.nodes, "nodes")
         if nodes.size < 2:
             raise ValueError("need at least two nodes")
-        if np.any(np.diff(nodes) < 0):
+        if np.any(nodes[1:] < nodes[:-1]):  # no subtraction to overflow
             raise ValueError("nodes must be non-decreasing")
         if nodes[0] == nodes[-1]:
             raise ValueError("degenerate node range: first and last node coincide")
@@ -58,6 +65,9 @@ class NodeSet:
         scale = float(self.scale)
         if not math.isfinite(scale) or scale <= 0:
             raise ValueError("scale must be positive")
+        # Python floats: an overflowing span becomes inf without a warning
+        if scale * (float(nodes[-1]) - float(nodes[0])) > MAX_EXPONENT_SPAN:
+            raise ValueError(f"scale * (a_n - a_0) must be at most {MAX_EXPONENT_SPAN:g}")
         nodes = nodes.copy()
         coeffs = coeffs.copy()
         nodes.setflags(write=False)

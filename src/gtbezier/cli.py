@@ -19,20 +19,13 @@ import numpy as np
 
 from . import datasets
 from .basis import rational_basis_matrix
-from .config import (
-    ConfigError,
-    config_fit_problem,
-    config_node_set,
-    config_weights,
-    load_config,
-)
+from .config import ConfigError, load_config
 from .curve import sample_polyline
 from .export import (
     format_float,
     make_error_table,
     format_error_table,
     write_csv,
-    write_error_table_csv,
     write_history_csv,
     write_points_csv,
     write_svg,
@@ -47,7 +40,6 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 POLYLINE_SAMPLES = 401
-MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
 
 _CURVE_STYLES = {
     "gt": {"stroke": "#d62728"},
@@ -83,36 +75,23 @@ def _outdir(args) -> Path:
     return out
 
 
-def _check_mode(cfg, expected):
-    if cfg.mode is not None and cfg.mode != expected:
-        raise ConfigError(f"config has mode {cfg.mode!r} but the command expects {expected!r}")
-
-
 def cmd_basis_eval(args) -> int:
-    cfg = load_config(args.config)
-    _check_mode(cfg, "eval")
-    ns = config_node_set(cfg)
-    w = config_weights(cfg, ns)
-    grid = args.grid if args.grid is not None else cfg.grid
-    if grid > MAX_GRID:
-        raise ConfigError(f"grid must be at most {MAX_GRID}")
-    ts = np.linspace(*ns.domain, grid)
-    values = rational_basis_matrix(ns, w, ts)
+    cfg = load_config(args.config, "eval", grid=args.grid)
+    ns = cfg.nodeset
+    ts = np.linspace(*ns.domain, cfg.grid)
+    values = rational_basis_matrix(ns, cfg.weights, ts)
     out = _outdir(args)
     header = ("t",) + tuple(f"T{j}" for j in range(ns.size))
     write_csv(out / "basis.csv", header, np.column_stack([ts, values]))
     dev = float(np.max(np.abs(values.sum(axis=1) - 1.0)))
-    print(f"wrote {out / 'basis.csv'} ({grid} rows, {ns.size} basis functions)")
+    print(f"wrote {out / 'basis.csv'} ({cfg.grid} rows, {ns.size} basis functions)")
     print(f"max |row sum - 1| = {format_float(dev)}")
     return EXIT_OK
 
 
 def cmd_tp_check(args) -> int:
-    cfg = load_config(args.config)
-    _check_mode(cfg, "tp-check")
-    ns = config_node_set(cfg)
-    w = config_weights(cfg, ns)
-    report = verify_ntp_suite(ns, w, trials=args.trials, seed=args.seed)
+    cfg = load_config(args.config, "tp-check")
+    report = verify_ntp_suite(cfg.nodeset, cfg.weights, trials=args.trials, seed=args.seed)
     out = _outdir(args)
     rows, cols = ("", "")
     if report.worst_witness is not None:
@@ -142,12 +121,9 @@ def _write_fit_outputs(out: Path, prefix: str, problem, state):
 
 
 def cmd_pia_fit(args) -> int:
-    cfg = load_config(args.config)
-    _check_mode(cfg, "fit")
-    problem = config_fit_problem(cfg)
-    max_iter = args.iterations if args.iterations is not None else cfg.max_iter
-    tol = args.tol if args.tol is not None else cfg.tol
-    state = pia_run(problem, max_iter=max_iter, tol=tol)
+    cfg = load_config(args.config, "fit", max_iter=args.iterations, tol=args.tol)
+    problem = cfg.problem
+    state = pia_run(problem, max_iter=cfg.max_iter, tol=cfg.tol)
     out = _outdir(args)
     curve, polyline = _write_fit_outputs(out, "", problem, state)
     if curve.dim == 2:
@@ -197,9 +173,10 @@ def cmd_example(args) -> int:
     if svg_layers:
         write_svg(out / f"{args.which}.svg", svg_layers, markers=[data], title=args.which)
     if checkpoints:
-        table = make_error_table(tuple(problems), histories, checkpoints)
-        write_error_table_csv(out / f"{args.which}_errors.csv", table)
-        print(format_error_table(table))
+        rows = make_error_table(problems, histories, checkpoints)
+        header = ("curve",) + tuple(str(c) for c in checkpoints)
+        write_csv(out / f"{args.which}_errors.csv", header, rows)
+        print(format_error_table(rows, checkpoints))
     else:
         print(f"no iterations requested; wrote initial curves for {args.which}")
     print(f"wrote outputs under {out}")

@@ -1,32 +1,59 @@
 """JSON run configurations for the command-line front end.
 
-A config is a single JSON object; list entries must be finite JSON numbers
-and are parsed as doubles. Fields:
+load_config is the one step from a config file and a command's flags to
+the library's inputs. A config is a single JSON object; list entries must
+be finite JSON numbers and are parsed as doubles. Fields:
 
-    mode          "fit" | "eval" | "tp-check" (optional; checked against
-                  the subcommand when present)
+    mode          "fit" | "eval" | "tp-check" (optional); when present and
+                  not null it must be the command's mode
     nodes         required list of node values
     coefficients  optional, default 1 per node
-    scale         optional positive number, default 1
+    scale         optional positive number, default 1; scale times the node
+                  span at most basis.MAX_EXPONENT_SPAN
     weights       optional, default 1 per node
-    points        control or data points (list of [x, y] or [x, y, z])
-    params        fit parameters, one per point
+    points        control or data points (list of [x, y] or [x, y, z]);
+                  required in fit mode
+    params        fit parameters, one per point; required in fit mode
     max_iter      optional integer, default 20
     tol           optional number, default 0
     grid          optional integer grid size for basis tables, default 101,
-                  at most cli.MAX_GRID
+                  at most MAX_GRID rows and MAX_BASIS_VALUES values in all
+
+A command flag that is given (--grid, --iterations, --tol) takes the place
+of its field before any field is checked.
 """
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+import numpy as np
 
 from .basis import NodeSet, validate_weights
 from .pia import FitProblem
 
+MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
+MAX_BASIS_VALUES = 32 * MAX_GRID  # basis-eval values: 32 functions at MAX_GRID rows
+
+_DEFAULTS = {"mode": None, "nodes": None, "coefficients": None, "scale": 1.0,
+             "weights": None, "points": None, "params": None, "max_iter": 20,
+             "tol": 0.0, "grid": 101}
+
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """A command's checked inputs. problem is None unless the mode is fit."""
+
+    nodeset: NodeSet
+    weights: np.ndarray
+    problem: FitProblem | None
+    max_iter: int
+    tol: float
+    grid: int
 
 
 def _is_finite_number(value) -> bool:
@@ -41,28 +68,13 @@ def _is_number_list(value) -> bool:
     return type(value) is list and all(_is_finite_number(v) for v in value)
 
 
-_MODES = ("fit", "eval", "tp-check")
+def load_config(path, mode, *, grid=None, max_iter=None, tol=None) -> RunConfig:
+    """Load a JSON config for a command of the given mode and check it.
 
-
-@dataclass
-class RunConfig:
-    mode: str | None = None
-    nodes: list | None = None
-    coefficients: list | None = None
-    scale: float = 1.0
-    weights: list | None = None
-    points: list | None = None
-    params: list | None = None
-    max_iter: int = 20
-    tol: float = 0.0
-    grid: int = 101
-
-
-_FIELDS = tuple(f.name for f in fields(RunConfig))
-
-
-def load_config(path) -> RunConfig:
-    """Load and structurally validate a JSON config file."""
+    Each flag that is not None takes the place of its field. Raises
+    ConfigError for anything the config, the flags or the library's
+    constructors reject; builds the fit problem in fit mode only.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             raw = json.load(fh)
@@ -72,9 +84,11 @@ def load_config(path) -> RunConfig:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
-    unknown = set(raw) - set(_FIELDS)
+    unknown = set(raw) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
+    flags = {"grid": grid, "max_iter": max_iter, "tol": tol}
+    raw.update((name, value) for name, value in flags.items() if value is not None)
     for name in ("max_iter", "grid"):
         if name in raw and type(raw[name]) is not int:
             raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
@@ -87,42 +101,28 @@ def load_config(path) -> RunConfig:
     points = raw.get("points", [])
     if type(points) is not list or not all(_is_number_list(p) for p in points):
         raise ConfigError(f"points must be a list of lists of finite numbers, got {points!r}")
-    cfg = RunConfig(**raw)
-    if cfg.mode is not None and cfg.mode not in _MODES:
-        raise ConfigError(f"mode must be one of {_MODES}, got {cfg.mode!r}")
-    if cfg.nodes is None:
+    cfg = {**_DEFAULTS, **raw}
+    if cfg["mode"] is not None and cfg["mode"] != mode:
+        raise ConfigError(f"config has mode {cfg['mode']!r} but the command expects {mode!r}")
+    if cfg["nodes"] is None:
         raise ConfigError("config requires a 'nodes' field")
-    if cfg.max_iter < 1:
+    if cfg["max_iter"] < 1:
         raise ConfigError("max_iter must be at least 1")
-    if cfg.tol < 0:
+    if cfg["tol"] < 0:
         raise ConfigError("tol must be non-negative")
-    if cfg.grid < 1:
+    if cfg["grid"] < 1:
         raise ConfigError("grid must be at least 1")
-    return cfg
-
-
-def config_node_set(cfg: RunConfig) -> NodeSet:
+    max_grid = min(MAX_GRID, MAX_BASIS_VALUES // max(1, len(cfg["nodes"])))
+    if cfg["grid"] > max_grid:
+        raise ConfigError(f"grid must be at most {max_grid}")
+    if mode == "fit":
+        for name in ("points", "params"):
+            if cfg[name] is None:
+                raise ConfigError(f"fit config requires a '{name}' field")
     try:
-        return NodeSet(cfg.nodes, cfg.coefficients, cfg.scale)
+        ns = NodeSet(cfg["nodes"], cfg["coefficients"], cfg["scale"])
+        weights = validate_weights(ns, cfg["weights"])
+        problem = FitProblem(cfg["points"], cfg["params"], ns, weights) if mode == "fit" else None
     except ValueError as exc:
-        raise ConfigError(f"invalid node set: {exc}") from exc
-
-
-def config_weights(cfg: RunConfig, ns: NodeSet):
-    try:
-        return validate_weights(ns, cfg.weights)
-    except ValueError as exc:
-        raise ConfigError(f"invalid weights: {exc}") from exc
-
-
-def config_fit_problem(cfg: RunConfig) -> FitProblem:
-    ns = config_node_set(cfg)
-    w = config_weights(cfg, ns)
-    if cfg.points is None:
-        raise ConfigError("fit config requires a 'points' field")
-    if cfg.params is None:
-        raise ConfigError("fit config requires a 'params' field")
-    try:
-        return FitProblem(cfg.points, cfg.params, ns, w)
-    except ValueError as exc:
-        raise ConfigError(f"invalid fit problem: {exc}") from exc
+        raise ConfigError(str(exc)) from exc
+    return RunConfig(ns, weights, problem, cfg["max_iter"], cfg["tol"], cfg["grid"])

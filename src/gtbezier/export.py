@@ -7,7 +7,6 @@ written value reads back as the identical double and identical inputs
 produce byte-identical files. SVG coordinates take 9 digits ("%.9g").
 """
 
-from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
@@ -58,11 +57,9 @@ def write_csv(path, header, rows):
         _write_rows(fh, ",".join(formats) + "\n", width, rows)
 
 
-def write_points_csv(path, points, columns=None):
+def write_points_csv(path, points):
     points = np.asarray(points, dtype=float)
-    if columns is None:
-        columns = ("x", "y", "z")[: points.shape[1]]
-    write_csv(path, columns, points)
+    write_csv(path, ("x", "y", "z")[: points.shape[1]], points)
 
 
 def write_history_csv(path, history):
@@ -72,44 +69,18 @@ def write_history_csv(path, history):
     write_csv(path, ("iteration", "error"), np.column_stack([np.arange(history.size), history]))
 
 
-@dataclass(frozen=True)
-class ErrorTable:
-    """Fit errors for several labeled runs at shared iteration checkpoints."""
-
-    labels: tuple
-    checkpoints: tuple
-    errors: np.ndarray  # shape (len(labels), len(checkpoints))
-
-    def __post_init__(self):
-        errors = np.asarray(self.errors, dtype=float)
-        if np.any(np.diff(self.checkpoints) <= 0):
-            raise ValueError("checkpoints must be strictly increasing")
-        if errors.shape != (len(self.labels), len(self.checkpoints)):
-            raise ValueError("errors must be one row per label, one column per checkpoint")
-        if np.any(errors < 0):
-            raise ValueError("errors must be non-negative")
-        errors.setflags(write=False)
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "checkpoints", tuple(int(c) for c in self.checkpoints))
-        object.__setattr__(self, "errors", errors)
+def make_error_table(labels, histories, checkpoints) -> list:
+    """Rows (label, e_1, ...): each run's errors at the given checkpoints
+    (1-based iteration counts)."""
+    return [(label, *(history[c - 1] for c in checkpoints))
+            for label, history in zip(labels, histories)]
 
 
-def make_error_table(labels, histories, checkpoints) -> ErrorTable:
-    """Pick per-run errors at the given checkpoints (1-based iteration counts)."""
-    errors = [[history[c - 1] for c in checkpoints] for history in histories]
-    return ErrorTable(tuple(labels), tuple(checkpoints), np.array(errors))
-
-
-def write_error_table_csv(path, table: ErrorTable):
-    header = ("curve",) + tuple(str(c) for c in table.checkpoints)
-    write_csv(path, header, [(label, *row) for label, row in zip(table.labels, table.errors)])
-
-
-def format_error_table(table: ErrorTable) -> str:
-    width = max(len(label) for label in table.labels)
-    lines = ["iterations".ljust(width) + "".join(f"{c:>12d}" for c in table.checkpoints)]
-    for label, row in zip(table.labels, table.errors):
-        lines.append(label.ljust(width) + "".join(f"{e:>12.3e}" for e in row))
+def format_error_table(rows, checkpoints) -> str:
+    width = max(len(row[0]) for row in rows)
+    lines = ["iterations".ljust(width) + "".join(f"{c:>12d}" for c in checkpoints)]
+    for label, *errors in rows:
+        lines.append(label.ljust(width) + "".join(f"{e:>12.3e}" for e in errors))
     return "\n".join(lines)
 
 

@@ -15,6 +15,7 @@ from gtbezier import (
     validate_weights,
 )
 from gtbezier import datasets
+from gtbezier.basis import MAX_EXPONENT_SPAN
 
 
 def test_validate_minimal():
@@ -49,6 +50,8 @@ def test_validate_example_configuration():
         ([0, 1], [1, 1], 0, "positive"),
         ([0, 1], [1, 1], -2, "positive"),
         ([0, 1], [1], 1, "match nodes"),
+        ([0, 1, 2, 3], None, 1e308, r"scale \* \(a_n - a_0\) must be at most"),
+        ([-1e308, 1e308], None, 1, r"scale \* \(a_n - a_0\) must be at most"),
     ],
 )
 def test_validate_rejects(nodes, coeffs, scale, msg):
@@ -240,6 +243,16 @@ def test_huge_exponents_stay_finite():
     w = datasets.helix_weights()
     ts = np.linspace(xi[0], xi[-1], 501)
     vals = rational_basis_matrix(ns, w, ts)
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
+
+
+def test_largest_exponent_span_stays_finite():
+    # scale * span at MAX_EXPONENT_SPAN: each log term is near 1e302, which
+    # a double still holds; endpoint and next-to-endpoint rows included
+    ns = NodeSet([0.0, 0.25, 0.5, 1.0], scale=MAX_EXPONENT_SPAN)
+    ts = [0.0, np.nextafter(0.0, 1.0), 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0]
+    vals = rational_basis_matrix(ns, np.ones(4), ts)
     assert np.all(np.isfinite(vals))
     assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
 

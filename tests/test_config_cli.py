@@ -15,21 +15,11 @@ from hypothesis import given, settings, strategies as st
 import gtbezier
 import gtbezier.cli as cli
 from gtbezier import datasets
-from gtbezier.config import (
-    ConfigError,
-    RunConfig,
-    config_fit_problem,
-    config_node_set,
-    config_weights,
-    load_config,
-)
+from gtbezier.config import ConfigError, load_config
 from gtbezier.export import (
     _BLOCK_CELLS,
-    ErrorTable,
     format_float,
-    make_error_table,
     write_csv,
-    write_error_table_csv,
     write_history_csv,
     write_points_csv,
     write_svg,
@@ -58,18 +48,23 @@ def _circle_config(tmp_path, mode="fit", **overrides):
 
 def test_config_round_trip(tmp_path):
     path = _circle_config(tmp_path)
-    cfg = load_config(path)
-    problem = config_fit_problem(cfg)
-    np.testing.assert_allclose(problem.data, datasets.circle_problem().data)
+    cfg = load_config(path, "fit")
+    np.testing.assert_allclose(cfg.problem.data, datasets.circle_problem().data)
+    assert (cfg.max_iter, cfg.tol, cfg.grid) == (20, 0.0, 101)
+    # a flag that is given takes the place of its field
+    cfg = load_config(path, "fit", max_iter=7, tol=1e-3, grid=5)
+    assert (cfg.max_iter, cfg.tol, cfg.grid) == (7, 1e-3, 5)
 
 
 def test_config_defaults(tmp_path):
     path = tmp_path / "minimal.json"
     path.write_text(json.dumps({"nodes": [0, 1, 2]}))
-    cfg = load_config(path)
-    assert cfg.coefficients is None and cfg.weights is None
-    problem_cfg = RunConfig(nodes=[0, 1], points=[[0, 0], [1, 1]], params=[0, 1])
-    problem = config_fit_problem(problem_cfg)
+    cfg = load_config(path, "eval")
+    assert np.all(cfg.nodeset.coefficients == 1.0) and cfg.nodeset.scale == 1.0
+    assert np.all(cfg.weights == 1.0)
+    assert cfg.problem is None
+    path.write_text(json.dumps({"nodes": [0, 1], "points": [[0, 0], [1, 1]], "params": [0, 1]}))
+    problem = load_config(path, "fit").problem
     assert np.all(problem.nodeset.coefficients == 1.0)
     assert np.all(problem.weights == 1.0)
 
@@ -78,7 +73,7 @@ def test_config_defaults(tmp_path):
     "payload,msg",
     [
         ({"nodes": [0, 1], "bogus": 1, "out": "x"}, "unknown config fields"),
-        ({"nodes": [0, 1], "mode": "dance"}, "mode must be"),
+        ({"nodes": [0, 1], "mode": "dance"}, "config has mode 'dance'"),
         ({}, "requires a 'nodes'"),
         ({"nodes": [0, 1], "max_iter": 0}, "max_iter"),
         ({"nodes": [0, 1], "tol": -1}, "tol"),
@@ -109,7 +104,7 @@ def test_config_structural_errors(tmp_path, payload, msg):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(payload))
     with pytest.raises(ConfigError, match=msg):
-        load_config(path)
+        load_config(path, "eval")
 
 
 @pytest.mark.parametrize(
@@ -132,6 +127,13 @@ def test_config_structural_errors(tmp_path, payload, msg):
                      "config error: .*not valid JSON: Exceeds the limit", id="int-digit-limit"),
         pytest.param(b'{"nodes": [0, 1], "scale": "\xff"}', ["basis-eval"],
                      "config error: .*not valid JSON: 'utf-8' codec can't decode", id="not-utf-8"),
+        # log-basis terms that would overflow, and a table of 32e6+ values
+        pytest.param({"scale": 1e308}, ["pia-fit"],
+                     r"config error: scale \* \(a_n - a_0\) must be at most 1e\+300",
+                     id="exponent-span"),
+        pytest.param(json.dumps({"nodes": list(range(100001)), "grid": 10**6}).encode(),
+                     ["basis-eval"], "config error: grid must be at most 319$",
+                     id="basis-values"),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
@@ -190,15 +192,13 @@ def test_config_rejects_invalid_json(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{nope")
     with pytest.raises(ConfigError, match="not valid JSON"):
-        load_config(path)
+        load_config(path, "eval")
 
 
 def test_config_negative_weight_is_config_error(tmp_path):
     path = _circle_config(tmp_path, mode="tp-check", weights=[0.5, -2.51, 5.5, 2.51, 0.22])
-    cfg = load_config(path)
-    ns = config_node_set(cfg)
     with pytest.raises(ConfigError, match="weights"):
-        config_weights(cfg, ns)
+        load_config(path, "tp-check")
     # the CLI maps it to exit code 2 before running any trial
     assert cli.main(["tp-check", "--config", str(path), "--out", str(path.parent / "o")]) == 2
 
@@ -207,20 +207,6 @@ def test_format_float_round_trips():
     rng = np.random.default_rng(3)
     for x in rng.normal(size=20) * 10.0 ** rng.integers(-12, 12, size=20):
         assert float(format_float(x)) == x
-
-
-def test_error_table_validation_and_csv(tmp_path):
-    with pytest.raises(ValueError, match="strictly increasing"):
-        ErrorTable(("a",), (5, 5), np.array([[1.0, 2.0]]))
-    with pytest.raises(ValueError, match="one row per label"):
-        ErrorTable(("a",), (1, 2), np.array([[1.0]]))
-    table = make_error_table(("a", "b"), [(0.5, 0.25, 0.125), (1.0, 0.5, 0.25)], (1, 3))
-    np.testing.assert_array_equal(table.errors, [[0.5, 0.125], [1.0, 0.25]])
-    out = tmp_path / "t.csv"
-    write_error_table_csv(out, table)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "curve,1,3"
-    assert lines[1].startswith("a,0.5")
 
 
 # Writer byte identity: every writer's file equals a per-cell reference that
@@ -302,13 +288,11 @@ def test_write_history_csv_matches_per_cell_reference(tmp_path, length):
 
 
 def test_string_cell_rows_match_per_cell_reference(tmp_path):
-    errors = np.abs(_table(3, 4, seed=11))
-    errors[np.isnan(errors)] = 0.5
-    table = ErrorTable(("gt", "bezier", "rational"), (1, 5, 10, 20), errors)
-    write_error_table_csv(tmp_path / "e.csv", table)
-    expected = _reference_csv(("curve", "1", "5", "10", "20"),
-                              [(label, *row) for label, row in zip(table.labels, table.errors)])
-    assert (tmp_path / "e.csv").read_text() == expected
+    errors = _table(3, 4, seed=11)
+    rows = [(label, *row) for label, row in zip(("gt", "bezier", "rational"), errors)]
+    header = ("curve", "1", "5", "10", "20")
+    write_csv(tmp_path / "e.csv", header, rows)
+    assert (tmp_path / "e.csv").read_text() == _reference_csv(header, rows)
     header = ("trials", "failures", "worst_minor", "worst_case", "worst_rows", "worst_cols")
     for worst, case, rows, cols in ((-3.8e-125, "interior", "4;5;6", "12;13;14"),
                                     (np.inf, "", "", ""), (0.0, "left", "0", "1")):
@@ -428,6 +412,12 @@ def test_example_circle_outputs(tmp_path):
     table = (out / "circle_errors.csv").read_text().splitlines()
     assert table[0] == "curve,1,5,10,20"
     assert [line.split(",")[0] for line in table[1:]] == ["gt", "bezier", "rational"]
+    # each row holds its curve's history errors after 1, 5, 10 and 20
+    # updates: history lines 1, 5, 10 and 20 (iteration indices 0, 4, 9, 19)
+    for line in table[1:]:
+        label, *errors = line.split(",")
+        history = (out / f"circle_{label}_history.csv").read_text().splitlines()
+        assert errors == [history[c].split(",")[1] for c in (1, 5, 10, 20)]
     svg = (out / "circle.svg").read_text()
     assert svg.startswith("<?xml")
     assert "viewBox=" in svg
