@@ -6,7 +6,8 @@ be finite JSON numbers and are parsed as doubles. Fields:
 
     mode          "fit" | "eval" | "tp-check" (optional); when present and
                   not null it must be the command's mode
-    nodes         required list of node values
+    nodes         required list of node values; at most MAX_FIT_NODES in fit
+                  mode and MAX_TP_NODES in tp-check mode
     coefficients  optional, default 1 per node
     scale         optional positive number, default 1; scale times the node
                   span at most basis.MAX_EXPONENT_SPAN
@@ -31,9 +32,12 @@ import numpy as np
 
 from .basis import NodeSet, validate_weights
 from .pia import FitProblem
+from .totalpos import _GATHER_LIMIT
 
 MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
 MAX_BASIS_VALUES = 32 * MAX_GRID  # basis-eval values: 32 functions at MAX_GRID rows
+MAX_FIT_NODES = math.isqrt(MAX_BASIS_VALUES)  # a collocation matrix of as many values
+MAX_TP_NODES = math.isqrt(_GATHER_LIMIT)  # one trial's determinant grid within a suite stack
 
 _DEFAULTS = {"mode": None, "nodes": None, "coefficients": None, "scale": 1.0,
              "weights": None, "points": None, "params": None, "max_iter": 20,
@@ -106,6 +110,9 @@ def load_config(path, mode, *, grid=None, max_iter=None, tol=None) -> RunConfig:
         raise ConfigError(f"config has mode {cfg['mode']!r} but the command expects {mode!r}")
     if cfg["nodes"] is None:
         raise ConfigError("config requires a 'nodes' field")
+    max_nodes = {"fit": MAX_FIT_NODES, "tp-check": MAX_TP_NODES}.get(mode)
+    if max_nodes is not None and len(cfg["nodes"]) > max_nodes:
+        raise ConfigError(f"{mode} config has {len(cfg['nodes'])} nodes, at most {max_nodes} allowed")
     if cfg["max_iter"] < 1:
         raise ConfigError("max_iter must be at least 1")
     if cfg["tol"] < 0:

@@ -10,13 +10,17 @@ the tolerance tracks the wildly varying magnitude of the minors.
 
 Minors are enumerated over a (T, r, c) stack of matrices, one pass per order:
 is_totally_positive judges a stack of one, verify_ntp_suite chunks of trials.
+Small matrices gather every minor into a (T, R, C, k, k) array; larger ones
+read their consecutive k x k windows in place, as strided views of the stack.
 """
 
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .basis import NodeSet, rational_basis_matrix, validate_params, validate_weights
 
@@ -25,9 +29,10 @@ from .basis import NodeSet, rational_basis_matrix, validate_params, validate_wei
 EXHAUSTIVE_LIMIT = 8
 DEFAULT_REL_TOL = 1e-9
 
-# Ceiling, in elements, on one order's gathered minor stack when the NTP suite
-# judges its trials in stacks: one 31-node trial alone gathers this much (at
-# order 16), so a stack of trials needs no more memory than the helix suite.
+# Ceiling, in elements, on what one order materializes for a stack of trials
+# in the NTP suite: the gathered minors of exhaustive enumeration, or the
+# determinant grid of the window views. One 8-node trial alone gathers more
+# and is judged by itself; up to 68 trials of 31 nodes share one stack.
 _GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
@@ -128,17 +133,9 @@ def _combo_array(n: int, k: int) -> np.ndarray:
     return np.array(list(combinations(range(n), k)), dtype=np.intp)
 
 
-@lru_cache(maxsize=None)
-def _window_array(n: int, k: int) -> np.ndarray:
-    starts = np.arange(n - k + 1, dtype=np.intp)
-    return starts[:, None] + np.arange(k, dtype=np.intp)[None, :]
-
-
-def _minor_sets(rows: int, cols: int):
-    """Method name and index-set builder for a rows x cols matrix."""
-    if max(rows, cols) <= EXHAUSTIVE_LIMIT:
-        return "exhaustive", _combo_array
-    return "contiguous", _window_array
+def _method(rows: int, cols: int) -> str:
+    """Which minors a rows x cols matrix is judged on."""
+    return "exhaustive" if max(rows, cols) <= EXHAUSTIVE_LIMIT else "contiguous"
 
 
 @dataclass(frozen=True)
@@ -190,28 +187,44 @@ def _tp_reports(stack: np.ndarray, tol: float) -> list:
     row_max = np.max(np.abs(stack), axis=2)
     shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
     stack = np.ldexp(stack, -shifts[:, :, None])
-    method, sets = _minor_sets(r, c)
+    method = _method(r, c)
+    if method == "contiguous":
+        sq = stack * stack
     all_ok, all_strict = np.ones(t, dtype=bool), np.ones(t, dtype=bool)
     worst_margin, witness = np.full(t, np.inf), [None] * t
     for k in range(1, min(r, c) + 1):
-        rset, cset = sets(r, k), sets(c, k)
-        subs = stack[:, rset[:, None, :, None], cset[None, :, None, :]]
+        if method == "exhaustive":
+            rset, cset = _combo_array(r, k), _combo_array(c, k)
+            subs = stack[:, rset[:, None, :, None], cset[None, :, None, :]]
+            scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)
+            unscale = shifts[:, rset].sum(axis=2)[:, :, None]
+        else:
+            # read-only views of every k x k window; each row norm is summed
+            # once per column window, by the reductions a gathered copy of
+            # one matrix takes, and multiplied down each row window
+            subs = sliding_window_view(stack, (k, k), axis=(1, 2))
+            norms = np.sqrt(np.add.reduce(sliding_window_view(sq, k, axis=2), axis=-1))
+            scales = np.multiply.reduce(sliding_window_view(norms, k, axis=1), axis=-1)
+            unscale = sliding_window_view(shifts, k, axis=1).sum(axis=2)[:, :, None]
         dets = _det_stack(subs)
-        scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)
         margins = dets + tol * scales
         all_ok &= np.all(margins >= 0.0, axis=(1, 2))
         all_strict &= np.all(dets > tol * scales, axis=(1, 2))
         # the witness is chosen and reported in the original scale
-        unscale = shifts[:, rset].sum(axis=2)[:, :, None]
         with np.errstate(over="ignore"):
             margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
+        width = dets.shape[2]
         margins, dets = margins.reshape(t, -1), dets.reshape(t, -1)
         least = np.argmin(margins, axis=1)
         for j in np.flatnonzero(margins[np.arange(t), least] < worst_margin):
             i = least[j]
             worst_margin[j] = margins[j, i]
-            rows, cols = divmod(int(i), len(cset))
-            witness[j] = (tuple(rset[rows].tolist()), tuple(cset[cols].tolist()), float(dets[j, i]))
+            row, col = divmod(int(i), width)
+            if method == "exhaustive":
+                rows, cols = rset[row].tolist(), cset[col].tolist()
+            else:  # the window's first row and column
+                rows, cols = range(row, row + k), range(col, col + k)
+            witness[j] = (tuple(rows), tuple(cols), float(dets[j, i]))
     return [TpReport(bool(ok), bool(strict), w, method)
             for ok, strict, w in zip(all_ok, all_strict, witness)]
 
@@ -253,9 +266,12 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     matrix, and verify total positivity as is_totally_positive does.
     Deterministic for a fixed seed: each trial's RNG stream derives from
     (seed, trial index). Consecutive trials are judged as one (T, n, n)
-    stack, built by one basis call, with T as large as keeps every order's
-    gathered minors within _GATHER_LIMIT elements (at least one trial);
-    each trial's parameters, matrix and verdict are those it has alone.
+    stack, built by one basis call, with T as large as keeps what every
+    order materializes within _GATHER_LIMIT elements (at least one trial):
+    C(n,k)^2 * k^2 gathered minor entries per trial when every minor is
+    enumerated, the (n-k+1)^2 determinant grid of the window views above
+    EXHAUSTIVE_LIMIT. Each trial's parameters, matrix and verdict are those
+    it has alone.
     """
     w = validate_weights(ns, weights)
     if trials < 1:
@@ -263,8 +279,11 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     a0, an = ns.domain
     eps = 1e-6 * (an - a0)
     n = ns.size
-    sets = _minor_sets(n, n)[1]
-    chunk = max(1, _GATHER_LIMIT // max(sets(n, k).size ** 2 for k in range(1, n + 1)))
+    if _method(n, n) == "exhaustive":
+        per_trial = max((comb(n, k) * k) ** 2 for k in range(1, n + 1))
+    else:
+        per_trial = n * n  # the order-1 determinant grid is the largest
+    chunk = max(1, _GATHER_LIMIT // per_trial)
     failed = []
     worst = (np.inf, None, None)  # (witness det, witness, case)
     for start in range(0, trials, chunk):

@@ -134,6 +134,16 @@ def test_config_structural_errors(tmp_path, payload, msg):
         pytest.param(json.dumps({"nodes": list(range(100001)), "grid": 10**6}).encode(),
                      ["basis-eval"], "config error: grid must be at most 319$",
                      id="basis-values"),
+        # a fit's collocation matrix of 20001**2 values, and tp-check minors
+        # of a 20001-node matrix
+        pytest.param(json.dumps({"nodes": list(range(20001)), "params": list(range(20001)),
+                                 "points": [[i, 0] for i in range(20001)]}).encode(),
+                     ["pia-fit"], "config error: fit config has 20001 nodes, at most 5656 allowed$",
+                     id="fit-nodes"),
+        pytest.param(json.dumps({"nodes": list(range(20001))}).encode(),
+                     ["tp-check", "--trials", "1"],
+                     "config error: tp-check config has 20001 nodes, at most 256 allowed$",
+                     id="tp-check-nodes"),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):

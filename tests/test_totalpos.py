@@ -23,7 +23,8 @@ from gtbezier import (
 )
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
-from gtbezier.totalpos import BOUNDARY_CASES, DEFAULT_REL_TOL, _draw_params, _tp_reports
+from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, TpReport, _det_stack,
+                                _draw_params, _tp_reports)
 
 
 def _random_node_set(rng, max_n=5):
@@ -410,7 +411,8 @@ def test_ntp_suite_equals_trial_by_trial_reference(monkeypatch):
     chunk = _suite_stacks(monkeypatch, ns, w, 400)[0][0]
     helix = datasets.helix_node_set(), datasets.helix_weights()
     for (ns, w), trials, seed in (((ns, w), 400, 20240809), ((ns, w), chunk + 1, 7),
-                                  (helix, 5, 3), ((bernstein_equivalent_nodeset(3), None), 100, 1),
+                                  (helix, 5, 3), (helix, 8, 3),
+                                  ((bernstein_equivalent_nodeset(3), None), 100, 1),
                                   ((NodeSet([0, 1]), None), 8, 3),
                                   ((NodeSet(np.arange(12.0)), None), 40, 5)):
         assert verify_ntp_suite(ns, w, trials, seed) == _reference_suite(ns, w, trials, seed)
@@ -442,19 +444,73 @@ def test_tp_reports_judge_each_matrix_of_a_stack_alone():
     assert verdicts == [True] * 4 + [False] * 4 + [True, True, False]
 
 
+def _gathered_window_report(m, tol):
+    """Reference for the window verdict of one matrix: each order's k x k
+    windows gathered into a copy by index arrays, their row norms by
+    np.linalg.norm and np.prod, their determinants by _det_stack (closed
+    form up to order 3, np.linalg.det above)."""
+    r, c = m.shape
+    row_max = np.max(np.abs(m), axis=1)
+    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
+    m = np.ldexp(m, -shifts[:, None])
+    is_tp, is_stp, worst, witness = True, True, np.inf, None
+    for k in range(1, min(r, c) + 1):
+        rset = np.arange(r - k + 1)[:, None] + np.arange(k)
+        cset = np.arange(c - k + 1)[:, None] + np.arange(k)
+        subs = m[None][:, rset[:, None, :, None], cset[None, :, None, :]]
+        dets = _det_stack(subs)[0]
+        scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)[0]
+        margins = dets + tol * scales
+        is_tp &= bool(np.all(margins >= 0.0))
+        is_stp &= bool(np.all(dets > tol * scales))
+        unscale = shifts[rset].sum(axis=1)[:, None]
+        with np.errstate(over="ignore"):
+            margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
+        i, j = np.unravel_index(np.argmin(margins), margins.shape)
+        if margins[i, j] < worst:
+            worst = margins[i, j]
+            witness = (tuple(rset[i].tolist()), tuple(cset[j].tolist()), float(dets[i, j]))
+    return TpReport(is_tp, is_stp, witness, "contiguous")
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
+def test_window_views_equal_gathered_windows(tol):
+    # reading windows as strided views changes no determinant, scale or
+    # witness: reports are == the gathered reference, matrix by matrix, on
+    # random, TP (Vandermonde) and row-scaled matrices of every window size
+    rng = np.random.default_rng(2026)
+    stacks = []
+    for n in (*range(9, 31, 3), 31):
+        t = np.sort(rng.uniform(0.5, 2.0, n))
+        tp = generalized_vandermonde(GenVandermondeSpec(t, np.arange(n) * rng.uniform(0.2, 1.0)))
+        noise = rng.uniform(-0.1, 1.0, (2, n, n)) * np.exp(rng.uniform(-5.0, 5.0, (2, n, n)))
+        stacks.append(np.concatenate([tp[None], noise]))
+    stacks += [rng.uniform(-0.1, 1.0, (3, r, c)) for r, c in ((2, 9), (9, 2), (1, 20))]
+    stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None] for s in stacks[-4:]]
+    verdicts = set()
+    for stack in stacks:
+        reports = _tp_reports(stack, tol)
+        assert reports == [_gathered_window_report(m, tol) for m in stack]
+        verdicts.update(rep.is_tp for rep in reports)
+    assert verdicts == {True, False}
+
+
 def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
-    # every order's gathered minor stack (trials x minors x k x k elements)
-    # stays within the ceiling unless one trial alone exceeds it, as 8
-    # nodes (every minor) and the 31-node helix do
+    # what every order materializes for a stack stays within the ceiling
+    # unless one trial alone exceeds it, as 8 nodes (every minor) do: the
+    # gathered minors (trials x minors x k x k elements) of exhaustive
+    # enumeration, the determinant grid (trials x windows) of window views
     def gathered(trials, n):
-        count = (lambda k: comb(n, k)) if n <= EXHAUSTIVE_LIMIT else (lambda k: n - k + 1)
-        return trials * max((count(k) * k) ** 2 for k in range(1, n + 1))
+        if n <= EXHAUSTIVE_LIMIT:
+            return trials * max((comb(n, k) * k) ** 2 for k in range(1, n + 1))
+        return trials * max((n - k + 1) ** 2 for k in range(1, n + 1))
 
     circle = datasets.circle_problem()
+    helix = datasets.helix_node_set(), datasets.helix_weights()
     for (ns, w), trials, stacked in (((circle.nodeset, circle.weights), 100, 40),
                                      ((bernstein_equivalent_nodeset(7), None), 3, 1),
-                                     ((datasets.helix_node_set(), datasets.helix_weights()), 2, 1),
-                                     ((NodeSet(np.arange(12.0)), None), 40, 2)):
+                                     (helix, 2, 2), (helix, 70, 68),
+                                     ((NodeSet(np.arange(12.0)), None), 40, 40)):
         shapes = _suite_stacks(monkeypatch, ns, w, trials)
         assert sum(t for t, _, _ in shapes) == trials
         assert all(shape[1:] == (ns.size, ns.size) for shape in shapes)
