@@ -1,27 +1,18 @@
 #!/usr/bin/env python3
 """Circle benchmark: progressive iterative fitting of five circle samples.
 
-Fits the same five samples three ways (tuned node-set curve, classical
-Bezier, rational Bezier), prints the error table at the standard
-checkpoints, certifies convergence via the iteration spectrum, and
-exports an SVG of the fitted curves.
+Certifies convergence of the three fits (tuned node-set curve, classical
+Bezier, rational Bezier) through their iteration spectra, then runs
+`gtbezier example circle`, which prints the error table at the standard
+checkpoints and writes the fitted curves, their tables and an SVG.
 """
 
 import sys
-from pathlib import Path
 
-from gtbezier import fitted_curve, iteration_spectrum, pia_run, sample_polyline
-from gtbezier import datasets
-from gtbezier.export import format_error_table, make_error_table, write_svg
+from gtbezier import cli, datasets, iteration_spectrum
 
-out = Path(sys.argv[1] if len(sys.argv) > 1 else "demo_output")
-out.mkdir(parents=True, exist_ok=True)
-
-problems = {
-    "gt": datasets.circle_problem(),
-    "bezier": datasets.circle_bezier_problem(),
-    "rational": datasets.circle_rational_problem(),
-}
+out = sys.argv[1] if len(sys.argv) > 1 else "demo_output"
+problems, _ = datasets.example_problems("circle")
 
 print("five samples of the unit circle, one at an irrational parameter\n")
 
@@ -29,29 +20,7 @@ print("five samples of the unit circle, one at an irrational parameter\n")
 for label, problem in problems.items():
     print(f"{label:9s} iteration spectrum: {iteration_spectrum(problem):.4f}")
 
-# run twenty update rounds for each curve
-states = {label: pia_run(problem, max_iter=20) for label, problem in problems.items()}
-
-table = make_error_table(
-    tuple(problems),
-    [states[label].error_history for label in problems],
-    datasets.CIRCLE_CHECKPOINTS,
-)
 print("\nmax residual norm by iteration count:")
-print(format_error_table(table, datasets.CIRCLE_CHECKPOINTS))
-
-styles = {
-    "gt": {"stroke": "#d62728"},
-    "bezier": {"stroke": "#1f77b4", "dasharray": "3% 1.5%"},
-    "rational": {"stroke": "#2ca02c", "dasharray": "0.5% 1.5%"},
-}
-layers = []
-for label, problem in problems.items():
-    curve = fitted_curve(problem, states[label])
-    layers.append((label, sample_polyline(curve, 401), styles[label]))
-    layers.append((f"{label} control", states[label].control,
-                   {"stroke": "#888888", "dasharray": "1.5% 1.5%"}))
-write_svg(out / "circle_fit.svg", layers,
-          markers=[problems["gt"].data], title="circle fits after 20 iterations")
-print(f"\nwrote {out / 'circle_fit.svg'}")
+if code := cli.main(["example", "circle", "--out", out]):
+    sys.exit(code)
 print("the tuned node-set curve ends almost an order of magnitude below the baselines")

@@ -2,48 +2,29 @@
 """Helix benchmark: fitting 31 samples of a 3D helix.
 
 A 31-node problem with binomial weights; the classical degree-30 Bezier
-curve is the baseline. 3D polylines are exported as CSV. Also stresses
-the log-domain basis evaluation with exponents near 195, where raw basis
-values overflow doubles but normalized values stay exact.
+curve is the baseline. Prints both iteration spectra, then runs `gtbezier
+example helix`, which prints the error table and exports 3D polylines as
+CSV. Also stresses the log-domain basis evaluation with exponents near
+195, where raw basis values overflow doubles but normalized values stay
+exact.
 """
 
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from gtbezier import (
-    NodeSet,
-    fitted_curve,
-    iteration_spectrum,
-    pia_run,
-    rational_basis_matrix,
-    sample_polyline,
-)
-from gtbezier import datasets
-from gtbezier.export import format_error_table, make_error_table, write_points_csv
+from gtbezier import NodeSet, cli, datasets, iteration_spectrum, rational_basis_matrix
 
-out = Path(sys.argv[1] if len(sys.argv) > 1 else "demo_output")
-out.mkdir(parents=True, exist_ok=True)
-
-problems = {"gt": datasets.helix_problem(), "bezier": datasets.helix_bezier_problem()}
+out = sys.argv[1] if len(sys.argv) > 1 else "demo_output"
+problems, _ = datasets.example_problems("helix")
 
 print("31 samples of (cos(pi t), sin(pi t), t/6), one at an irrational parameter\n")
 for label, problem in problems.items():
     print(f"{label:7s} iteration spectrum: {iteration_spectrum(problem):.12f}")
 
-states = {label: pia_run(problem, max_iter=30) for label, problem in problems.items()}
-table = make_error_table(
-    tuple(problems), [states[label].error_history for label in problems],
-    datasets.HELIX_CHECKPOINTS,
-)
 print("\nmax residual norm by iteration count:")
-print(format_error_table(table, datasets.HELIX_CHECKPOINTS))
-
-for label, problem in problems.items():
-    path = out / f"helix_{label}.csv"
-    write_points_csv(path, sample_polyline(fitted_curve(problem, states[label]), 601))
-    print(f"wrote {path}")
+if code := cli.main(["example", "helix", "--out", out]):
+    sys.exit(code)
 
 # ------------------------------------------------------------------
 # log-domain stress: apply the sharpness to the raw node span so the

@@ -23,7 +23,6 @@ from .config import ConfigError, load_config
 from .curve import sample_polyline
 from .export import (
     format_float,
-    make_error_table,
     format_error_table,
     write_csv,
     write_history_csv,
@@ -91,7 +90,10 @@ def cmd_basis_eval(args) -> int:
 
 def cmd_tp_check(args) -> int:
     cfg = load_config(args.config, "tp-check")
-    report = verify_ntp_suite(cfg.nodeset, cfg.weights, trials=args.trials, seed=args.seed)
+    try:
+        report = verify_ntp_suite(cfg.nodeset, cfg.weights, trials=args.trials, seed=args.seed)
+    except ValueError as exc:  # a node span too narrow to draw parameters from
+        raise ConfigError(str(exc)) from exc
     out = _outdir(args)
     rows, cols = ("", "")
     if report.worst_witness is not None:
@@ -140,40 +142,24 @@ def cmd_pia_fit(args) -> int:
     return EXIT_OK
 
 
-def _example_setup(which: str):
-    if which == "circle":
-        problems = {
-            "gt": datasets.circle_problem(),
-            "bezier": datasets.circle_bezier_problem(),
-            "rational": datasets.circle_rational_problem(),
-        }
-        return problems, datasets.CIRCLE_CHECKPOINTS
-    problems = {
-        "gt": datasets.helix_problem(),
-        "bezier": datasets.helix_bezier_problem(),
-    }
-    return problems, datasets.HELIX_CHECKPOINTS
-
-
 def cmd_example(args) -> int:
-    problems, all_checkpoints = _example_setup(args.which)
+    problems, all_checkpoints = datasets.example_problems(args.which)
     max_iter = args.iterations if args.iterations is not None else all_checkpoints[-1]
     checkpoints = tuple(c for c in all_checkpoints if c <= max_iter)
     out = _outdir(args)
-    histories = []
+    rows = []
     svg_layers = []
-    data = next(iter(problems.values())).data
     for label, problem in problems.items():
         state = pia_run(problem, max_iter=max_iter)
-        histories.append(state.error_history)
+        rows.append((label, *(state.error_history[c - 1] for c in checkpoints)))
         curve, polyline = _write_fit_outputs(out, f"{args.which}_{label}_", problem, state)
         if curve.dim == 2:
             svg_layers.append((label, polyline, _CURVE_STYLES[label]))
             svg_layers.append((f"{label} control", state.control, _CONTROL_STYLE))
     if svg_layers:
-        write_svg(out / f"{args.which}.svg", svg_layers, markers=[data], title=args.which)
+        write_svg(out / f"{args.which}.svg", svg_layers, markers=[problems["gt"].data],
+                  title=args.which)
     if checkpoints:
-        rows = make_error_table(problems, histories, checkpoints)
         header = ("curve",) + tuple(str(c) for c in checkpoints)
         write_csv(out / f"{args.which}_errors.csv", header, rows)
         print(format_error_table(rows, checkpoints))

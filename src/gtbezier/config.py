@@ -32,12 +32,12 @@ import numpy as np
 
 from .basis import NodeSet, validate_weights
 from .pia import FitProblem
-from .totalpos import _GATHER_LIMIT
 
 MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
 MAX_BASIS_VALUES = 32 * MAX_GRID  # basis-eval values: 32 functions at MAX_GRID rows
 MAX_FIT_NODES = math.isqrt(MAX_BASIS_VALUES)  # a collocation matrix of as many values
-MAX_TP_NODES = math.isqrt(_GATHER_LIMIT)  # one trial's determinant grid within a suite stack
+# an NTP trial's window verdict costs about n**6 / 180 flops: 0.8 s at 64 nodes
+MAX_TP_NODES = 64
 
 _DEFAULTS = {"mode": None, "nodes": None, "coefficients": None, "scale": 1.0,
              "weights": None, "points": None, "params": None, "max_iter": 20,

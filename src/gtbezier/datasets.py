@@ -1,4 +1,4 @@
-"""Canonical circle and helix fitting setups used by the demos and CLI.
+"""The circle and helix fitting benchmarks, each defined once.
 
 Circle: five samples of (cos t, sin t) at parameters 0, pi/4, pi/2,
 pi*pi/4, pi (the fourth sample sits at an irrational parameter; the
@@ -12,9 +12,9 @@ tables for these benchmarks are only reproduced under that normalization
 (applying the sharpness to the raw node range makes the 31-node
 collocation matrix numerically singular and the fit stalls).
 
-Baseline problems fit the same data with classical or rational Bezier
-curves; their parameters are rescaled to the Bezier domain [0, n] keeping
-the same relative spacing.
+example_problems gives each benchmark's tuned problem with baselines that
+fit the same data with classical or rational Bezier curves; their parameters
+are rescaled to the Bezier domain [0, n] keeping the same relative spacing.
 """
 
 import math
@@ -62,19 +62,7 @@ def circle_problem() -> FitProblem:
 def _bezier_problem(data: np.ndarray, params: np.ndarray, weights=None) -> FitProblem:
     n = data.shape[0] - 1
     rescaled = n * (params - params[0]) / (params[-1] - params[0])
-    ns = bernstein_equivalent_nodeset(n)
-    w = np.ones(n + 1) if weights is None else np.asarray(weights, dtype=float)
-    return FitProblem(data, rescaled, ns, w)
-
-
-def circle_bezier_problem() -> FitProblem:
-    """Classical Bezier baseline on the circle samples."""
-    return _bezier_problem(circle_samples(), circle_parameters())
-
-
-def circle_rational_problem() -> FitProblem:
-    """Rational Bezier baseline, sharing the tuned weights."""
-    return _bezier_problem(circle_samples(), circle_parameters(), CIRCLE_WEIGHTS)
+    return FitProblem(data, rescaled, bernstein_equivalent_nodeset(n), weights)
 
 
 def helix_parameters() -> np.ndarray:
@@ -103,6 +91,16 @@ def helix_problem() -> FitProblem:
     return FitProblem(helix_samples(), xi, helix_node_set(), helix_weights())
 
 
-def helix_bezier_problem() -> FitProblem:
-    """Classical degree-30 Bezier baseline on the helix samples."""
-    return _bezier_problem(helix_samples(), helix_parameters())
+def example_problems(which: str) -> tuple:
+    """(problems, checkpoints) of the "circle" or "helix" benchmark: a dict
+    from label to FitProblem, and the error table's iteration counts."""
+    if which == "circle":
+        data, params = circle_samples(), circle_parameters()
+        problems = {"gt": circle_problem(), "bezier": _bezier_problem(data, params),
+                    "rational": _bezier_problem(data, params, CIRCLE_WEIGHTS)}
+        return problems, CIRCLE_CHECKPOINTS
+    if which == "helix":
+        problems = {"gt": helix_problem(),
+                    "bezier": _bezier_problem(helix_samples(), helix_parameters())}
+        return problems, HELIX_CHECKPOINTS
+    raise ValueError(f"unknown benchmark {which!r}; expected 'circle' or 'helix'")

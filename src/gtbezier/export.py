@@ -69,13 +69,6 @@ def write_history_csv(path, history):
     write_csv(path, ("iteration", "error"), np.column_stack([np.arange(history.size), history]))
 
 
-def make_error_table(labels, histories, checkpoints) -> list:
-    """Rows (label, e_1, ...): each run's errors at the given checkpoints
-    (1-based iteration counts)."""
-    return [(label, *(history[c - 1] for c in checkpoints))
-            for label, history in zip(labels, histories)]
-
-
 def format_error_table(rows, checkpoints) -> str:
     width = max(len(row[0]) for row in rows)
     lines = ["iterations".ljust(width) + "".join(f"{c:>12d}" for c in checkpoints)]

@@ -37,6 +37,10 @@ _GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
 
+# Draws of one trial's parameters before giving up. Uniform doubles tie only
+# on a span of a few doubles, so no other span ever redraws.
+_MAX_DRAWS = 100
+
 
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
     """Collocation matrix of the rational basis; every row sums to one."""
@@ -129,8 +133,14 @@ def _det_stack(subs: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _combo_array(n: int, k: int) -> np.ndarray:
-    return np.array(list(combinations(range(n), k)), dtype=np.intp)
+def _index_sets(n: int, k: int, method: str) -> np.ndarray:
+    """Every k-subset of range(n), or its n-k+1 runs of consecutive indices."""
+    if method == "exhaustive":
+        sets = np.array(list(combinations(range(n), k)), dtype=np.intp)
+    else:
+        sets = np.arange(n - k + 1)[:, None] + np.arange(k)
+    sets.setflags(write=False)  # cached and shared by every caller
+    return sets
 
 
 def _method(rows: int, cols: int) -> str:
@@ -188,24 +198,20 @@ def _tp_reports(stack: np.ndarray, tol: float) -> list:
     shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
     stack = np.ldexp(stack, -shifts[:, :, None])
     method = _method(r, c)
-    if method == "contiguous":
-        sq = stack * stack
+    sq = stack * stack
     all_ok, all_strict = np.ones(t, dtype=bool), np.ones(t, dtype=bool)
     worst_margin, witness = np.full(t, np.inf), [None] * t
     for k in range(1, min(r, c) + 1):
+        rset, cset = _index_sets(r, k, method), _index_sets(c, k, method)
         if method == "exhaustive":
-            rset, cset = _combo_array(r, k), _combo_array(c, k)
             subs = stack[:, rset[:, None, :, None], cset[None, :, None, :]]
-            scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)
-            unscale = shifts[:, rset].sum(axis=2)[:, :, None]
-        else:
-            # read-only views of every k x k window; each row norm is summed
-            # once per column window, by the reductions a gathered copy of
-            # one matrix takes, and multiplied down each row window
+        else:  # read-only views of every k x k window
             subs = sliding_window_view(stack, (k, k), axis=(1, 2))
-            norms = np.sqrt(np.add.reduce(sliding_window_view(sq, k, axis=2), axis=-1))
-            scales = np.multiply.reduce(sliding_window_view(norms, k, axis=1), axis=-1)
-            unscale = sliding_window_view(shifts, k, axis=1).sum(axis=2)[:, :, None]
+        # each row's norm over a column set is summed once, not once per
+        # minor it enters, and multiplied down each row set
+        norms = np.sqrt(np.add.reduce(sq[:, :, cset], -1))
+        scales = np.multiply.reduce(norms[:, rset], axis=2)
+        unscale = shifts[:, rset].sum(axis=2)[:, :, None]
         dets = _det_stack(subs)
         margins = dets + tol * scales
         all_ok &= np.all(margins >= 0.0, axis=(1, 2))
@@ -220,11 +226,7 @@ def _tp_reports(stack: np.ndarray, tol: float) -> list:
             i = least[j]
             worst_margin[j] = margins[j, i]
             row, col = divmod(int(i), width)
-            if method == "exhaustive":
-                rows, cols = rset[row].tolist(), cset[col].tolist()
-            else:  # the window's first row and column
-                rows, cols = range(row, row + k), range(col, col + k)
-            witness[j] = (tuple(rows), tuple(cols), float(dets[j, i]))
+            witness[j] = (tuple(rset[row].tolist()), tuple(cset[col].tolist()), float(dets[j, i]))
     return [TpReport(bool(ok), bool(strict), w, method)
             for ok, strict, w in zip(all_ok, all_strict, witness)]
 
@@ -250,11 +252,12 @@ def _draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) -
     fixed_low = case in ("left", "both")
     fixed_high = case in ("right", "both")
     free = count - int(fixed_low) - int(fixed_high)
-    while True:
+    for _ in range(_MAX_DRAWS):
         inner = np.sort(rng.uniform(a0 + eps, an - eps, size=free))
         if free < 2 or np.all(np.diff(inner) > 0):
-            break
-    return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
+            return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
+    raise ValueError(f"no {free} distinct parameters drawn in [{a0 + eps!r}, {an - eps!r}] "
+                     f"in {_MAX_DRAWS} tries; the node span is too narrow")
 
 
 def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSuiteReport:
@@ -271,7 +274,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     C(n,k)^2 * k^2 gathered minor entries per trial when every minor is
     enumerated, the (n-k+1)^2 determinant grid of the window views above
     EXHAUSTIVE_LIMIT. Each trial's parameters, matrix and verdict are those
-    it has alone.
+    it has alone; a node span too narrow to draw them from raises ValueError.
     """
     w = validate_weights(ns, weights)
     if trials < 1:

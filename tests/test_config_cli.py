@@ -142,8 +142,17 @@ def test_config_structural_errors(tmp_path, payload, msg):
                      id="fit-nodes"),
         pytest.param(json.dumps({"nodes": list(range(20001))}).encode(),
                      ["tp-check", "--trials", "1"],
-                     "config error: tp-check config has 20001 nodes, at most 256 allowed$",
+                     "config error: tp-check config has 20001 nodes, at most 64 allowed$",
                      id="tp-check-nodes"),
+        # a suite of hours: one 65-node trial alone takes about a second
+        pytest.param(json.dumps({"nodes": list(range(65))}).encode(),
+                     ["tp-check", "--trials", "1"],
+                     "config error: tp-check config has 65 nodes, at most 64 allowed$",
+                     id="tp-check-65-nodes"),
+        # two doubles between the ends, too few for a trial's five parameters
+        pytest.param(b'{"nodes": [1e16, 1e16, 1e16, 1e16, 10000000000000002]}',
+                     ["tp-check"], "config error: no 5 distinct parameters drawn in .* too narrow$",
+                     id="tp-check-narrow-span"),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
@@ -158,7 +167,7 @@ def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
         argv = argv + ["--config", str(path)]
     env = dict(os.environ, PYTHONPATH=str(Path(gtbezier.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "gtbezier.cli", *argv],
-                          cwd=tmp_path, env=env, capture_output=True, text=True)
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert re.search(msg, proc.stderr.splitlines()[-1])

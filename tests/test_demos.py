@@ -31,9 +31,16 @@ def _readme_block(lang):
     return blocks[0]
 
 
+# what the fit demos' `gtbezier example` run leaves in their output directory
+DEMO_OUTPUTS = {"circle_fit": ("circle.svg", "circle_errors.csv"),
+                "helix_fit": ("helix_errors.csv",)}
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
 def test_demo_runs(tmp_path, demo):
     _run_python([str(demo), str(tmp_path / "out")], tmp_path)
+    for name in DEMO_OUTPUTS.get(demo.stem, ()):
+        assert (tmp_path / "out" / name).is_file(), name
 
 
 def test_readme_examples_run(tmp_path):

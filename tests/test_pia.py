@@ -9,6 +9,7 @@ from gtbezier import (
     FitProblem,
     GTBezierCurve,
     NodeSet,
+    bernstein_equivalent_nodeset,
     curve_points,
     fitted_curve,
     iteration_spectrum,
@@ -113,6 +114,36 @@ def test_benchmark_errors_order_of_magnitude(problem, expected, last):
     for checkpoint, ref in expected.items():
         got = state.error_history[checkpoint - 1]
         assert ref / 10 < got < ref * 10, f"checkpoint {checkpoint}: {got} vs {ref}"
+
+
+def test_example_problems():
+    # each benchmark's tuned problem and its Bezier baselines on the same
+    # data, the baselines on the Bernstein node set with their parameters
+    # rescaled to [0, n]; only the rational baseline is weighted
+    benchmarks = {
+        "circle": (datasets.circle_problem(), ("gt", "bezier", "rational"), (1, 5, 10, 20)),
+        "helix": (datasets.helix_problem(), ("gt", "bezier"), (1, 10, 20, 30)),
+    }
+    for which, (tuned, labels, checkpoints) in benchmarks.items():
+        problems, got = datasets.example_problems(which)
+        assert tuple(problems) == labels and got == checkpoints
+        n = tuned.data.shape[0] - 1
+        bernstein = bernstein_equivalent_nodeset(n)
+        rescaled = n * (tuned.params - tuned.params[0]) / (tuned.params[-1] - tuned.params[0])
+        for label, problem in problems.items():
+            if label == "gt":
+                ns, params, weights = tuned.nodeset, tuned.params, tuned.weights
+            else:
+                ns, params = bernstein, rescaled
+                weights = datasets.CIRCLE_WEIGHTS if label == "rational" else np.ones(n + 1)
+            np.testing.assert_array_equal(problem.data, tuned.data)
+            np.testing.assert_array_equal(problem.nodeset.nodes, ns.nodes)
+            np.testing.assert_array_equal(problem.nodeset.coefficients, ns.coefficients)
+            assert problem.nodeset.scale == ns.scale
+            np.testing.assert_array_equal(problem.params, params)
+            np.testing.assert_array_equal(problem.weights, weights)
+    with pytest.raises(ValueError, match="unknown benchmark 'square'"):
+        datasets.example_problems("square")
 
 
 def test_error_history_windowed_monotone():

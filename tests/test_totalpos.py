@@ -485,8 +485,10 @@ def test_window_views_equal_gathered_windows(tol):
         tp = generalized_vandermonde(GenVandermondeSpec(t, np.arange(n) * rng.uniform(0.2, 1.0)))
         noise = rng.uniform(-0.1, 1.0, (2, n, n)) * np.exp(rng.uniform(-5.0, 5.0, (2, n, n)))
         stacks.append(np.concatenate([tp[None], noise]))
-    stacks += [rng.uniform(-0.1, 1.0, (3, r, c)) for r, c in ((2, 9), (9, 2), (1, 20))]
-    stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None] for s in stacks[-4:]]
+    # shapes with one dimension at or below EXHAUSTIVE_LIMIT take windows too
+    stacks += [rng.uniform(-0.1, 1.0, (3, r, c))
+               for r, c in ((2, 9), (9, 2), (1, 20), (5, 12), (12, 5))]
+    stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None] for s in stacks[-6:]]
     verdicts = set()
     for stack in stacks:
         reports = _tp_reports(stack, tol)
@@ -519,6 +521,14 @@ def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
             assert {t for t, _, _ in shapes} == {1}
         else:
             assert shapes[0][0] >= stacked
+
+
+def test_ntp_suite_rejects_span_too_narrow_to_draw_from():
+    # [a0 + eps, an - eps] holds two doubles, and an interior trial needs
+    # five distinct parameters: the draws give up instead of repeating forever
+    ns = NodeSet([1e16, 1e16, 1e16, 1e16, 1e16 + 2])
+    with pytest.raises(ValueError, match="no 5 distinct parameters drawn .* too narrow"):
+        verify_ntp_suite(ns, None, trials=1)
 
 
 @pytest.mark.parametrize("bad", ["non-increasing", "out-of-domain", "nan"])
