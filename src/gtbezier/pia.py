@@ -11,8 +11,9 @@ has spectral radius below one whenever C is nonsingular, and the curves
 converge to interpolate the data.
 
 C depends only on the problem, so a FitProblem builds it once, as a
-read-only field; pia_run, the one iteration loop, updates one control
-array in place. pia_run(problem, 0) is the initial state.
+read-only field. pia_run, the one iteration loop, steps in blocks through
+buffers allocated once per run and takes each block's error norms in one
+pass after it. pia_run(problem, 0) is the initial state.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .curve import GTBezierCurve, as_control_polygon
 from .totalpos import rational_collocation_matrix
 
 DIVERGENCE_FACTOR = 1e6
+_BLOCK = 64  # PIA steps between two passes over their error norms
 
 
 class DivergenceError(RuntimeError):
@@ -88,26 +90,54 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
     Raises DivergenceError if the error grows past DIVERGENCE_FACTOR times
     the first recorded error; that cannot happen for a totally positive,
     nonsingular collocation matrix and signals a misconfigured problem.
+
+    The steps run in blocks of _BLOCK, each writing into preallocated
+    slots, and a block's error norms are taken in one pass after it. Only
+    then is the step that meets tol or trips the guard found, so up to
+    _BLOCK - 1 steps past it are computed and dropped (never steps past
+    max_iter). Floating-point overflow raises no warning, in those steps
+    or any other: an error that overflows is recorded as inf, which trips
+    the guard. Histories and controls equal those of taking one update at
+    a time.
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    control = problem.data.copy()
+    data, c = problem.data, problem.collocation
+    ctrl = np.empty((_BLOCK + 1,) + data.shape)
+    delta = np.empty((_BLOCK,) + data.shape)
+    product = np.empty_like(data)
+    # step j reads ctrl[j] and writes delta[j] and ctrl[j + 1]
+    slots = list(zip(ctrl[:-1], delta, ctrl[1:]))
+    ctrl[0] = data
     history = []
-    for _ in range(max_iter):
-        delta = problem.data - problem.collocation @ control
-        err = float(np.max(np.linalg.norm(delta, axis=1)))
-        control += delta
-        history.append(err)
-        first = history[0]
-        if first > 0 and err > DIVERGENCE_FACTOR * first:
-            raise DivergenceError(
-                f"fit error {err:.3e} exceeds {DIVERGENCE_FACTOR:.0e} x initial {first:.3e}"
-            )
-        if err <= tol:
-            break
-    return PiaState(control, tuple(history))
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(history) < max_iter:
+            steps = min(_BLOCK, max_iter - len(history))
+            # outputs passed positionally: keyword parsing costs each call
+            for control, step, updated in slots[:steps]:
+                np.dot(c, control, product)
+                np.subtract(data, product, step)
+                np.add(control, step, updated)
+            block = delta[:steps]
+            # sqrt is monotone and correctly rounded, so the root of the
+            # largest squared norm is the largest norm, bit for bit
+            errs = np.sqrt(np.max(np.add.reduce(block * block, -1), -1)).tolist()
+            if not history:
+                first = errs[0]
+                limit = DIVERGENCE_FACTOR * first if first > 0 else np.inf
+            for k, err in enumerate(errs):
+                if err > limit:
+                    raise DivergenceError(
+                        f"fit error {err:.3e} exceeds {DIVERGENCE_FACTOR:.0e} x initial {first:.3e}"
+                    )
+                if err <= tol:
+                    history += errs[:k + 1]
+                    return PiaState(ctrl[k + 1].copy(), tuple(history))
+            history += errs
+            ctrl[0] = ctrl[steps]
+    return PiaState(ctrl[0].copy(), tuple(history))
 
 
 def iteration_spectrum(problem: FitProblem) -> float:

@@ -17,7 +17,7 @@ read their consecutive k x k windows in place, as strided views of the stack.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, inf, nextafter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -129,7 +129,10 @@ def _det_stack(subs: np.ndarray) -> np.ndarray:
             - subs[..., 0, 1] * (subs[..., 1, 0] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 0])
             + subs[..., 0, 2] * (subs[..., 1, 0] * subs[..., 2, 1] - subs[..., 1, 1] * subs[..., 2, 0])
         )
-    return np.linalg.det(subs)
+    # LU of a singular minor can divide by a zero pivot and warn, though
+    # the determinant it returns is the correct 0.0
+    with np.errstate(divide="ignore"):
+        return np.linalg.det(subs)
 
 
 @lru_cache(maxsize=None)
@@ -252,12 +255,17 @@ def _draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) -
     fixed_low = case in ("left", "both")
     fixed_high = case in ("right", "both")
     free = count - int(fixed_low) - int(fixed_high)
-    for _ in range(_MAX_DRAWS):
-        inner = np.sort(rng.uniform(a0 + eps, an - eps, size=free))
-        if free < 2 or np.all(np.diff(inner) > 0):
-            return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
-    raise ValueError(f"no {free} distinct parameters drawn in [{a0 + eps!r}, {an - eps!r}] "
-                     f"in {_MAX_DRAWS} tries; the node span is too narrow")
+    # far from zero a0 + eps can round back to a0 (an - eps to an), so the
+    # draws stay at least one double inside the domain
+    low = max(a0 + eps, nextafter(a0, inf))
+    high = min(an - eps, nextafter(an, -inf))
+    if low <= high:  # else no double lies strictly inside
+        for _ in range(_MAX_DRAWS):
+            inner = np.sort(rng.uniform(low, high, size=free))
+            if free < 2 or np.all(np.diff(inner) > 0):
+                return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
+    raise ValueError(f"no {free} distinct parameters drawn in [{low!r}, {high!r}]; "
+                     "the node span is too narrow")
 
 
 def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSuiteReport:

@@ -1,5 +1,6 @@
 """Tests for config loading, CSV/SVG export, and the command-line interface."""
 
+import hashlib
 import json
 import os
 import re
@@ -401,6 +402,28 @@ def test_pia_fit_outputs_and_determinism(tmp_path):
 
     final = float(history[-1].split(",")[1])
     assert final == pytest.approx(1.8e-3, rel=10.0)
+
+
+# sha256 of the helix fit to 1e-4 as written by the loop that took one
+# update at a time: a change to the loop that moves one bit fails here
+HELIX_FIT_SHA256 = {
+    "control.csv": "0a7aa1f08b4898bf9617cf4e5a23659c1ecf9714c55f2b82aa591a3242753345",
+    "history.csv": "a6d72f30a7e0dc8faed3ac5a2b6ddf0b5eb9bfa2a0971df27a22ed75b4fbe2f8",
+}
+
+
+def test_pia_fit_helix_outputs_pinned(tmp_path):
+    prob = datasets.helix_problem()
+    cfg = {"mode": "fit", "nodes": prob.nodeset.nodes.tolist(),
+           "coefficients": prob.nodeset.coefficients.tolist(), "scale": prob.nodeset.scale,
+           "weights": prob.weights.tolist(), "points": prob.data.tolist(),
+           "params": prob.params.tolist(), "max_iter": 100000, "tol": 1e-4}
+    path = tmp_path / "helix.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "fit"
+    assert cli.main(["pia-fit", "--config", str(path), "--out", str(out)]) == 0
+    for name, digest in HELIX_FIT_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_pia_fit_divergence_exit_code(tmp_path, monkeypatch):

@@ -1,5 +1,7 @@
 """Tests for the progressive iterative approximation engine."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from gtbezier import (
     rational_collocation_matrix,
 )
 from gtbezier import datasets
+from gtbezier.pia import _BLOCK, DIVERGENCE_FACTOR
 
 # reference fit errors for the two benchmarks; matched at order of magnitude
 CIRCLE_EXPECTED = {1: 2.317e-01, 5: 2.236e-02, 10: 9.7e-03, 20: 1.8e-03}
@@ -211,19 +214,64 @@ def test_helix_run_to_tolerance_pinned():
         assert state.error_history[k] == err, k
 
 
-def test_run_equals_chained_steps():
-    # the update P^(k+1) = P^k + (P - C P^k), written out step by step
-    problem = datasets.circle_problem()
+def _step_loop(problem, max_iter, tol=0.0):
+    """The update P^(k+1) = P^k + (P - C P^k) written out one step at a
+    time, with pia_run's guard and stop rule; overflow gives inf errors
+    without a warning, as in pia_run. Returns (control, history)."""
     data, c = problem.data, problem.collocation
     control, history = data.copy(), []
-    for _ in range(25):
-        delta = data - c @ control
-        history.append(float(np.max(np.linalg.norm(delta, axis=1))))
-        control = control + delta
-    run = pia_run(problem, max_iter=25)
-    assert run.iteration == len(history) == 25
-    assert run.error_history == tuple(history)
-    assert np.array_equal(run.control, control)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            delta = data - c @ control
+            err = float(np.max(np.linalg.norm(delta, axis=1)))
+            control = control + delta
+            history.append(err)
+            first = history[0]
+            if first > 0 and err > DIVERGENCE_FACTOR * first:
+                raise DivergenceError(
+                    f"fit error {err:.3e} exceeds {DIVERGENCE_FACTOR:.0e} x initial {first:.3e}"
+                )
+            if err <= tol:
+                break
+    return control, history
+
+
+def test_run_equals_chained_steps():
+    # the blocked loop against one step at a time, on both sides of block
+    # edges, and with tolerances first met on the last step of the first
+    # block and on the first step of the second
+    for problem in (datasets.circle_problem(), datasets.helix_problem()):
+        errors = _step_loop(problem, 2 * _BLOCK + 1)[1]
+        runs = [(m, 0.0, m) for m in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
+        runs += [(2 * _BLOCK + 1, errors[stop - 1], stop) for stop in (_BLOCK, _BLOCK + 1)]
+        for max_iter, tol, steps in runs:
+            control, history = _step_loop(problem, max_iter, tol)
+            run = pia_run(problem, max_iter, tol)
+            assert run.iteration == len(history) == steps
+            assert run.error_history == tuple(history)
+            assert np.array_equal(run.control, control)
+            # a fresh array, not a view of the loop's buffers
+            assert run.control.base is None and run.control.flags.owndata
+
+
+@pytest.mark.parametrize("factor,trip", [(1e100, 2), (1 + 1e6 ** (1 / (_BLOCK - 0.5)), _BLOCK + 1)],
+                         ids=["overflow", "block-edge"])
+def test_divergence_guard_trips_where_steps_do(monkeypatch, factor, trip):
+    # C = factor I scales each residual by 1 - factor per step. At 1e100 the
+    # second error overflows to inf, and the dropped steps after it overflow
+    # further, with no warning; the other factor passes the guard's 1e6 on
+    # the first step of the second block
+    monkeypatch.setattr(gtbezier.pia, "rational_collocation_matrix",
+                        lambda ns, w, params: factor * np.eye(5))
+    problem = datasets.circle_problem()
+    _step_loop(problem, trip - 1)
+    with pytest.raises(DivergenceError) as stepped:
+        _step_loop(problem, trip)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DivergenceError) as blocked:
+            pia_run(problem, max_iter=2 * _BLOCK + 1)
+    assert str(blocked.value) == str(stepped.value)
 
 
 def test_collocation_built_once_and_read_only(monkeypatch):

@@ -531,6 +531,32 @@ def test_ntp_suite_rejects_span_too_narrow_to_draw_from():
         verify_ntp_suite(ns, None, trials=1)
 
 
+def test_ntp_suite_draws_inside_a_domain_far_from_zero():
+    # eps = 1e-6 * 1000 is below half an ulp of 1e16, so a0 + eps rounds to
+    # a0; endpoint trials drew a0 next to the fixed a0 on 12 of these seeds
+    ns = NodeSet([1e16, 1e16 + 200, 1e16 + 400, 1e16 + 600, 1e16 + 1000])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(40):
+            assert verify_ntp_suite(ns, None, trials=100, seed=seed).trials == 100
+
+
+def test_det_stack_singular_minor_is_zero_without_warning():
+    # a minor of the suite above at seed 0: LAPACK's LU divides by zero on
+    # it, and the determinant is the exact 0.0
+    minor = np.array([
+        [0.0, 0.0, 0.0, 0.0],
+        [9.209994418286336e-29, 8.482399718478832e-57, 7.812285406079259e-85,
+         6.626692752914273e-141],
+        [0.0, 1.38760708e-315, 1.2440686266793217e-210, 1.0],
+        [0.0, 0.0, 8.457338737195012e-262, 1.0],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dets = _det_stack(minor[None])
+    assert dets.tolist() == [0.0]
+
+
 @pytest.mark.parametrize("bad", ["non-increasing", "out-of-domain", "nan"])
 def test_ntp_suite_rejects_bad_drawn_params(monkeypatch, bad):
     # the suite checks each chunk's drawn parameters once, as one array
