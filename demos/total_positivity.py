@@ -9,9 +9,7 @@ that every collocation matrix of the rational basis is totally positive.
 import numpy as np
 
 from gtbezier import (
-    GenVandermondeSpec,
     NodeSet,
-    generalized_vandermonde,
     is_totally_positive,
     log_basis_matrix,
     power_reduction,
@@ -33,8 +31,9 @@ print("\npower matrix A:\n", a, "\ndet A =", np.linalg.det(a))
 
 # ------------------------------------------------------------------
 # generalized Vandermonde determinants with real exponents stay positive
-spec = GenVandermondeSpec(t=[0.5, 1.1, 2.0], alpha=[-0.3, 0.9, 2.2])
-w = generalized_vandermonde(spec)
+# entry (i, j) = t_i ** alpha_j: increasing positive t, increasing real alpha
+t, alpha = np.array([0.5, 1.1, 2.0]), np.array([-0.3, 0.9, 2.2])
+w = t[:, None] ** alpha
 print("\ngeneralized Vandermonde (real exponents):\n", np.round(w, 4))
 print("det =", np.linalg.det(w))
 

@@ -4,18 +4,12 @@ and progressive iterative approximation of the curves they blend."""
 from .basis import (
     NodeSet,
     bernstein_equivalent_nodeset,
-    bernstein_reference,
     log_basis_matrix,
     rational_basis_matrix,
     validate_params,
     validate_weights,
 )
-from .curve import (
-    GTBezierCurve,
-    as_control_polygon,
-    curve_points,
-    sample_polyline,
-)
+from .curve import GTBezierCurve, curve_points, sample_polyline
 from .pia import (
     DivergenceError,
     FitProblem,
@@ -26,10 +20,8 @@ from .pia import (
 )
 from .totalpos import (
     EXHAUSTIVE_LIMIT,
-    GenVandermondeSpec,
     NtpSuiteReport,
     TpReport,
-    generalized_vandermonde,
     is_totally_positive,
     power_reduction,
     rational_collocation_matrix,

@@ -149,15 +149,17 @@ def log_basis_matrix(ns: NodeSet, ts) -> np.ndarray:
     return out
 
 
-def rational_basis_matrix(ns: NodeSet, weights: np.ndarray, ts) -> np.ndarray:
+def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
     """Weight-normalized basis values at each parameter; rows sum to one.
 
+    The weights are checked by validate_weights (None gives unit weights).
     Stabilized softmax: the largest log term of each row is subtracted
     before exponentiation, so huge exponents (large scale times node range)
     never overflow. Computed in place in the log-basis buffer.
     """
+    w = validate_weights(ns, weights)
     out = log_basis_matrix(ns, ts)
-    out += np.log(weights)
+    out += np.log(w)
     out -= np.max(out, axis=1, keepdims=True)
     np.exp(out, out=out)
     denom = out.sum(axis=1, keepdims=True)
@@ -165,15 +167,6 @@ def rational_basis_matrix(ns: NodeSet, weights: np.ndarray, ts) -> np.ndarray:
         raise ArithmeticError("zero denominator in rational basis; underflow bug")
     out /= denom
     return out
-
-
-def bernstein_reference(n: int, i: int, x: float) -> float:
-    """Classical Bernstein polynomial B_i^n(x); used as a test oracle."""
-    if not 0 <= i <= n:
-        raise IndexError(f"index {i} out of range 0..{n}")
-    if not 0.0 <= x <= 1.0:
-        raise ValueError("x must lie in [0, 1]")
-    return float(math.comb(n, i) * x**i * (1.0 - x) ** (n - i))
 
 
 def bernstein_equivalent_nodeset(n: int) -> NodeSet:

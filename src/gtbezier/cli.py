@@ -185,7 +185,7 @@ def _parser() -> argparse.ArgumentParser:
     tp = sub.add_parser("tp-check", help="randomized total-positivity verification")
     tp.add_argument("--config", required=True)
     tp.add_argument("--trials", type=_POSITIVE_INT, default=100)
-    tp.add_argument("--seed", type=int, default=0)
+    tp.add_argument("--seed", type=_COUNT, default=0)
     tp.add_argument("--out", default="out")
     tp.set_defaults(func=cmd_tp_check)
 

@@ -102,7 +102,7 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
     """
     if max_iter < 0:
         raise ValueError("max_iter must be non-negative")
-    if tol < 0:
+    if not tol >= 0:  # NaN fails too
         raise ValueError("tol must be non-negative")
     data, c = problem.data, problem.collocation
     ctrl = np.empty((_BLOCK + 1,) + data.shape)

@@ -1,5 +1,5 @@
 """Total-positivity machinery: collocation matrices, power reduction,
-generalized Vandermonde builders, and minor-enumeration TP checks.
+and minor-enumeration TP checks.
 
 A matrix is totally positive (TP) when every minor, of every order and
 index selection, is non-negative; strictly totally positive (STP) when
@@ -44,9 +44,7 @@ _MAX_DRAWS = 100
 
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
     """Collocation matrix of the rational basis; every row sums to one."""
-    w = validate_weights(ns, weights)
-    p = validate_params(ns, params)
-    return rational_basis_matrix(ns, w, p)
+    return rational_basis_matrix(ns, weights, validate_params(ns, params))
 
 
 def power_reduction(ns: NodeSet, params) -> np.ndarray:
@@ -67,52 +65,6 @@ def power_reduction(ns: NodeSet, params) -> np.ndarray:
     out[p == a0] = ns.nodes == a0
     out[p == an] = ns.nodes == an
     return out
-
-
-@dataclass(frozen=True)
-class GenVandermondeSpec:
-    """Positive abscissas t, strictly increasing real exponents alpha, and
-    one above-diagonal sign per column after the first.
-
-    A sign of +1 requires t_i > t_{i-1}; a sign of -1 relaxes that to >=.
-    """
-
-    t: np.ndarray
-    alpha: np.ndarray
-    signs: np.ndarray | None = None
-
-    def __post_init__(self):
-        t = np.asarray(self.t, dtype=float)
-        alpha = np.asarray(self.alpha, dtype=float)
-        if t.ndim != 1 or t.size < 2 or alpha.shape != t.shape:
-            raise ValueError("t and alpha must be matching vectors of length >= 2")
-        if np.any(t <= 0):
-            raise ValueError("all t values must be positive")
-        if np.any(np.diff(alpha) <= 0):
-            raise ValueError("alpha must be strictly increasing")
-        signs = self.signs
-        if signs is None:
-            signs = np.ones(t.size - 1)
-        signs = np.asarray(signs, dtype=float)
-        if signs.shape != (t.size - 1,) or not np.all(np.isin(signs, (-1.0, 1.0))):
-            raise ValueError("signs must be n values from {-1, +1}")
-        dt = np.diff(t)
-        if np.any(dt[signs == 1.0] <= 0) or np.any(dt[signs == -1.0] < 0):
-            raise ValueError("t ordering violates the sign chain")
-        for name, arr in (("t", t), ("alpha", alpha), ("signs", signs)):
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-
-def generalized_vandermonde(spec: GenVandermondeSpec) -> np.ndarray:
-    """Matrix with entry (i, j) = s_j * t_i**alpha_j above the diagonal and
-    t_i**alpha_j on or below it; all signs +1 gives the plain power matrix."""
-    powers = spec.t[:, None] ** spec.alpha[None, :]
-    colsign = np.concatenate(([1.0], spec.signs))
-    mat = powers.copy()
-    above = np.triu_indices(spec.t.size, k=1)
-    mat[above] = (powers * colsign[None, :])[above]
-    return mat
 
 
 def _det_stack(subs: np.ndarray) -> np.ndarray:
@@ -188,8 +140,8 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
         raise ValueError("matrix must be two-dimensional and non-empty")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    if not 0 <= tol < inf:  # NaN fails too
+        raise ValueError("tolerance must be finite and non-negative")
     return _tp_reports(m[None], tol)[0]
 
 

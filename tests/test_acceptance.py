@@ -13,13 +13,10 @@ import numpy as np
 
 from gtbezier import (
     FitProblem,
-    GenVandermondeSpec,
     GTBezierCurve,
     NodeSet,
     bernstein_equivalent_nodeset,
-    bernstein_reference,
     curve_points,
-    generalized_vandermonde,
     is_totally_positive,
     iteration_spectrum,
     log_basis_matrix,
@@ -30,6 +27,7 @@ from gtbezier import (
     verify_ntp_suite,
 )
 from gtbezier import datasets
+from oracles import GenVandermondeSpec, bernstein_reference, generalized_vandermonde
 
 CIRCLE_REFERENCE = {1: 2.317e-01, 5: 2.236e-02, 10: 9.7e-03, 20: 1.8e-03}
 HELIX_REFERENCE = {1: 8.390e-01, 10: 8.92e-02, 20: 1.90e-02, 30: 8.7e-03}

@@ -9,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from gtbezier import (
     NodeSet,
     bernstein_equivalent_nodeset,
-    bernstein_reference,
     log_basis_matrix,
     rational_basis_matrix,
     validate_weights,
 )
 from gtbezier import datasets
 from gtbezier.basis import MAX_EXPONENT_SPAN
+from oracles import bernstein_reference
 
 
 def test_validate_minimal():
@@ -71,6 +71,23 @@ def test_validate_weights():
         validate_weights(ns, [1, -1])
     with pytest.raises(ValueError, match="length"):
         validate_weights(ns, [1, 1, 1])
+
+
+@pytest.mark.parametrize(
+    "weights,msg",
+    [
+        ([1.0, 0.0, 1.0], "positive"),
+        ([1.0, -1.0, 1.0], "positive"),
+        ([1.0, np.nan, 1.0], "finite"),
+        ([1.0, 1.0], "length"),
+    ],
+    ids=["zero", "negative", "nan", "wrong-length"],
+)
+def test_rational_basis_checks_weights(weights, msg):
+    # checked before the basis is built: a zero weight would give an all-zero
+    # column, a negative one a NaN row
+    with pytest.raises(ValueError, match=msg):
+        rational_basis_matrix(NodeSet([0.0, 1.0, 2.0]), weights, [0.5, 1.0])
 
 
 def _raw(ns, t):

@@ -154,6 +154,9 @@ def test_config_structural_errors(tmp_path, payload, msg):
         pytest.param(b'{"nodes": [1e16, 1e16, 1e16, 1e16, 10000000000000002]}',
                      ["tp-check"], "config error: no 5 distinct parameters drawn in .* too narrow$",
                      id="tp-check-narrow-span"),
+        # a bad flag is named as such, not blamed on the config
+        pytest.param({}, ["tp-check", "--seed", "-1"], "argument --seed: must be",
+                     id="seed-negative"),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):

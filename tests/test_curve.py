@@ -8,11 +8,11 @@ from gtbezier import (
     GTBezierCurve,
     NodeSet,
     bernstein_equivalent_nodeset,
-    bernstein_reference,
     curve_points,
     sample_polyline,
 )
 from gtbezier import datasets
+from oracles import bernstein_reference
 
 
 def _convex_hull(points):

@@ -105,6 +105,12 @@ def test_run_stops_at_tolerance():
         pia_run(problem, max_iter=1, tol=-1.0)
 
 
+def test_run_rejects_nan_tol():
+    # no error is <= NaN, so the run would never stop before max_iter
+    with pytest.raises(ValueError, match="tol must be non-negative"):
+        pia_run(datasets.circle_problem(), max_iter=200, tol=np.nan)
+
+
 @pytest.mark.parametrize(
     "problem,expected,last",
     [

@@ -10,10 +10,8 @@ import pytest
 
 from gtbezier import (
     EXHAUSTIVE_LIMIT,
-    GenVandermondeSpec,
     NodeSet,
     NtpSuiteReport,
-    generalized_vandermonde,
     is_totally_positive,
     log_basis_matrix,
     power_reduction,
@@ -25,6 +23,7 @@ from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, TpReport, _det_stack,
                                 _draw_params, _tp_reports)
+from oracles import GenVandermondeSpec, generalized_vandermonde
 
 
 def _random_node_set(rng, max_n=5):
@@ -284,6 +283,14 @@ def test_is_tp_input_validation():
         is_totally_positive(np.eye(2), tol=-1.0)
     with pytest.raises(ValueError, match="finite"):
         is_totally_positive([[np.inf, 1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_is_tp_rejects_non_finite_tol(tol):
+    # a NaN margin fails every comparison, so the identity would read not TP;
+    # an infinite tolerance overflows the margins
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        is_totally_positive(np.eye(2), tol=tol)
 
 
 def test_example_collocation_is_tp():
