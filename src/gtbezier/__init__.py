@@ -5,6 +5,7 @@ from .basis import (
     NodeSet,
     bernstein_equivalent_nodeset,
     log_basis_matrix,
+    power_reduction,
     rational_basis_matrix,
     validate_params,
     validate_weights,
@@ -23,7 +24,6 @@ from .totalpos import (
     NtpSuiteReport,
     TpReport,
     is_totally_positive,
-    power_reduction,
     rational_collocation_matrix,
     verify_ntp_suite,
 )

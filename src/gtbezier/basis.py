@@ -10,17 +10,22 @@ with h0(t) = l*(t - a_0) and h1(t) = l*(a_n - t). Exponents are real, so
 all interior evaluation happens in the log domain; the endpoint cases use
 the convention 0**0 == 1, which makes exactly the matching endpoint basis
 function survive at t = a_0 and t = a_n.
+
+The exponents of beta_i sum to l*(a_n - a_0), so up to a factor common to a row
+beta_i(t) = c_i * exp(l*(a_i - a_0)*s(t)), s(t) = log((t - a_0)/(a_n - t)). _log_powers
+forms them for the rational basis (their softmax) and the power matrix (their exp).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-# Largest accepted exponent span scale * (a_n - a_0). Every log-basis term is
-# log h * l*(a_j - a_0) or log h * l*(a_n - a_j) with |log h| <= 745 for a
-# double h, so below this span each term stays under 1e303 and their sums
-# stay finite; from a span of about 1e306 the products overflow.
+# Largest accepted exponent span scale * (a_n - a_0). Every exponent is
+# s(t) * l*(a_j - a_0) with |s| <= about 1455, or in the raw log basis log h *
+# l*(a_j - a_0) or log h * l*(a_n - a_j) with |log h| <= 745, so below this span
+# each stays at or below about 1.5e303 and sums of them stay finite.
 MAX_EXPONENT_SPAN = 1e300
 
 
@@ -31,6 +36,13 @@ def _as_float_vector(values, name):
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} must contain only finite values")
     return arr
+
+
+def _index(value, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, not {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -102,10 +114,14 @@ def validate_weights(ns: NodeSet, weights=None) -> np.ndarray:
     return w
 
 
-def _check_domain(ns: NodeSet, ts: np.ndarray):
-    a0, an = ns.domain
+def _grid(ns: NodeSet, ts) -> np.ndarray:
+    """Parameters as a float vector inside [a_0, a_n]; a scalar is one."""
+    ts, (a0, an) = np.atleast_1d(np.asarray(ts, dtype=float)), ns.domain
+    if ts.ndim != 1:
+        raise ValueError("parameters must be a scalar or a one-dimensional sequence")
     if ts.size and not (a0 <= ts.min() and ts.max() <= an):  # NaN fails too
         raise ValueError(f"parameter out of domain [{a0}, {an}]")
+    return ts
 
 
 def validate_params(ns: NodeSet, params) -> np.ndarray:
@@ -116,8 +132,7 @@ def validate_params(ns: NodeSet, params) -> np.ndarray:
         raise ValueError("params must not be empty")
     if np.any(np.diff(p) <= 0):
         raise ValueError("params must be strictly increasing")
-    _check_domain(ns, p)
-    p = p.copy()
+    p = _grid(ns, p).copy()
     p.setflags(write=False)
     return p
 
@@ -130,8 +145,7 @@ def log_basis_matrix(ns: NodeSet, ts) -> np.ndarray:
     log 1 = 0 regardless of its base (the 0**0 == 1 endpoint convention),
     so endpoint rows come out exact.
     """
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    _check_domain(ns, ts)
+    ts = _grid(ns, ts)
     a0, an = ns.domain
     h0 = ns.scale * (ts - a0)
     h1 = ns.scale * (an - ts)
@@ -149,24 +163,40 @@ def log_basis_matrix(ns: NodeSet, ts) -> np.ndarray:
     return out
 
 
+def _log_powers(ns: NodeSet, ts) -> np.ndarray:
+    """Entry (i, j) = s(t_i) * l*(a_j - a_0); rows at t = a_0 and a_n are exactly
+    0 where the node equals that endpoint and -inf elsewhere. s is a difference
+    of logs: the ratio under- or overflows a subnormal step from an endpoint at 0."""
+    ts, (a0, an) = _grid(ns, ts), ns.domain
+    with np.errstate(divide="ignore", invalid="ignore"):  # endpoint rows are replaced
+        out = np.multiply.outer(np.log(ts - a0) - np.log(an - ts), ns.scale * (ns.nodes - a0))
+    out[ts == a0] = np.where(ns.nodes == a0, 0.0, -np.inf)
+    out[ts == an] = np.where(ns.nodes == an, 0.0, -np.inf)
+    return out
+
+
 def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
     """Weight-normalized basis values at each parameter; rows sum to one.
 
     The weights are checked by validate_weights (None gives unit weights).
-    Stabilized softmax: the largest log term of each row is subtracted
-    before exponentiation, so huge exponents (large scale times node range)
-    never overflow. Computed in place in the log-basis buffer.
+    Stabilized softmax of _log_powers + (log c + log w): the largest term of
+    each row is subtracted before exponentiation, so huge exponents (large
+    scale times node range) never overflow. Computed in place in one buffer.
     """
     w = validate_weights(ns, weights)
-    out = log_basis_matrix(ns, ts)
-    out += np.log(w)
+    out = _log_powers(ns, ts)
+    out += np.log(ns.coefficients) + np.log(w)  # one vector: c*w may overflow
     out -= np.max(out, axis=1, keepdims=True)
     np.exp(out, out=out)
-    denom = out.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(denom)) or np.any(denom == 0.0):
-        raise ArithmeticError("zero denominator in rational basis; underflow bug")
-    out /= denom
+    out /= out.sum(axis=1, keepdims=True)  # at least 1: each row holds an exp(0)
     return out
+
+
+def power_reduction(ns: NodeSet, params) -> np.ndarray:
+    """Power matrix x_i ** (l*(a_j - a_0)), x_i = (t_i - a_0)/(a_n - t_i), with exact
+    0/1 border rows at endpoint parameters: TP exactly when the collocation
+    matrix is, which differs from it only by positive row and column scalings."""
+    return np.exp(_log_powers(ns, validate_params(ns, params)))
 
 
 def bernstein_equivalent_nodeset(n: int) -> NodeSet:

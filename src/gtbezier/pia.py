@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import NodeSet, validate_params, validate_weights
+from .basis import NodeSet, _index, validate_params, validate_weights
 from .curve import GTBezierCurve, as_control_polygon
 from .totalpos import rational_collocation_matrix
 
@@ -100,7 +100,7 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
     the guard. Histories and controls equal those of taking one update at
     a time.
     """
-    if max_iter < 0:
+    if _index(max_iter, "max_iter") < 0:
         raise ValueError("max_iter must be non-negative")
     if not tol >= 0:  # NaN fails too
         raise ValueError("tol must be non-negative")

@@ -1,5 +1,4 @@
-"""Total-positivity machinery: collocation matrices, power reduction,
-and minor-enumeration TP checks.
+"""Total-positivity machinery: collocation matrices and minor-enumeration TP checks.
 
 A matrix is totally positive (TP) when every minor, of every order and
 index selection, is non-negative; strictly totally positive (STP) when
@@ -22,7 +21,7 @@ from math import comb, inf, nextafter
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .basis import NodeSet, rational_basis_matrix, validate_params, validate_weights
+from .basis import NodeSet, _index, rational_basis_matrix, validate_params, validate_weights
 
 # Exhaustive enumeration touches sum_k C(d,k)^2 minors; 8 keeps that instant.
 # Larger matrices are checked on consecutive row/column windows only.
@@ -45,26 +44,6 @@ _MAX_DRAWS = 100
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
     """Collocation matrix of the rational basis; every row sums to one."""
     return rational_basis_matrix(ns, weights, validate_params(ns, params))
-
-
-def power_reduction(ns: NodeSet, params) -> np.ndarray:
-    """Power matrix that is TP exactly when the collocation matrix is.
-
-    Entry (i, j) = x_i ** (l * k_j) with x_i = (t_i - a_0)/(a_n - t_i) and
-    k_j = a_j - a_0; the collocation matrix differs from it only by positive
-    row and column scalings. A parameter equal to an endpoint yields the
-    exact 0/1 border row of the bordered variants.
-    """
-    p = validate_params(ns, params)
-    a0, an = ns.domain
-    expo = ns.scale * (ns.nodes - a0)
-    inner = (p > a0) & (p < an)
-    x = (p[inner] - a0) / (an - p[inner])
-    out = np.empty((p.size, ns.size))
-    out[inner] = np.exp(expo[None, :] * np.log(x)[:, None])
-    out[p == a0] = ns.nodes == a0
-    out[p == an] = ns.nodes == an
-    return out
 
 
 def _det_stack(subs: np.ndarray) -> np.ndarray:
@@ -237,7 +216,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     it has alone; a node span too narrow to draw them from raises ValueError.
     """
     w = validate_weights(ns, weights)
-    if trials < 1:
+    if _index(trials, "trials") < 1:
         raise ValueError("need at least one trial")
     a0, an = ns.domain
     eps = 1e-6 * (an - a0)

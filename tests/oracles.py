@@ -1,5 +1,6 @@
 """Reference objects the tests check the library against: the paper's
-generalized Vandermonde matrices and the classical Bernstein polynomials.
+generalized Vandermonde matrices, the classical Bernstein polynomials and
+the rational basis rebuilt from its formula in mpmath.
 
 They serve only to check the library's basis values and total-positivity
 verdicts. pytest puts this directory on sys.path, so tests import them
@@ -9,6 +10,7 @@ with `from oracles import ...`.
 import math
 from dataclasses import dataclass
 
+import mpmath as mp
 import numpy as np
 
 
@@ -65,3 +67,24 @@ def bernstein_reference(n: int, i: int, x: float) -> float:
     if not 0.0 <= x <= 1.0:
         raise ValueError("x must lie in [0, 1]")
     return float(math.comb(n, i) * x**i * (1.0 - x) ** (n - i))
+
+
+def mp_rational_basis(ns, weights, ts, dps: int = 50) -> np.ndarray:
+    """Weight-normalized basis values at each parameter, from the product
+    formula c_j * w_j * h0(t)**h0(a_j) * h1(t)**h1(a_j) at dps digits (a zero
+    exponent contributes 1), rounded to float once at the end."""
+    rows = []
+    with mp.workdps(dps):
+        l, a0, an = mp.mpf(ns.scale), mp.mpf(ns.nodes[0]), mp.mpf(ns.nodes[-1])
+        for t in ts:
+            h0, h1 = l * (mp.mpf(t) - a0), l * (an - mp.mpf(t))
+            vals = []
+            for a, c, w in zip(ns.nodes, ns.coefficients, weights):
+                e0, e1 = l * (mp.mpf(a) - a0), l * (an - mp.mpf(a))
+                v = mp.mpf(c) * mp.mpf(w)
+                v *= mp.power(h0, e0) if e0 != 0 else 1
+                v *= mp.power(h1, e1) if e1 != 0 else 1
+                vals.append(v)
+            total = mp.fsum(vals)
+            rows.append([float(v / total) for v in vals])
+    return np.array(rows)

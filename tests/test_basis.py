@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gtbezier import (
+    GTBezierCurve,
     NodeSet,
     bernstein_equivalent_nodeset,
+    curve_points,
     log_basis_matrix,
+    power_reduction,
     rational_basis_matrix,
     validate_weights,
 )
 from gtbezier import datasets
 from gtbezier.basis import MAX_EXPONENT_SPAN
-from oracles import bernstein_reference
+from oracles import bernstein_reference, mp_rational_basis
 
 
 def test_validate_minimal():
@@ -115,6 +118,23 @@ def test_eval_errors():
             log_basis_matrix(ns, ts)
         with pytest.raises(ValueError, match="domain"):
             rational_basis_matrix(ns, validate_weights(ns), ts)
+
+
+_GRID_EVALUATORS = {
+    "log_basis_matrix": log_basis_matrix,
+    "rational_basis_matrix": lambda ns, ts: rational_basis_matrix(ns, None, ts),
+    "curve_points": lambda ns, ts: curve_points(GTBezierCurve(ns, None, [[0, 0], [1, 2], [2, 0]]), ts),
+}
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (5, 5), (2, 0)])
+@pytest.mark.parametrize("evaluate", _GRID_EVALUATORS.values(), ids=_GRID_EVALUATORS.keys())
+def test_parameter_grid_must_be_one_dimensional(evaluate, shape):
+    # a 2-D grid once raised IndexError or came back as a 3-D array
+    ns = NodeSet([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="one-dimensional"):
+        evaluate(ns, np.full(shape, 0.5))
+    assert evaluate(ns, 0.5).shape[0] == evaluate(ns, [0.5]).shape[0] == 1
 
 
 def test_rational_symmetry():
@@ -274,6 +294,46 @@ def test_largest_exponent_span_stays_finite():
     assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_kernel_edge_cases():
+    # a parameter a subnormal step from an endpoint at 0: s(t) is a difference
+    # of logs, so the ratio (t - a0)/(an - t) never under- or overflows
+    tiny = 5e-324
+    right = NodeSet([0.0, 5.0, 10.0])
+    left = NodeSet([-10.0, -5.0, 0.0])
+    assert rational_basis_matrix(right, None, [tiny]).tolist() == [[1.0, 0.0, 0.0]]
+    assert rational_basis_matrix(left, None, [-tiny]).tolist() == [[0.0, 0.0, 1.0]]
+    assert power_reduction(right, [tiny, 1.0])[0].tolist() == [1.0, 0.0, 0.0]
+    # c * w reaches 1e400, beyond a double; log c + log w does not overflow
+    big = NodeSet([0.0, 1.0, 2.0, 3.0], [1e200, 1e200, 1.0, 1.0])
+    vals = rational_basis_matrix(big, [1e200, 1.0, 1e200, 1.0], [0.0, 1e-300, 0.5, 1.5, 2.9, 3.0])
+    assert np.all(np.isfinite(vals))
+    assert np.max(np.abs(vals.sum(axis=1) - 1.0)) < 1e-15
+
+
+# max / mean relative error against mp_rational_basis of the kernel that
+# summed log c, e0*log h0 and e1*log h1 per entry, on the grid of
+# test_rational_basis_matches_mpmath, rounded up to three digits
+_LOG_SUM_ERRORS = {"circle": (7.22e-15, 3.74e-16), "helix": (7.16e-14, 6.85e-15),
+                   "raw-helix": (3.93e-13, 8.64e-14), "repeated": (1.12e-14, 9.41e-16)}
+
+
+@pytest.mark.parametrize("case", range(4), ids=_LOG_SUM_ERRORS.keys())
+def test_rational_basis_matches_mpmath(case):
+    # the softmax in s(t) is on average no less accurate than the summed
+    # log basis, and its worst entry at most 1.25 times worse
+    ns, w = _kernel_cases()[case]
+    a0, an = ns.domain
+    ts = np.concatenate([np.linspace(a0, an, 62), np.random.default_rng(5).uniform(a0, an, 300)])
+    got, want = rational_basis_matrix(ns, w, ts), mp_rational_basis(ns, w, ts)
+    assert np.all((got == 0.0) == (want == 0.0))
+    resolved = want > 1e-290
+    rel = np.abs(got[resolved] - want[resolved]) / want[resolved]
+    max_err, mean_err = list(_LOG_SUM_ERRORS.values())[case]
+    assert rel.max() <= 1.25 * max_err
+    assert rel.mean() <= mean_err
+
+
 def _where_log_basis(ns, ts):
     """log_basis_matrix as one np.where per endpoint term: the bit-exact
     reference for the in-place kernel."""
@@ -289,7 +349,16 @@ def _where_log_basis(ns, ts):
 
 
 def _where_rational_basis(ns, w, ts):
-    logits = _where_log_basis(ns, ts) + np.log(w)[None, :]
+    """rational_basis_matrix as the softmax in s(t) = log(t - a0) - log(an - t)
+    written out with np.where for the endpoint rows: the bit-exact reference
+    for the in-place kernel."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))[:, None]
+    a0, an = ns.domain
+    with np.errstate(divide="ignore", invalid="ignore"):
+        powers = (np.log(ts - a0) - np.log(an - ts)) * (ns.scale * (ns.nodes - a0))[None, :]
+    powers = np.where(ts == a0, np.where(ns.nodes == a0, 0.0, -np.inf),
+                      np.where(ts == an, np.where(ns.nodes == an, 0.0, -np.inf), powers))
+    logits = powers + (np.log(ns.coefficients) + np.log(w))[None, :]
     raw = np.exp(logits - np.max(logits, axis=1, keepdims=True))
     return raw / raw.sum(axis=1, keepdims=True)
 

@@ -407,11 +407,12 @@ def test_pia_fit_outputs_and_determinism(tmp_path):
     assert final == pytest.approx(1.8e-3, rel=10.0)
 
 
-# sha256 of the helix fit to 1e-4 as written by the loop that took one
-# update at a time: a change to the loop that moves one bit fails here
+# sha256 of the helix fit to 1e-4, with C built as the softmax in
+# s(t) = log(t - a_0) - log(a_n - t) and steps equal to taking one update at a
+# time: a change to the basis or the loop that moves one bit fails here
 HELIX_FIT_SHA256 = {
-    "control.csv": "0a7aa1f08b4898bf9617cf4e5a23659c1ecf9714c55f2b82aa591a3242753345",
-    "history.csv": "a6d72f30a7e0dc8faed3ac5a2b6ddf0b5eb9bfa2a0971df27a22ed75b4fbe2f8",
+    "control.csv": "ddbd3c6c6300aacf2051a0174a459c790ffcff13fcacec102728fec0835b22a3",
+    "history.csv": "9857c2aefd539a6736e82dbaaf7a455fcba85f24a4402b59aea650d9d8be8997",
 }
 
 

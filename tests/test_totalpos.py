@@ -156,6 +156,19 @@ def test_power_reduction_tp_equivalent_to_collocation():
         assert is_totally_positive(b).is_tp == is_totally_positive(a).is_tp
 
 
+def test_rational_basis_is_scaled_power_matrix():
+    # the paper's scaling relation: normalizing the rows of the power matrix
+    # times diag(c * w) gives the rational collocation matrix
+    rng = np.random.default_rng(23)
+    for _ in range(50):
+        ns = _random_node_set(rng)
+        w = rng.uniform(0.2, 3.0, ns.size)
+        params = _interior_params(rng, ns)
+        scaled = power_reduction(ns, params) * (ns.coefficients * w)
+        np.testing.assert_allclose(rational_collocation_matrix(ns, w, params),
+                                   scaled / scaled.sum(axis=1, keepdims=True), rtol=1e-13, atol=0)
+
+
 def test_generalized_vandermonde_classical():
     w2 = generalized_vandermonde(GenVandermondeSpec([1.0, 2.0], [0.0, 1.0], [1.0]))
     np.testing.assert_array_equal(w2, [[1.0, 1.0], [1.0, 2.0]])
@@ -364,6 +377,14 @@ def test_ntp_suite_deterministic():
     assert a == b
     with pytest.raises(ValueError, match="trial"):
         verify_ntp_suite(prob.nodeset, prob.weights, trials=0)
+
+
+@pytest.mark.parametrize("trials", [np.nan, 2.5, 3.0, "4"])
+def test_ntp_suite_rejects_non_integer_trials(trials):
+    prob = datasets.circle_problem()
+    with pytest.raises(TypeError, match="trials must be an integer"):
+        verify_ntp_suite(prob.nodeset, prob.weights, trials=trials)
+    assert verify_ntp_suite(prob.nodeset, prob.weights, trials=np.int64(3)).trials == 3
 
 
 def test_ntp_suite_reports_pinned():
