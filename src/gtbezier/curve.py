@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NodeSet, rational_basis_matrix, validate_weights
+from .basis import NodeSet, _index, rational_basis_matrix, validate_weights
 
 
 def as_control_polygon(points) -> np.ndarray:
@@ -52,7 +52,7 @@ def curve_points(curve: GTBezierCurve, ts) -> np.ndarray:
 
 def sample_polyline(curve: GTBezierCurve, count: int) -> np.ndarray:
     """Evaluate at count uniformly spaced parameters, endpoints included."""
-    if count < 2:
+    if _index(count, "count") < 2:
         raise ValueError("polyline needs at least two samples")
     a0, an = curve.nodeset.domain
     return curve_points(curve, np.linspace(a0, an, count))

@@ -16,11 +16,12 @@ read their consecutive k x k windows in place, as strided views of the stack.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, inf, nextafter
+from math import comb, inf
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from ._draws import suite_params
 from .basis import NodeSet, _index, rational_basis_matrix, validate_params, validate_weights
 
 # Exhaustive enumeration touches sum_k C(d,k)^2 minors; 8 keeps that instant.
@@ -35,10 +36,6 @@ DEFAULT_REL_TOL = 1e-9
 _GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
-
-# Draws of one trial's parameters before giving up. Uniform doubles tie only
-# on a span of a few doubles, so no other span ever redraws.
-_MAX_DRAWS = 100
 
 
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
@@ -181,24 +178,6 @@ class NtpSuiteReport:
         return self.failures == 0
 
 
-def _draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) -> np.ndarray:
-    """Strictly increasing parameter sequence for one boundary case."""
-    fixed_low = case in ("left", "both")
-    fixed_high = case in ("right", "both")
-    free = count - int(fixed_low) - int(fixed_high)
-    # far from zero a0 + eps can round back to a0 (an - eps to an), so the
-    # draws stay at least one double inside the domain
-    low = max(a0 + eps, nextafter(a0, inf))
-    high = min(an - eps, nextafter(an, -inf))
-    if low <= high:  # else no double lies strictly inside
-        for _ in range(_MAX_DRAWS):
-            inner = np.sort(rng.uniform(low, high, size=free))
-            if free < 2 or np.all(np.diff(inner) > 0):
-                return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
-    raise ValueError(f"no {free} distinct parameters drawn in [{low!r}, {high!r}]; "
-                     "the node span is too narrow")
-
-
 def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSuiteReport:
     """Randomized check that every rational collocation matrix is TP.
 
@@ -206,20 +185,24 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     left endpoint touched, right endpoint touched, both touched), draw a
     strictly increasing parameter sequence, build the rational collocation
     matrix, and verify total positivity as is_totally_positive does.
-    Deterministic for a fixed seed: each trial's RNG stream derives from
-    (seed, trial index). Consecutive trials are judged as one (T, n, n)
-    stack, built by one basis call, with T as large as keeps what every
-    order materializes within _GATHER_LIMIT elements (at least one trial):
-    C(n,k)^2 * k^2 gathered minor entries per trial when every minor is
-    enumerated, the (n-k+1)^2 determinant grid of the window views above
-    EXHAUSTIVE_LIMIT. Each trial's parameters, matrix and verdict are those
-    it has alone; a node span too narrow to draw them from raises ValueError.
+    Deterministic for a fixed seed, a non-negative integer: each trial draws
+    from the stream of np.random.default_rng([seed, trial]), and a chunk's
+    draws are computed in one pass that equals those streams bit for bit.
+    Consecutive trials are judged as one (T, n, n) stack, built by one basis
+    call, with T as large as keeps what every order materializes within
+    _GATHER_LIMIT elements (at least one trial): C(n,k)^2 * k^2 gathered
+    minor entries per trial when every minor is enumerated, the (n-k+1)^2
+    determinant grid of the window views above EXHAUSTIVE_LIMIT. Each
+    trial's parameters, matrix and verdict are those it has alone; a node
+    span too narrow to draw them from raises ValueError.
     """
     w = validate_weights(ns, weights)
     if _index(trials, "trials") < 1:
         raise ValueError("need at least one trial")
+    seed = _index(seed, "seed")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     a0, an = ns.domain
-    eps = 1e-6 * (an - a0)
     n = ns.size
     if _method(n, n) == "exhaustive":
         per_trial = max((comb(n, k) * k) ** 2 for k in range(1, n + 1))
@@ -231,8 +214,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     for start in range(0, trials, chunk):
         chunk_trials = range(start, min(start + chunk, trials))
         cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in chunk_trials]
-        params = np.array([_draw_params(np.random.default_rng([seed, trial]), case, a0, an, eps, n)
-                           for trial, case in zip(chunk_trials, cases)])
+        params = suite_params(seed, chunk_trials, cases, a0, an, n)
         # one check per chunk of what validate_params checks per sequence; NaN fails too
         if not (np.all(np.diff(params, axis=1) > 0) and a0 <= params.min() and params.max() <= an):
             raise ValueError("drawn parameters must be strictly increasing inside the domain")

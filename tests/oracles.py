@@ -1,10 +1,11 @@
 """Reference objects the tests check the library against: the paper's
-generalized Vandermonde matrices, the classical Bernstein polynomials and
-the rational basis rebuilt from its formula in mpmath.
+generalized Vandermonde matrices, the classical Bernstein polynomials, the
+rational basis rebuilt from its formula in mpmath, and the NTP suite's
+parameter draws made one np.random.default_rng([seed, trial]) at a time.
 
-They serve only to check the library's basis values and total-positivity
-verdicts. pytest puts this directory on sys.path, so tests import them
-with `from oracles import ...`.
+They serve only to check the library's basis values, total-positivity
+verdicts and parameter draws. pytest puts this directory on sys.path, so
+tests import them with `from oracles import ...`.
 """
 
 import math
@@ -88,3 +89,34 @@ def mp_rational_basis(ns, weights, ts, dps: int = 50) -> np.ndarray:
             total = mp.fsum(vals)
             rows.append([float(v / total) for v in vals])
     return np.array(rows)
+
+
+# Draws of one trial's parameters before giving up, as in the NTP suite
+MAX_DRAWS = 100
+
+
+def draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) -> np.ndarray:
+    """Strictly increasing parameter sequence for one boundary case, drawn
+    from rng by Generator.uniform."""
+    fixed_low = case in ("left", "both")
+    fixed_high = case in ("right", "both")
+    free = count - int(fixed_low) - int(fixed_high)
+    # far from zero a0 + eps can round back to a0 (an - eps to an), so the
+    # draws stay at least one double inside the domain
+    low = max(a0 + eps, math.nextafter(a0, math.inf))
+    high = min(an - eps, math.nextafter(an, -math.inf))
+    if low <= high:  # else no double lies strictly inside
+        for _ in range(MAX_DRAWS):
+            inner = np.sort(rng.uniform(low, high, size=free))
+            if free < 2 or np.all(np.diff(inner) > 0):
+                return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
+    raise ValueError(f"no {free} distinct parameters drawn in [{low!r}, {high!r}]; "
+                     "the node span is too narrow")
+
+
+def reference_draws(seed: int, trials, cases, a0: float, an: float, count: int) -> np.ndarray:
+    """Parameters of NTP suite trials, one row each, drawn trial after trial,
+    trial t of the given case from its own np.random.default_rng([seed, t])."""
+    eps = 1e-6 * (an - a0)
+    return np.array([draw_params(np.random.default_rng([seed, t]), case, a0, an, eps, count)
+                     for t, case in zip(trials, cases)])

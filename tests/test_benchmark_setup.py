@@ -1,7 +1,8 @@
 """The benchmark in perfbench/ runs against this checkout's src: every
 workload that BENCHMARK.json names must still build its inputs and warm up,
 so that removing or renaming a name it uses fails here first, and one
-operation of each must pass the benchmark's checks of its outputs."""
+operation of each must pass the benchmark's checks of its outputs, and the
+NTP suite's trials must be the ones the benchmark rebuilds to check them."""
 
 import importlib
 import json
@@ -13,6 +14,9 @@ import pytest
 
 import gtbezier
 import gtbezier.cli  # noqa: F401  (the workloads call gtbezier.cli.main)
+from gtbezier import datasets
+from gtbezier._draws import suite_params
+from gtbezier.totalpos import BOUNDARY_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
@@ -36,3 +40,21 @@ def test_benchmark_workload_outputs_pass_checks(monkeypatch, tmp_path, workload)
     wl.warm_up()
     wl.op()
     assert wl.check() == []
+
+
+@pytest.mark.parametrize("which", ["circle", "helix"])
+def test_benchmark_rebuilds_the_suite_draws(monkeypatch, which):
+    # the NTP workloads rebuild judged trials with their own default_rng
+    # replica of the draws (workloads.draw_params): it must match the
+    # library's batched draws at the suite seeds of a benchmark run
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ns = datasets.circle_node_set() if which == "circle" else datasets.helix_node_set()
+    (a0, an), n = ns.domain, ns.size
+    trials = range(72)
+    cases = [BOUNDARY_CASES[t % len(BOUNDARY_CASES)] for t in trials]
+    for seed in (3 * 10**6 + k for k in range(3)):
+        batch = suite_params(seed, trials, cases, a0, an, n)
+        for t, params in zip(trials, batch):
+            case, replica = workloads.draw_params(seed, t, a0, an, n)
+            assert case == cases[t] and (replica == params).all()

@@ -76,6 +76,16 @@ def test_sample_polyline_counts():
         sample_polyline(curve, 1)
 
 
+@pytest.mark.parametrize("count", [np.nan, 2.5, 3.0])
+def test_sample_polyline_rejects_non_integer_count(count):
+    # NaN passed `count < 2`; every float reached np.linspace, whose
+    # TypeError named no argument
+    curve = _linear_curve()
+    with pytest.raises(TypeError, match="count must be an integer"):
+        sample_polyline(curve, count)
+    np.testing.assert_array_equal(sample_polyline(curve, np.int64(3)), sample_polyline(curve, 3))
+
+
 def test_polyline_stays_in_control_hull():
     curve = _circle_curve()
     hull = _convex_hull(curve.control)

@@ -21,9 +21,8 @@ from gtbezier import (
 )
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
-from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, TpReport, _det_stack,
-                                _draw_params, _tp_reports)
-from oracles import GenVandermondeSpec, generalized_vandermonde
+from gtbezier.totalpos import BOUNDARY_CASES, DEFAULT_REL_TOL, TpReport, _det_stack, _tp_reports
+from oracles import GenVandermondeSpec, draw_params, generalized_vandermonde, reference_draws
 
 
 def _random_node_set(rng, max_n=5):
@@ -387,6 +386,20 @@ def test_ntp_suite_rejects_non_integer_trials(trials):
     assert verify_ntp_suite(prob.nodeset, prob.weights, trials=np.int64(3)).trials == 3
 
 
+@pytest.mark.parametrize("seed, error, message", [
+    (-1, ValueError, "seed must be non-negative"),
+    (2.5, TypeError, "seed must be an integer"),
+    (np.nan, TypeError, "seed must be an integer"),
+])
+def test_ntp_suite_rejects_bad_seed(seed, error, message):
+    # seed is split into 32-bit words, which never ends on a negative int
+    prob = datasets.circle_problem()
+    with pytest.raises(error, match=message):
+        verify_ntp_suite(prob.nodeset, prob.weights, trials=3, seed=seed)
+    assert (verify_ntp_suite(prob.nodeset, prob.weights, trials=3, seed=np.int64(3))
+            == verify_ntp_suite(prob.nodeset, prob.weights, trials=3, seed=3))
+
+
 def test_ntp_suite_reports_pinned():
     # pinned suite reports, witnesses included: the 5-node circle is judged
     # on every minor, the 31-node helix on contiguous windows
@@ -409,12 +422,10 @@ def test_ntp_suite_reports_pinned():
 def _reference_suite(ns, w, trials, seed):
     """The NTP suite one trial at a time: draw the trial's parameters, build
     its collocation matrix, judge it alone, and fold the reports in order."""
-    a0, an = ns.domain
-    eps = 1e-6 * (an - a0)
+    cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in range(trials)]
+    draws = reference_draws(seed, range(trials), cases, *ns.domain, ns.size)
     failed, worst = [], (np.inf, None, None)  # (witness det, witness, case)
-    for trial in range(trials):
-        case = BOUNDARY_CASES[trial % len(BOUNDARY_CASES)]
-        params = _draw_params(np.random.default_rng([seed, trial]), case, a0, an, eps, ns.size)
+    for trial, case, params in zip(range(trials), cases, draws):
         report = is_totally_positive(rational_collocation_matrix(ns, w, params))
         if not report.is_tp:
             failed.append((trial, case))
@@ -452,7 +463,7 @@ def test_tp_reports_judge_each_matrix_of_a_stack_alone():
     ns, w = datasets.circle_node_set(), np.array(datasets.CIRCLE_WEIGHTS)
     a0, an = ns.domain
     rng = np.random.default_rng(47)
-    mats = [rational_collocation_matrix(ns, w, _draw_params(rng, case, a0, an, 1e-6, 5))
+    mats = [rational_collocation_matrix(ns, w, draw_params(rng, case, a0, an, 1e-6, 5))
             for case in BOUNDARY_CASES]
     mats += [m[:, [1, 0, 2, 3, 4]] for m in mats]
     raw = _raw_collocation_matrix(NodeSet(np.arange(5.0), np.ones(5), 8.0),
@@ -589,16 +600,16 @@ def test_det_stack_singular_minor_is_zero_without_warning():
 def test_ntp_suite_rejects_bad_drawn_params(monkeypatch, bad):
     # the suite checks each chunk's drawn parameters once, as one array
     ns, w = datasets.circle_node_set(), datasets.CIRCLE_WEIGHTS
-    draw = totalpos._draw_params
+    draw = totalpos.suite_params
 
-    def broken(rng, case, a0, an, eps, count):
-        params = draw(rng, case, a0, an, eps, count)
+    def broken(seed, trials, cases, a0, an, count):
+        params = draw(seed, trials, cases, a0, an, count)
         if bad == "non-increasing":
-            params[2] = params[1]
+            params[:, 2] = params[:, 1]
         else:
-            params[-1] = an + 1.0 if bad == "out-of-domain" else np.nan
+            params[:, -1] = an + 1.0 if bad == "out-of-domain" else np.nan
         return params
 
-    monkeypatch.setattr(totalpos, "_draw_params", broken)
+    monkeypatch.setattr(totalpos, "suite_params", broken)
     with pytest.raises(ValueError, match="strictly increasing inside the domain"):
         verify_ntp_suite(ns, w, trials=10, seed=1)
