@@ -5,9 +5,9 @@ np.random.default_rng([s, t]), PCG64 seeded by SeedSequence([s, t]). The
 draws here are that stream's bit for bit, without a generator per trial:
 
 - SeedSequence hashes the entropy words (s's little-endian 32-bit words,
-  then t's) into a pool of four words with constants that depend only on a
-  word's position, so the hashing runs once per chunk of trials, as uint32
-  array operations;
+  then t, below totalpos.MAX_TRIALS = 2**32 and so one word) into a pool of
+  four words with constants that depend only on a word's position, so the
+  hashing runs once per chunk of trials, as uint32 array operations;
 - PCG64 is seeded from the pool and stepped in Python integers, which
   hold its 128-bit state exactly; its XSL-RR output runs on arrays of the
   states' 64-bit words;
@@ -98,30 +98,17 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return x
 
 
-def _runs(trials: range):
-    """trials split into runs whose indices have the same number of words."""
-    start = trials.start
-    while start < trials.stop:
-        stop = min(trials.stop, 1 << 32 * len(_words(start)))
-        yield range(start, stop)
-        start = stop
-
-
 def _streams(seed_words: list, trials: range) -> list:
     """[state, increment] of PCG64 as default_rng([seed, t]) seeds it, for
-    each t of a run of trials whose indices have the same number of words.
+    each t of trials, every index below 2**32 and so one entropy word.
 
     SeedSequence's calls of hashmix that do not depend on one another run
     as one array operation, one row per call and one column per trial.
     """
-    if trials.stop <= 2**32:
-        trial_words = np.arange(trials.start, trials.stop, dtype=np.uint64).astype(np.uint32)[None]
-    else:
-        trial_words = np.array([_words(t) for t in trials], dtype=np.uint32).T
-    words = len(seed_words) + len(trial_words)
-    entropy = np.zeros((max(words, _POOL_SIZE), len(trials)), dtype=np.uint32)
-    entropy[:len(seed_words)] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[len(seed_words):words] = trial_words
+    words = len(seed_words)
+    entropy = np.zeros((max(words + 1, _POOL_SIZE), len(trials)), dtype=np.uint32)
+    entropy[:words] = np.array(seed_words, dtype=np.uint32)[:, None]
+    entropy[words] = np.arange(trials.start, trials.stop, dtype=np.uint32)
     passes = _hash_constants(len(entropy))
     pool = _hashmix(entropy[:_POOL_SIZE], *passes[0])
     # each pool word is mixed into the others, then each further word into all
@@ -165,7 +152,8 @@ def _uniforms(streams: list, counts: list, low: float, high: float) -> np.ndarra
 
 def suite_params(seed: int, trials: range, cases: list, a0: float, an: float,
                  count: int) -> np.ndarray:
-    """Parameters of a run of consecutive NTP suite trials, one row each.
+    """Parameters of a run of consecutive NTP suite trials, one row each;
+    trial indices are below 2**32, one entropy word each.
 
     Trial t draws its free parameters, those its boundary case does not fix
     at a0 or an, as np.random.default_rng([seed, t]).uniform(low, high,
@@ -187,8 +175,7 @@ def suite_params(seed: int, trials: range, cases: list, a0: float, an: float,
     free = count - fixed_low - fixed_high
     todo = np.arange(len(trials))
     if low <= high:  # else no double lies strictly inside
-        seed_words = _words(seed)
-        streams = [s for run in _runs(trials) for s in _streams(seed_words, run)]
+        streams = _streams(_words(seed), trials)
         cols = np.arange(count)
         drawn = (cols >= fixed_low[:, None]) & (cols < (count - fixed_high)[:, None])
         # a0 < low and high < an: sorting a row keeps the endpoints first and last

@@ -17,7 +17,7 @@ forms them for the rational basis (their softmax) and the power matrix (their ex
 """
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +27,7 @@ import numpy as np
 # l*(a_j - a_0) or log h * l*(a_n - a_j) with |log h| <= 745, so below this span
 # each stays at or below about 1.5e303 and sums of them stay finite.
 MAX_EXPONENT_SPAN = 1e300
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def _as_float_vector(values, name):
@@ -38,11 +39,25 @@ def _as_float_vector(values, name):
     return arr
 
 
-def _index(value, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, not {value!r}") from None
+def _index(value, name: str, low: int = 0, high: int | None = None) -> int:
+    """The count rule: value, not a bool, as an int in [low, high]; high None is no bound."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be " + ("non-negative" if low == 0 else f"at least {low}"))
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}")
+    return int(value)
+
+
+def _tolerance(value, name: str) -> float:
+    """The tolerance rule: value, not a bool, as a finite, non-negative float."""
+    message = f"{name} must be a finite number >= 0, not {value!r}"
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(message)
+    if not 0 <= value <= _FLOAT_MAX:  # NaN fails too; an int of any size compares exactly
+        raise ValueError(message)
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -195,8 +210,14 @@ def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
 def power_reduction(ns: NodeSet, params) -> np.ndarray:
     """Power matrix x_i ** (l*(a_j - a_0)), x_i = (t_i - a_0)/(a_n - t_i), with exact
     0/1 border rows at endpoint parameters: TP exactly when the collocation
-    matrix is, which differs from it only by positive row and column scalings."""
-    return np.exp(_log_powers(ns, validate_params(ns, params)))
+    matrix is, which differs from it only by positive row and column scalings.
+    An entry beyond the largest double raises ValueError naming its parameter."""
+    params = validate_params(ns, params)
+    out = _log_powers(ns, params)
+    over = np.max(out, axis=1) > math.log(_FLOAT_MAX)  # exp(log(max)) is finite
+    if over.any():
+        raise ValueError(f"power matrix overflows a double at parameter {params[over][0].item()!r}")
+    return np.exp(out)
 
 
 def bernstein_equivalent_nodeset(n: int) -> NodeSet:
@@ -205,8 +226,7 @@ def bernstein_equivalent_nodeset(n: int) -> NodeSet:
     With nodes a_i = i, coefficients C(n, i)/n**n, and scale 1, the raw
     basis satisfies beta_i(n*x) == B_i^n(x) for x in [0, 1].
     """
-    if n < 1:
-        raise ValueError("degree must be at least 1")
+    n = _index(n, "degree", 1)
     nodes = np.arange(n + 1, dtype=float)
     coeffs = np.array([math.comb(n, i) for i in range(n + 1)], dtype=float)
     return NodeSet(nodes, coeffs / float(n) ** n, 1.0)

@@ -11,14 +11,13 @@ error, 3 I/O error, 4 divergence.
 """
 
 import argparse
-import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
 from . import datasets
-from .basis import rational_basis_matrix
+from .basis import _index, _tolerance, rational_basis_matrix
 from .config import ConfigError, load_config
 from .curve import sample_polyline
 from .export import (
@@ -30,7 +29,7 @@ from .export import (
     write_svg,
 )
 from .pia import DivergenceError, fitted_curve, iteration_spectrum, pia_run
-from .totalpos import verify_ntp_suite
+from .totalpos import MAX_TRIALS, verify_ntp_suite
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -48,24 +47,16 @@ _CURVE_STYLES = {
 _CONTROL_STYLE = {"stroke": "#888888", "dasharray": "1.5% 1.5%"}
 
 
-def _at_least(convert, low):
-    """argparse type: a finite int or float (per convert) that is at least low."""
+def _flag(convert, rule, name, *bounds):
+    """argparse type: the text read by convert, checked by the library's rule."""
 
     def parse(text):
         try:
-            value = convert(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid {convert.__name__} {text!r}") from None
-        if not low <= value < math.inf:  # NaN fails; an int of any size compares exactly
-            raise argparse.ArgumentTypeError(f"must be a finite number >= {low}, got {text!r}")
-        return value
+            return rule(convert(text), name, *bounds)
+        except ValueError as exc:  # argparse names the flag in place of the input
+            raise argparse.ArgumentTypeError(str(exc).removeprefix(f"{name} ")) from None
 
     return parse
-
-
-_POSITIVE_INT = _at_least(int, 1)
-_COUNT = _at_least(int, 0)
-_TOLERANCE = _at_least(float, 0.0)
 
 
 def _outdir(args) -> Path:
@@ -178,28 +169,30 @@ def _parser() -> argparse.ArgumentParser:
 
     be = sub.add_parser("basis-eval", help="tabulate rational basis values on a grid")
     be.add_argument("--config", required=True)
-    be.add_argument("--grid", type=_POSITIVE_INT, default=None, help="grid size (overrides config)")
+    be.add_argument("--grid", type=_flag(int, _index, "grid", 1), default=None,
+                    help="grid size (overrides config)")
     be.add_argument("--out", default="out")
     be.set_defaults(func=cmd_basis_eval)
 
     tp = sub.add_parser("tp-check", help="randomized total-positivity verification")
     tp.add_argument("--config", required=True)
-    tp.add_argument("--trials", type=_POSITIVE_INT, default=100)
-    tp.add_argument("--seed", type=_COUNT, default=0)
+    tp.add_argument("--trials", type=_flag(int, _index, "trials", 1, MAX_TRIALS), default=100)
+    tp.add_argument("--seed", type=_flag(int, _index, "seed"), default=0)
     tp.add_argument("--out", default="out")
     tp.set_defaults(func=cmd_tp_check)
 
     pf = sub.add_parser("pia-fit", help="progressive iterative fit of a configured problem")
     pf.add_argument("--config", required=True)
-    pf.add_argument("--iterations", type=_POSITIVE_INT, default=None,
+    pf.add_argument("--iterations", type=_flag(int, _index, "max_iter", 1), default=None,
                     help="overrides config max_iter")
-    pf.add_argument("--tol", type=_TOLERANCE, default=None, help="overrides config tol")
+    pf.add_argument("--tol", type=_flag(float, _tolerance, "tol"), default=None,
+                    help="overrides config tol")
     pf.add_argument("--out", default="out")
     pf.set_defaults(func=cmd_pia_fit)
 
     ex = sub.add_parser("example", help="reproduce the circle or helix benchmark")
     ex.add_argument("which", choices=("circle", "helix"))
-    ex.add_argument("--iterations", type=_COUNT, default=None,
+    ex.add_argument("--iterations", type=_flag(int, _index, "max_iter"), default=None,
                     help="iteration count (0 writes the initial curves only)")
     ex.add_argument("--out", default="out")
     ex.set_defaults(func=cmd_example)

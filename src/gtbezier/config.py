@@ -15,13 +15,14 @@ be finite JSON numbers and are parsed as doubles. Fields:
     points        control or data points (list of [x, y] or [x, y, z]);
                   required in fit mode
     params        fit parameters, one per point; required in fit mode
-    max_iter      optional integer, default 20
-    tol           optional number, default 0
-    grid          optional integer grid size for basis tables, default 101,
+    max_iter      optional integer >= 1, default 20
+    tol           optional finite number >= 0, default 0
+    grid          optional integer >= 1, rows of basis tables, default 101,
                   at most MAX_GRID rows and MAX_BASIS_VALUES values in all
 
 A command flag that is given (--grid, --iterations, --tol) takes the place
-of its field before any field is checked.
+of its field before any field is checked. The library's count and tolerance
+rules (basis._index, basis._tolerance) check max_iter, grid and tol.
 """
 
 import json
@@ -30,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NodeSet, validate_weights
+from .basis import NodeSet, _index, _tolerance, validate_weights
 from .pia import FitProblem
 
 MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
@@ -93,12 +94,8 @@ def load_config(path, mode, *, grid=None, max_iter=None, tol=None) -> RunConfig:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
     flags = {"grid": grid, "max_iter": max_iter, "tol": tol}
     raw.update((name, value) for name, value in flags.items() if value is not None)
-    for name in ("max_iter", "grid"):
-        if name in raw and type(raw[name]) is not int:
-            raise ConfigError(f"{name} must be an integer, got {raw[name]!r}")
-    for name in ("scale", "tol"):
-        if name in raw and not _is_finite_number(raw[name]):
-            raise ConfigError(f"{name} must be a finite number, got {raw[name]!r}")
+    if "scale" in raw and not _is_finite_number(raw["scale"]):
+        raise ConfigError(f"scale must be a finite number, got {raw['scale']!r}")
     for name in ("nodes", "coefficients", "weights", "params"):
         if name in raw and not _is_number_list(raw[name]):
             raise ConfigError(f"{name} must be a list of finite numbers, got {raw[name]!r}")
@@ -113,23 +110,18 @@ def load_config(path, mode, *, grid=None, max_iter=None, tol=None) -> RunConfig:
     max_nodes = {"fit": MAX_FIT_NODES, "tp-check": MAX_TP_NODES}.get(mode)
     if max_nodes is not None and len(cfg["nodes"]) > max_nodes:
         raise ConfigError(f"{mode} config has {len(cfg['nodes'])} nodes, at most {max_nodes} allowed")
-    if cfg["max_iter"] < 1:
-        raise ConfigError("max_iter must be at least 1")
-    if cfg["tol"] < 0:
-        raise ConfigError("tol must be non-negative")
-    if cfg["grid"] < 1:
-        raise ConfigError("grid must be at least 1")
-    max_grid = min(MAX_GRID, MAX_BASIS_VALUES // max(1, len(cfg["nodes"])))
-    if cfg["grid"] > max_grid:
-        raise ConfigError(f"grid must be at most {max_grid}")
     if mode == "fit":
         for name in ("points", "params"):
             if cfg[name] is None:
                 raise ConfigError(f"fit config requires a '{name}' field")
+    max_grid = min(MAX_GRID, MAX_BASIS_VALUES // max(1, len(cfg["nodes"])))
     try:
+        max_iter = _index(cfg["max_iter"], "max_iter", 1)
+        tol = _tolerance(cfg["tol"], "tol")
+        grid = _index(cfg["grid"], "grid", 1, max_grid)
         ns = NodeSet(cfg["nodes"], cfg["coefficients"], cfg["scale"])
         weights = validate_weights(ns, cfg["weights"])
         problem = FitProblem(cfg["points"], cfg["params"], ns, weights) if mode == "fit" else None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
-    return RunConfig(ns, weights, problem, cfg["max_iter"], cfg["tol"], cfg["grid"])
+    return RunConfig(ns, weights, problem, max_iter, tol, grid)

@@ -10,7 +10,9 @@ from .basis import NodeSet, _index, rational_basis_matrix, validate_weights
 def as_control_polygon(points) -> np.ndarray:
     """Validate an ordered list of 2D or 3D points as an (m, d) array."""
     arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] < 2:
+    if arr.ndim != 2:
+        raise ValueError("points must be a two-dimensional array, one row per point")
+    if arr.shape[0] < 2:
         raise ValueError("control polygon needs at least two points")
     if arr.shape[1] not in (2, 3):
         raise ValueError("points must live in R^2 or R^3")
@@ -52,8 +54,7 @@ def curve_points(curve: GTBezierCurve, ts) -> np.ndarray:
 
 def sample_polyline(curve: GTBezierCurve, count: int) -> np.ndarray:
     """Evaluate at count uniformly spaced parameters, endpoints included."""
-    if _index(count, "count") < 2:
-        raise ValueError("polyline needs at least two samples")
+    count = _index(count, "count", 2)
     a0, an = curve.nodeset.domain
     return curve_points(curve, np.linspace(a0, an, count))
 

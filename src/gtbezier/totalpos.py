@@ -16,13 +16,14 @@ read their consecutive k x k windows in place, as strided views of the stack.
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb, inf
+from math import comb
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._draws import suite_params
-from .basis import NodeSet, _index, rational_basis_matrix, validate_params, validate_weights
+from .basis import (NodeSet, _index, _tolerance, rational_basis_matrix, validate_params,
+                    validate_weights)
 
 # Exhaustive enumeration touches sum_k C(d,k)^2 minors; 8 keeps that instant.
 # Larger matrices are checked on consecutive row/column windows only.
@@ -36,6 +37,8 @@ DEFAULT_REL_TOL = 1e-9
 _GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
+
+MAX_TRIALS = 2**32  # most trials in a suite: each trial index is one 32-bit word
 
 
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
@@ -116,9 +119,7 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
         raise ValueError("matrix must be two-dimensional and non-empty")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-    if not 0 <= tol < inf:  # NaN fails too
-        raise ValueError("tolerance must be finite and non-negative")
-    return _tp_reports(m[None], tol)[0]
+    return _tp_reports(m[None], _tolerance(tol, "tol"))[0]
 
 
 def _tp_reports(stack: np.ndarray, tol: float) -> list:
@@ -188,6 +189,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     Deterministic for a fixed seed, a non-negative integer: each trial draws
     from the stream of np.random.default_rng([seed, trial]), and a chunk's
     draws are computed in one pass that equals those streams bit for bit.
+    trials is at most MAX_TRIALS = 2**32, so each trial index is one word.
     Consecutive trials are judged as one (T, n, n) stack, built by one basis
     call, with T as large as keeps what every order materializes within
     _GATHER_LIMIT elements (at least one trial): C(n,k)^2 * k^2 gathered
@@ -197,11 +199,8 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     span too narrow to draw them from raises ValueError.
     """
     w = validate_weights(ns, weights)
-    if _index(trials, "trials") < 1:
-        raise ValueError("need at least one trial")
+    trials = _index(trials, "trials", 1, MAX_TRIALS)
     seed = _index(seed, "seed")
-    if seed < 0:
-        raise ValueError("seed must be non-negative")
     a0, an = ns.domain
     n = ns.size
     if _method(n, n) == "exhaustive":
@@ -215,9 +214,6 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
         chunk_trials = range(start, min(start + chunk, trials))
         cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in chunk_trials]
         params = suite_params(seed, chunk_trials, cases, a0, an, n)
-        # one check per chunk of what validate_params checks per sequence; NaN fails too
-        if not (np.all(np.diff(params, axis=1) > 0) and a0 <= params.min() and params.max() <= an):
-            raise ValueError("drawn parameters must be strictly increasing inside the domain")
         stack = rational_basis_matrix(ns, w, params.ravel()).reshape(-1, n, n)
         for trial, case, report in zip(chunk_trials, cases, _tp_reports(stack, DEFAULT_REL_TOL)):
             if not report.is_tp:

@@ -18,6 +18,7 @@ from gtbezier import (
 )
 from gtbezier import datasets
 from gtbezier.basis import MAX_EXPONENT_SPAN
+from bad_inputs import BAD_COUNTS
 from oracles import bernstein_reference, mp_rational_basis
 
 
@@ -238,8 +239,11 @@ def test_bernstein_equivalent_small_degrees():
     assert ns1.scale == 1.0
     ns2 = bernstein_equivalent_nodeset(2)
     np.testing.assert_array_equal(ns2.coefficients, [0.25, 0.5, 0.25])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="degree must be at least 1"):
         bernstein_equivalent_nodeset(0)
+    for n in BAD_COUNTS:
+        with pytest.raises((TypeError, ValueError), match="degree must be"):
+            bernstein_equivalent_nodeset(n)
 
 
 def test_degeneration_matches_bernstein_oracle():
@@ -304,6 +308,11 @@ def test_kernel_edge_cases():
     assert rational_basis_matrix(right, None, [tiny]).tolist() == [[1.0, 0.0, 0.0]]
     assert rational_basis_matrix(left, None, [-tiny]).tolist() == [[0.0, 0.0, 1.0]]
     assert power_reduction(right, [tiny, 1.0])[0].tolist() == [1.0, 0.0, 0.0]
+    # x = (t - a0)/(an - t) is about 2e324 a subnormal step before an = 0, so
+    # x**5 and x**10 are not doubles: the power matrix names the parameter
+    with pytest.raises(ValueError, match="overflows a double at parameter -5e-324$"):
+        power_reduction(left, [-10.0, -tiny])
+    assert np.isfinite(power_reduction(left, [-10.0, -1e-29])).all()  # x**10 about 1e300
     # c * w reaches 1e400, beyond a double; log c + log w does not overflow
     big = NodeSet([0.0, 1.0, 2.0, 3.0], [1e200, 1e200, 1.0, 1.0])
     vals = rational_basis_matrix(big, [1e200, 1.0, 1e200, 1.0], [0.0, 1e-300, 0.5, 1.5, 2.9, 3.0])

@@ -2,8 +2,11 @@
 workload that BENCHMARK.json names must still build its inputs and warm up,
 so that removing or renaming a name it uses fails here first, and one
 operation of each must pass the benchmark's checks of its outputs, and the
-NTP suite's trials must be the ones the benchmark rebuilds to check them."""
+NTP suite's trials must be the ones the benchmark rebuilds to check them.
+Every gtbezier name the workloads read, in set-up or only in their checks,
+must resolve on the package."""
 
+import ast
 import importlib
 import json
 import subprocess
@@ -20,6 +23,36 @@ from gtbezier.totalpos import BOUNDARY_CASES
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+
+
+def _read_names(tree) -> set:
+    """(module, name) of each attribute read on gt.<module>, on ds
+    (gt.datasets) and on c (gt.curve), gt being a name or an attribute."""
+    aliases = {"ds": "datasets", "c": "curve"}
+    names = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Attribute):
+            continue
+        base = node.value
+        if isinstance(base, ast.Name) and base.id in aliases:
+            names.add((aliases[base.id], node.attr))
+        elif isinstance(base, ast.Attribute) and (
+                isinstance(base.value, ast.Name) and base.value.id == "gt"
+                or isinstance(base.value, ast.Attribute) and base.value.attr == "gt"):
+            names.add((base.attr, node.attr))
+    return names
+
+
+def test_benchmark_names_resolve():
+    # names read only in a workload's check() run in no set-up: removing
+    # one must fail here, not when the benchmark first checks its outputs
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    names = _read_names(tree)
+    assert {("totalpos", "rational_collocation_matrix"),
+            ("totalpos", "is_totally_positive"), ("cli", "main")} <= names
+    missing = sorted(f"{module}.{name}" for module, name in names
+                     if not hasattr(getattr(gtbezier, module, None), name))
+    assert missing == []
 
 
 @pytest.mark.parametrize("workload", WORKLOADS)

@@ -26,7 +26,8 @@ from gtbezier.export import (
     write_svg,
 )
 from gtbezier.pia import DivergenceError
-from gtbezier.totalpos import NtpSuiteReport
+from gtbezier.totalpos import MAX_TRIALS, NtpSuiteReport
+from bad_inputs import BAD_COUNT_FLAGS, BAD_COUNTS, BAD_TOLERANCE_FLAGS, BAD_TOLERANCES
 
 
 def _circle_config(tmp_path, mode="fit", **overrides):
@@ -99,6 +100,11 @@ def test_config_defaults(tmp_path):
         ({"nodes": [0, 1], "params": None}, "params must be a list of finite numbers"),
         ({"nodes": [0, 1], "points": [[0, 0], [1, False]]}, "points must be a list of lists"),
         ({"nodes": [0, 1], "points": [0, 1]}, "points must be a list of lists"),
+        # the count and tolerance rules' tables (JSON NaN, Infinity, null, true)
+        *(({"nodes": [0, 1], name: value}, f"{name} must be")
+          for name in ("max_iter", "grid") for value in BAD_COUNTS),
+        *(({"nodes": [0, 1], "tol": value}, "tol must be a finite number >= 0")
+          for value in BAD_TOLERANCES),
     ],
 )
 def test_config_structural_errors(tmp_path, payload, msg):
@@ -157,6 +163,21 @@ def test_config_structural_errors(tmp_path, payload, msg):
         # a bad flag is named as such, not blamed on the config
         pytest.param({}, ["tp-check", "--seed", "-1"], "argument --seed: must be",
                      id="seed-negative"),
+        # the count and tolerance rules' tables, as text
+        *(pytest.param({}, [*command, flag, text],
+                       f"argument {flag}: (must be|invalid literal for int)",
+                       id=" ".join([*command, flag, text]))
+          for command, flag in ((["tp-check"], "--trials"), (["tp-check"], "--seed"),
+                                (["basis-eval"], "--grid"), (["pia-fit"], "--iterations"),
+                                (["example", "circle"], "--iterations"))
+          for text in BAD_COUNT_FLAGS),
+        *(pytest.param({}, ["pia-fit", "--tol", text],
+                       "argument --tol: (must be a finite number >= 0|could not convert)",
+                       id=f"pia-fit --tol {text}")
+          for text in BAD_TOLERANCE_FLAGS),
+        # one trial past the cap: trial index 2**32 needs a second entropy word
+        pytest.param({}, ["tp-check", "--trials", str(MAX_TRIALS + 1)],
+                     "argument --trials: must be at most 4294967296$", id="trials-cap"),
     ],
 )
 def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):

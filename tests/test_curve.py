@@ -12,6 +12,7 @@ from gtbezier import (
     sample_polyline,
 )
 from gtbezier import datasets
+from bad_inputs import BAD_COUNTS
 from oracles import bernstein_reference
 
 
@@ -72,16 +73,16 @@ def test_sample_polyline_counts():
     np.testing.assert_allclose(
         sample_polyline(curve, 3), [[0.0, 0.0], [0.5, 0.5], [1.0, 1.0]], atol=1e-15
     )
-    with pytest.raises(ValueError, match="two samples"):
+    with pytest.raises(ValueError, match="count must be at least 2"):
         sample_polyline(curve, 1)
 
 
-@pytest.mark.parametrize("count", [np.nan, 2.5, 3.0])
+@pytest.mark.parametrize("count", [*BAD_COUNTS, 3.0])
 def test_sample_polyline_rejects_non_integer_count(count):
-    # NaN passed `count < 2`; every float reached np.linspace, whose
-    # TypeError named no argument
+    # the count rule: NaN passed `count < 2`, and every float reached
+    # np.linspace, whose TypeError named no argument
     curve = _linear_curve()
-    with pytest.raises(TypeError, match="count must be an integer"):
+    with pytest.raises((TypeError, ValueError), match="count must be"):
         sample_polyline(curve, count)
     np.testing.assert_array_equal(sample_polyline(curve, np.int64(3)), sample_polyline(curve, 3))
 
@@ -101,6 +102,9 @@ def test_construction_errors():
         GTBezierCurve(ns, np.ones(3), np.ones((3, 4)))
     with pytest.raises(ValueError, match="at least two"):
         GTBezierCurve(ns, np.ones(3), np.ones((1, 2)))
+    # three numbers are not three points: a wrong dimension, not a short polygon
+    with pytest.raises(ValueError, match="two-dimensional array, one row per point"):
+        GTBezierCurve(ns, np.ones(3), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="finite"):
         GTBezierCurve(ns, np.ones(3), np.array([[0, 0], [1, np.inf], [2, 0]]))
 

@@ -35,16 +35,20 @@ def _both(seed, trials, a0, an, count):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_draws_equal_default_rng_streams(seed, domain):
     # nine trials: every boundary case twice and interior three times
-    batch, ref = _both(seed, range(9), *DOMAINS[domain])
-    assert batch.shape == ref.shape == (9, DOMAINS[domain][2])
+    a0, an, count = DOMAINS[domain]
+    batch, ref = _both(seed, range(9), a0, an, count)
+    assert batch.shape == ref.shape == (9, count)
     assert (batch == ref).all()
+    # rows strictly increasing within [a0, an]: verify_ntp_suite judges them unchecked
+    assert (np.diff(batch) > 0).all() and a0 <= batch.min() and batch.max() <= an
 
 
-@pytest.mark.parametrize("start", [2**32 - 2, 2**64 - 2])
-def test_draws_equal_streams_where_trial_indices_take_more_words(start):
-    # the run crosses from one entropy word per trial index to two (three)
+def test_draws_equal_streams_up_to_the_largest_trial_index():
+    # a suite has at most totalpos.MAX_TRIALS = 2**32 trials, so its last
+    # index, 2**32 - 1, is the largest one 32-bit entropy word holds
+    assert totalpos.MAX_TRIALS == 2**32
     for seed in (0, 2**64 + 3):
-        batch, ref = _both(seed, range(start, start + 4), *DOMAINS["circle"])
+        batch, ref = _both(seed, range(2**32 - 4, 2**32), *DOMAINS["circle"])
         assert (batch == ref).all()
 
 

@@ -20,6 +20,7 @@ from gtbezier import (
 )
 from gtbezier import datasets
 from gtbezier.pia import _BLOCK, DIVERGENCE_FACTOR
+from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
 
 # reference fit errors for the two benchmarks; matched at order of magnitude
 CIRCLE_EXPECTED = {1: 2.317e-01, 5: 2.236e-02, 10: 9.7e-03, 20: 1.8e-03}
@@ -106,16 +107,21 @@ def test_run_stops_at_tolerance():
 
 
 def test_run_rejects_nan_tol():
-    # no error is <= NaN, so the run would never stop before max_iter
-    with pytest.raises(ValueError, match="tol must be non-negative"):
-        pia_run(datasets.circle_problem(), max_iter=200, tol=np.nan)
-
-
-@pytest.mark.parametrize("max_iter", [np.nan, 2.5, 3.0, "4"])
-def test_run_rejects_non_integer_max_iter(max_iter):
-    # NaN once ran no step, and 2.5 or 3.0 failed inside the block loop
+    # no error is <= NaN, so the run would never stop before max_iter; an
+    # infinite tol once stopped after one step, and "3" or None raised a
+    # comparison TypeError that named no argument
     problem = datasets.circle_problem()
-    with pytest.raises(TypeError, match="max_iter must be an integer"):
+    for tol in BAD_TOLERANCES:
+        with pytest.raises((TypeError, ValueError), match="tol must be a finite number >= 0"):
+            pia_run(problem, max_iter=200, tol=tol)
+
+
+@pytest.mark.parametrize("max_iter", [*BAD_COUNTS, 3.0, "4"])
+def test_run_rejects_non_integer_max_iter(max_iter):
+    # the count rule: NaN once ran no step, 2.5 or 3.0 failed inside the
+    # block loop, and True ran one step
+    problem = datasets.circle_problem()
+    with pytest.raises((TypeError, ValueError), match="max_iter must be"):
         pia_run(problem, max_iter=max_iter)
     assert pia_run(problem, max_iter=np.int64(3)).iteration == 3
 

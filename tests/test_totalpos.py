@@ -22,6 +22,7 @@ from gtbezier import (
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import BOUNDARY_CASES, DEFAULT_REL_TOL, TpReport, _det_stack, _tp_reports
+from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
 from oracles import GenVandermondeSpec, draw_params, generalized_vandermonde, reference_draws
 
 
@@ -291,17 +292,18 @@ def test_is_tp_large_entries_do_not_overflow():
 
 
 def test_is_tp_input_validation():
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
         is_totally_positive(np.eye(2), tol=-1.0)
     with pytest.raises(ValueError, match="finite"):
         is_totally_positive([[np.inf, 1.0], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("tol", [np.nan, np.inf])
+@pytest.mark.parametrize("tol", BAD_TOLERANCES)
 def test_is_tp_rejects_non_finite_tol(tol):
-    # a NaN margin fails every comparison, so the identity would read not TP;
-    # an infinite tolerance overflows the margins
-    with pytest.raises(ValueError, match="finite and non-negative"):
+    # the tolerance rule: a NaN margin fails every comparison, so the
+    # identity would read not TP; an infinite tolerance overflows the
+    # margins; None once raised a comparison TypeError naming no argument
+    with pytest.raises((TypeError, ValueError), match="tol must be a finite number >= 0"):
         is_totally_positive(np.eye(2), tol=tol)
 
 
@@ -374,22 +376,29 @@ def test_ntp_suite_deterministic():
     a = verify_ntp_suite(prob.nodeset, prob.weights, trials=40, seed=9)
     b = verify_ntp_suite(prob.nodeset, prob.weights, trials=40, seed=9)
     assert a == b
-    with pytest.raises(ValueError, match="trial"):
+    with pytest.raises(ValueError, match="trials must be at least 1"):
         verify_ntp_suite(prob.nodeset, prob.weights, trials=0)
 
 
-@pytest.mark.parametrize("trials", [np.nan, 2.5, 3.0, "4"])
-def test_ntp_suite_rejects_non_integer_trials(trials):
+@pytest.mark.parametrize("trials", [*BAD_COUNTS, 3.0, "4", totalpos.MAX_TRIALS + 1])
+def test_ntp_suite_rejects_non_integer_trials(monkeypatch, trials):
+    # the count rule, with the cap that keeps every trial index one 32-bit
+    # entropy word: a bad count is rejected before any trial is drawn
     prob = datasets.circle_problem()
-    with pytest.raises(TypeError, match="trials must be an integer"):
+
+    def draw(*args):
+        raise AssertionError("parameters drawn")
+
+    monkeypatch.setattr(totalpos, "suite_params", draw)
+    with pytest.raises((TypeError, ValueError), match="trials must be"):
         verify_ntp_suite(prob.nodeset, prob.weights, trials=trials)
+    monkeypatch.undo()
     assert verify_ntp_suite(prob.nodeset, prob.weights, trials=np.int64(3)).trials == 3
 
 
 @pytest.mark.parametrize("seed, error, message", [
-    (-1, ValueError, "seed must be non-negative"),
-    (2.5, TypeError, "seed must be an integer"),
-    (np.nan, TypeError, "seed must be an integer"),
+    (seed, ValueError, "seed must be non-negative") if seed == -1
+    else (seed, TypeError, "seed must be an integer") for seed in BAD_COUNTS
 ])
 def test_ntp_suite_rejects_bad_seed(seed, error, message):
     # seed is split into 32-bit words, which never ends on a negative int
@@ -594,22 +603,3 @@ def test_det_stack_singular_minor_is_zero_without_warning():
         warnings.simplefilter("error")
         dets = _det_stack(minor[None])
     assert dets.tolist() == [0.0]
-
-
-@pytest.mark.parametrize("bad", ["non-increasing", "out-of-domain", "nan"])
-def test_ntp_suite_rejects_bad_drawn_params(monkeypatch, bad):
-    # the suite checks each chunk's drawn parameters once, as one array
-    ns, w = datasets.circle_node_set(), datasets.CIRCLE_WEIGHTS
-    draw = totalpos.suite_params
-
-    def broken(seed, trials, cases, a0, an, count):
-        params = draw(seed, trials, cases, a0, an, count)
-        if bad == "non-increasing":
-            params[:, 2] = params[:, 1]
-        else:
-            params[:, -1] = an + 1.0 if bad == "out-of-domain" else np.nan
-        return params
-
-    monkeypatch.setattr(totalpos, "suite_params", broken)
-    with pytest.raises(ValueError, match="strictly increasing inside the domain"):
-        verify_ntp_suite(ns, w, trials=10, seed=1)
