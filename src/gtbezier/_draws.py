@@ -5,7 +5,7 @@ np.random.default_rng([s, t]), PCG64 seeded by SeedSequence([s, t]). The
 draws here are that stream's bit for bit, without a generator per trial:
 
 - SeedSequence hashes the entropy words (s's little-endian 32-bit words,
-  then t, below totalpos.MAX_TRIALS = 2**32 and so one word) into a pool of
+  then t, below MAX_TRIALS = 2**32 and so one word) into a pool of
   four words with constants that depend only on a word's position, so the
   hashing runs once per chunk of trials, as uint32 array operations;
 - PCG64 is seeded from the pool and stepped in Python integers, which
@@ -20,6 +20,10 @@ from functools import lru_cache
 from math import inf, nextafter
 
 import numpy as np
+
+from .basis import _index
+
+MAX_TRIALS = 2**32  # most trials in a suite: each trial index is one 32-bit word
 
 # Draws of one trial's parameters before giving up. Uniform doubles tie only
 # on a span of a few doubles, so no other span ever redraws.
@@ -153,7 +157,8 @@ def _uniforms(streams: list, counts: list, low: float, high: float) -> np.ndarra
 def suite_params(seed: int, trials: range, cases: list, a0: float, an: float,
                  count: int) -> np.ndarray:
     """Parameters of a run of consecutive NTP suite trials, one row each;
-    trial indices are below 2**32, one entropy word each.
+    trial indices are below MAX_TRIALS = 2**32, one entropy word each, and
+    a run past them raises ValueError.
 
     Trial t draws its free parameters, those its boundary case does not fix
     at a0 or an, as np.random.default_rng([seed, t]).uniform(low, high,
@@ -165,6 +170,7 @@ def suite_params(seed: int, trials: range, cases: list, a0: float, an: float,
     from raises ValueError for the first trial that fails. seed must be a
     non-negative integer.
     """
+    _index(trials.stop, "the end of the trial indices", 0, MAX_TRIALS)
     eps = 1e-6 * (an - a0)
     # far from zero a0 + eps can round back to a0 (an - eps to an), so the
     # draws stay at least one double inside the domain

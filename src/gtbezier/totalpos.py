@@ -21,7 +21,7 @@ from math import comb
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from ._draws import suite_params
+from ._draws import MAX_TRIALS, suite_params
 from .basis import (NodeSet, _index, _tolerance, rational_basis_matrix, validate_params,
                     validate_weights)
 
@@ -37,8 +37,6 @@ DEFAULT_REL_TOL = 1e-9
 _GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
-
-MAX_TRIALS = 2**32  # most trials in a suite: each trial index is one 32-bit word
 
 
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:

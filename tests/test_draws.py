@@ -43,13 +43,18 @@ def test_draws_equal_default_rng_streams(seed, domain):
     assert (np.diff(batch) > 0).all() and a0 <= batch.min() and batch.max() <= an
 
 
-def test_draws_equal_streams_up_to_the_largest_trial_index():
+@pytest.mark.parametrize("start", [2**32 - 2, 2**64 - 2])
+def test_draws_equal_streams_where_trial_indices_take_more_words(start):
     # a suite has at most totalpos.MAX_TRIALS = 2**32 trials, so its last
-    # index, 2**32 - 1, is the largest one 32-bit entropy word holds
+    # index, 2**32 - 1, is the largest one 32-bit entropy word holds; a run
+    # into indices of more words is refused, not wrapped to small ones
     assert totalpos.MAX_TRIALS == 2**32
     for seed in (0, 2**64 + 3):
         batch, ref = _both(seed, range(2**32 - 4, 2**32), *DOMAINS["circle"])
         assert (batch == ref).all()
+        trials = range(start, start + 4)
+        with pytest.raises(ValueError, match="end of the trial indices must be at most 4294967296"):
+            suite_params(seed, trials, _cases(trials), *DOMAINS["circle"])
 
 
 def test_draws_redraw_ties_from_their_own_streams():
