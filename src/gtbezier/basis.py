@@ -30,15 +30,6 @@ MAX_EXPONENT_SPAN = 1e300
 _FLOAT_MAX = float(np.finfo(float).max)
 
 
-def _as_float_vector(values, name):
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a one-dimensional sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} must contain only finite values")
-    return arr
-
-
 def _index(value, name: str, low: int = 0, high: int | None = None) -> int:
     """The count rule: value, not a bool, as an int in [low, high]; high None is no bound."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -60,13 +51,50 @@ def _tolerance(value, name: str) -> float:
     return float(value)
 
 
-@dataclass(frozen=True)
+_SHAPES = {1: "a list of finite numbers", 2: "a list of lists of finite numbers"}
+
+
+def _reals(values, name: str, ndim: int, low: float = -_FLOAT_MAX, high: float = _FLOAT_MAX):
+    """The array rule: values, nested sequences or an array of real numbers
+    that are not bools, ndim deep and not ragged, as a float ndarray in
+    [low, high] (by default every finite double). An ndarray of numbers is
+    judged by its dtype and not copied, anything else by its entries' types.
+    A wrong type raises TypeError, anything else ValueError."""
+    message = f"{name} must be {_SHAPES[ndim]} (found {{}})"
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        if values.dtype.kind not in "iuf":
+            raise TypeError(message.format(values.dtype))
+    else:
+        try:
+            values = np.array(values, dtype=object)
+        except ValueError:  # arrays of unequal shapes
+            raise ValueError(message.format("ragged nesting")) from None
+        # reshape, not .flat, which takes at most 32 dimensions; first seen first
+        for kind in dict.fromkeys(map(type, values.reshape(-1))):
+            if issubclass(kind, (list, tuple, np.ndarray)):
+                raise ValueError(message.format("ragged nesting"))
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+                raise TypeError(message.format(kind.__name__))
+    if values.ndim != ndim:
+        raise ValueError(message.format(f"depth {values.ndim}"))
+    try:
+        arr = values.astype(float, copy=False)
+    except OverflowError:
+        raise TypeError(message.format("an int beyond the double range")) from None
+    if arr.size and not (low <= arr.min() and arr.max() <= high):  # NaN fails too
+        bad = arr[~np.isfinite(arr)]
+        raise ValueError(message.format(bad[0]) if bad.size else
+                         f"{name} out of domain [{low}, {high}]")
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class NodeSet:
     """Sorted real nodes with per-node coefficients and a positive scale.
 
     Coefficients default to 1 for every node and the scale to 1; the
     exponent span scale * (a_n - a_0) is at most MAX_EXPONENT_SPAN. Invalid
-    input raises ValueError; nothing is silently repaired.
+    input raises TypeError or ValueError; nothing is silently repaired.
     """
 
     nodes: np.ndarray
@@ -74,29 +102,26 @@ class NodeSet:
     scale: float = 1.0
 
     def __post_init__(self):
-        nodes = _as_float_vector(self.nodes, "nodes")
+        nodes = _reals(self.nodes, "nodes", 1)
         if nodes.size < 2:
             raise ValueError("need at least two nodes")
         if np.any(nodes[1:] < nodes[:-1]):  # no subtraction to overflow
             raise ValueError("nodes must be non-decreasing")
         if nodes[0] == nodes[-1]:
             raise ValueError("degenerate node range: first and last node coincide")
-        if self.coefficients is None:
-            coeffs = np.ones_like(nodes)
-        else:
-            coeffs = _as_float_vector(self.coefficients, "coefficients")
+        coeffs = (np.ones_like(nodes) if self.coefficients is None
+                  else _reals(self.coefficients, "coefficients", 1))
         if coeffs.shape != nodes.shape:
             raise ValueError("coefficients must match nodes in length")
         if np.any(coeffs <= 0):
             raise ValueError("coefficients must all be positive")
-        scale = float(self.scale)
-        if not math.isfinite(scale) or scale <= 0:
+        scale = _tolerance(self.scale, "scale")
+        if scale == 0:
             raise ValueError("scale must be positive")
         # Python floats: an overflowing span becomes inf without a warning
         if scale * (float(nodes[-1]) - float(nodes[0])) > MAX_EXPONENT_SPAN:
             raise ValueError(f"scale * (a_n - a_0) must be at most {MAX_EXPONENT_SPAN:g}")
-        nodes = nodes.copy()
-        coeffs = coeffs.copy()
+        nodes, coeffs = nodes.copy(), coeffs.copy()
         nodes.setflags(write=False)
         coeffs.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -116,38 +141,31 @@ class NodeSet:
 
 def validate_weights(ns: NodeSet, weights=None) -> np.ndarray:
     """Check a weight vector against its node set (positive, matching length)."""
-    if weights is None:
-        w = np.ones(ns.size)
-    else:
-        w = _as_float_vector(weights, "weights")
-        if w.size != ns.size:
-            raise ValueError("weights must match nodes in length")
-        if np.any(w <= 0):
-            raise ValueError("weights must all be positive")
-        w = w.copy()
+    w = np.ones(ns.size) if weights is None else _reals(weights, "weights", 1).copy()
+    if w.size != ns.size:
+        raise ValueError("weights must match nodes in length")
+    if np.any(w <= 0):
+        raise ValueError("weights must all be positive")
     w.setflags(write=False)
     return w
 
 
 def _grid(ns: NodeSet, ts) -> np.ndarray:
     """Parameters as a float vector inside [a_0, a_n]; a scalar is one."""
-    ts, (a0, an) = np.atleast_1d(np.asarray(ts, dtype=float)), ns.domain
-    if ts.ndim != 1:
-        raise ValueError("parameters must be a scalar or a one-dimensional sequence")
-    if ts.size and not (a0 <= ts.min() and ts.max() <= an):  # NaN fails too
-        raise ValueError(f"parameter out of domain [{a0}, {an}]")
-    return ts
+    if np.isscalar(ts) or isinstance(ts, np.ndarray) and ts.ndim == 0:
+        ts = np.reshape(ts, 1)
+    return _reals(ts, "parameters", 1, *ns.domain)
 
 
 def validate_params(ns: NodeSet, params) -> np.ndarray:
     """Check a parameter sequence against its node set: non-empty, finite,
     strictly increasing and inside [a_0, a_n] (endpoints allowed)."""
-    p = _as_float_vector(params, "params")
+    p = _reals(params, "params", 1, *ns.domain)
     if p.size == 0:
         raise ValueError("params must not be empty")
     if np.any(np.diff(p) <= 0):
         raise ValueError("params must be strictly increasing")
-    p = _grid(ns, p).copy()
+    p = p.copy()
     p.setflags(write=False)
     return p
 

@@ -1,8 +1,7 @@
 """JSON run configurations for the command-line front end.
 
 load_config is the one step from a config file and a command's flags to
-the library's inputs. A config is a single JSON object; list entries must
-be finite JSON numbers and are parsed as doubles. Fields:
+the library's inputs. A config is a single JSON object. Fields:
 
     mode          "fit" | "eval" | "tp-check" (optional); when present and
                   not null it must be the command's mode
@@ -21,8 +20,11 @@ be finite JSON numbers and are parsed as doubles. Fields:
                   at most MAX_GRID rows and MAX_BASIS_VALUES values in all
 
 A command flag that is given (--grid, --iterations, --tol) takes the place
-of its field before any field is checked. The library's count and tolerance
-rules (basis._index, basis._tolerance) check max_iter, grid and tol.
+of its field before any field is checked. The library's rules check every
+field as its functions do: basis._index the counts (max_iter, grid),
+basis._tolerance tol and scale, and the array rule basis._reals each list
+field present, in every mode (finite real numbers, never JSON true/false,
+text or null, nested as deep as the field requires).
 """
 
 import json
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NodeSet, _index, _tolerance, validate_weights
+from .basis import NodeSet, _index, _reals, _tolerance, validate_weights
 from .pia import FitProblem
 
 MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
@@ -43,13 +45,14 @@ MAX_TP_NODES = 64
 _DEFAULTS = {"mode": None, "nodes": None, "coefficients": None, "scale": 1.0,
              "weights": None, "points": None, "params": None, "max_iter": 20,
              "tol": 0.0, "grid": 101}
+_ARRAYS = {"nodes": 1, "coefficients": 1, "weights": 1, "points": 2, "params": 1}  # depths
 
 
 class ConfigError(ValueError):
     """Invalid or inconsistent run configuration."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunConfig:
     """A command's checked inputs. problem is None unless the mode is fit."""
 
@@ -59,18 +62,6 @@ class RunConfig:
     max_iter: int
     tol: float
     grid: int
-
-
-def _is_finite_number(value) -> bool:
-    # exact type test: JSON true/false load as bool, a subclass of int
-    try:
-        return type(value) in (int, float) and math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _is_number_list(value) -> bool:
-    return type(value) is list and all(_is_finite_number(v) for v in value)
 
 
 def load_config(path, mode, *, grid=None, max_iter=None, tol=None) -> RunConfig:
@@ -84,8 +75,9 @@ def load_config(path, mode, *, grid=None, max_iter=None, tol=None) -> RunConfig:
         try:
             raw = json.load(fh)
         # JSONDecodeError, UnicodeDecodeError and the int-digits limit
-        # (a JSON integer of more than 4300 digits) are all ValueErrors
-        except ValueError as exc:
+        # (a JSON integer of more than 4300 digits) are all ValueErrors;
+        # lists nested past the recursion limit raise RecursionError
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
@@ -94,32 +86,22 @@ def load_config(path, mode, *, grid=None, max_iter=None, tol=None) -> RunConfig:
         raise ConfigError(f"{path}: unknown config fields {sorted(unknown)}")
     flags = {"grid": grid, "max_iter": max_iter, "tol": tol}
     raw.update((name, value) for name, value in flags.items() if value is not None)
-    if "scale" in raw and not _is_finite_number(raw["scale"]):
-        raise ConfigError(f"scale must be a finite number, got {raw['scale']!r}")
-    for name in ("nodes", "coefficients", "weights", "params"):
-        if name in raw and not _is_number_list(raw[name]):
-            raise ConfigError(f"{name} must be a list of finite numbers, got {raw[name]!r}")
-    points = raw.get("points", [])
-    if type(points) is not list or not all(_is_number_list(p) for p in points):
-        raise ConfigError(f"points must be a list of lists of finite numbers, got {points!r}")
     cfg = {**_DEFAULTS, **raw}
     if cfg["mode"] is not None and cfg["mode"] != mode:
         raise ConfigError(f"config has mode {cfg['mode']!r} but the command expects {mode!r}")
-    if cfg["nodes"] is None:
-        raise ConfigError("config requires a 'nodes' field")
-    max_nodes = {"fit": MAX_FIT_NODES, "tp-check": MAX_TP_NODES}.get(mode)
-    if max_nodes is not None and len(cfg["nodes"]) > max_nodes:
-        raise ConfigError(f"{mode} config has {len(cfg['nodes'])} nodes, at most {max_nodes} allowed")
-    if mode == "fit":
-        for name in ("points", "params"):
-            if cfg[name] is None:
-                raise ConfigError(f"fit config requires a '{name}' field")
-    max_grid = min(MAX_GRID, MAX_BASIS_VALUES // max(1, len(cfg["nodes"])))
+    for name in ("nodes", "points", "params") if mode == "fit" else ("nodes",):
+        if name not in raw:
+            raise ConfigError(f"{mode} config requires a '{name}' field")
     try:
         max_iter = _index(cfg["max_iter"], "max_iter", 1)
         tol = _tolerance(cfg["tol"], "tol")
-        grid = _index(cfg["grid"], "grid", 1, max_grid)
+        cfg.update((name, _reals(raw[name], name, ndim)) for name, ndim in _ARRAYS.items()
+                   if name in raw)
         ns = NodeSet(cfg["nodes"], cfg["coefficients"], cfg["scale"])
+        max_nodes = {"fit": MAX_FIT_NODES, "tp-check": MAX_TP_NODES}.get(mode)
+        if max_nodes is not None and ns.size > max_nodes:
+            raise ConfigError(f"{mode} config has {ns.size} nodes, at most {max_nodes} allowed")
+        grid = _index(cfg["grid"], "grid", 1, min(MAX_GRID, MAX_BASIS_VALUES // ns.size))
         weights = validate_weights(ns, cfg["weights"])
         problem = FitProblem(cfg["points"], cfg["params"], ns, weights) if mode == "fit" else None
     except (TypeError, ValueError) as exc:

@@ -4,26 +4,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NodeSet, _index, rational_basis_matrix, validate_weights
+from .basis import NodeSet, _index, _reals, rational_basis_matrix, validate_weights
 
 
 def as_control_polygon(points) -> np.ndarray:
     """Validate an ordered list of 2D or 3D points as an (m, d) array."""
-    arr = np.asarray(points, dtype=float)
-    if arr.ndim != 2:
-        raise ValueError("points must be a two-dimensional array, one row per point")
+    arr = _reals(points, "points", 2)
     if arr.shape[0] < 2:
         raise ValueError("control polygon needs at least two points")
     if arr.shape[1] not in (2, 3):
         raise ValueError("points must live in R^2 or R^3")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("control points must be finite")
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GTBezierCurve:
     """A rational-basis curve: sum of control points times basis values.
 

@@ -32,7 +32,7 @@ class DivergenceError(RuntimeError):
     """Fit error grew past the divergence guard's threshold."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FitProblem:
     """Data points with assigned parameters over a node-set configuration.
 
@@ -45,7 +45,7 @@ class FitProblem:
     params: np.ndarray
     nodeset: NodeSet
     weights: np.ndarray
-    collocation: np.ndarray = field(init=False, repr=False, compare=False)
+    collocation: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         data = as_control_polygon(self.data)
@@ -63,7 +63,7 @@ class FitProblem:
         object.__setattr__(self, "collocation", c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiaState:
     """Current control points and the fit error recorded at each iteration."""
 
@@ -139,7 +139,9 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
 
 
 def iteration_spectrum(problem: FitProblem) -> float:
-    """Spectral radius of I - C for the problem's rational collocation
-    matrix C; a value below one certifies convergence of the iteration."""
+    """LAPACK's estimate of the spectral radius of I - C, C the problem's
+    rational collocation matrix; not a certificate: on 64 uniform nodes (scale
+    63, unit weights, parameters at the nodes) it reads 1.0000002, where total
+    positivity of a nonsingular C puts the radius below one."""
     c = problem.collocation
     return float(np.max(np.abs(np.linalg.eigvals(np.eye(c.shape[0]) - c))))

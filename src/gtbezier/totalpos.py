@@ -22,8 +22,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._draws import MAX_TRIALS, suite_params
-from .basis import (NodeSet, _index, _tolerance, rational_basis_matrix, validate_params,
-                    validate_weights)
+from .basis import (NodeSet, _index, _reals, _tolerance, rational_basis_matrix,
+                    validate_params, validate_weights)
 
 # Exhaustive enumeration touches sum_k C(d,k)^2 minors; 8 keeps that instant.
 # Larger matrices are checked on consecutive row/column windows only.
@@ -112,11 +112,9 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
     tolerance alike. The witness is chosen and reported in the original
     scale, where its determinant may be infinite.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.size == 0:
-        raise ValueError("matrix must be two-dimensional and non-empty")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    m = _reals(m, "matrix", 2)
+    if m.size == 0:
+        raise ValueError("matrix must not be empty")
     return _tp_reports(m[None], _tolerance(tol, "tol"))[0]
 
 

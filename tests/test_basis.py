@@ -11,14 +11,17 @@ from gtbezier import (
     NodeSet,
     bernstein_equivalent_nodeset,
     curve_points,
+    is_totally_positive,
     log_basis_matrix,
     power_reduction,
     rational_basis_matrix,
+    validate_params,
     validate_weights,
 )
 from gtbezier import datasets
-from gtbezier.basis import MAX_EXPONENT_SPAN
-from bad_inputs import BAD_COUNTS
+from gtbezier.basis import MAX_EXPONENT_SPAN, _reals
+from gtbezier.curve import as_control_polygon
+from bad_inputs import BAD_ARRAYS, BAD_COUNTS, BAD_TOLERANCES
 from oracles import bernstein_reference, mp_rational_basis
 
 
@@ -52,7 +55,7 @@ def test_validate_example_configuration():
         ([0, 1], [1, -1], 1, "positive"),
         ([0, 1], [0, 1], 1, "positive"),
         ([0, 1], [1, 1], 0, "positive"),
-        ([0, 1], [1, 1], -2, "positive"),
+        ([0, 1], [1, 1], -2, "scale must be a finite number >= 0"),
         ([0, 1], [1], 1, "match nodes"),
         ([0, 1, 2, 3], None, 1e308, r"scale \* \(a_n - a_0\) must be at most"),
         ([-1e308, 1e308], None, 1, r"scale \* \(a_n - a_0\) must be at most"),
@@ -66,6 +69,59 @@ def test_validate_rejects(nodes, coeffs, scale, msg):
 def test_repeated_interior_nodes_accepted():
     ns = NodeSet([0, 1, 1, 2])
     assert ns.size == 4
+
+
+@pytest.mark.parametrize("scale", [*BAD_TOLERANCES, 0, 10**400])
+def test_scale_rejects_bad_values(scale):
+    # the tolerance rule, then > 0: "2" and True once became 2.0 and 1.0
+    with pytest.raises((TypeError, ValueError), match="^scale must be "):
+        NodeSet([0, 1], scale=scale)
+
+
+def test_node_sets_compare_by_identity():
+    # the dataclass-made == compared ndarray fields and raised "truth value of
+    # an array is ambiguous"; its __hash__ was None
+    ns = NodeSet([0, 1, 2])
+    assert ns == ns and ns in [ns] and ns != NodeSet(ns.nodes)
+    assert hash(ns) == hash(ns)
+    assert datasets.circle_problem() != datasets.circle_problem()
+
+
+# Every entry point of the array rule: the name its errors give, a good array
+# and the call that checks it.
+_ARRAY_ENTRY_POINTS = {
+    "nodes": ([0, 1, 2], NodeSet),
+    "coefficients": ([1, 1, 1], lambda a: NodeSet([0, 1, 2], a)),
+    "weights": ([1, 1, 1], lambda a: validate_weights(NodeSet([0, 1, 2]), a)),
+    "params": ([0, 1, 2], lambda a: validate_params(NodeSet([0, 1, 2]), a)),
+    "parameters": ([0, 1, 2], lambda a: log_basis_matrix(NodeSet([0, 1, 2]), a)),
+    "points": ([[0, 0], [1, 1], [2, 0]], as_control_polygon),
+    "matrix": ([[1, 0], [0, 1]], is_totally_positive),
+}
+
+
+@pytest.mark.parametrize("row", BAD_ARRAYS)
+@pytest.mark.parametrize("name", _ARRAY_ENTRY_POINTS)
+def test_array_rule_rejects_bad_arrays(name, row):
+    good, check = _ARRAY_ENTRY_POINTS[name]
+    make, error = BAD_ARRAYS[row]
+    check(good)
+    if name == "parameters" and row == "too-shallow":  # a scalar parameter is one
+        assert log_basis_matrix(NodeSet([0, 1, 2]), make(good)).shape == (1, 3)
+        return
+    with pytest.raises(error, match=f"^{name} must be "):
+        check(make(good))
+
+
+def test_array_rule_reads_ndarrays_by_dtype():
+    floats = np.array([0.0, 0.5, 2.0])
+    assert _reals(floats, "x", 1) is floats  # no copy
+    np.testing.assert_array_equal(_reals(np.array([0, 1, 4], dtype=np.uint8), "x", 1), [0, 1, 4])
+    np.testing.assert_array_equal(_reals(np.array([0.5, 2], dtype=object), "x", 1), [0.5, 2])
+    for bad in (np.array([True, False]), np.array(["0", "1"]), np.array([0, 1j]),
+                np.array([0.5, None], dtype=object)):
+        with pytest.raises(TypeError, match=r"^x must be a list of finite numbers \(found "):
+            _reals(bad, "x", 1)
 
 
 def test_validate_weights():
@@ -133,7 +189,7 @@ _GRID_EVALUATORS = {
 def test_parameter_grid_must_be_one_dimensional(evaluate, shape):
     # a 2-D grid once raised IndexError or came back as a 3-D array
     ns = NodeSet([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match="one-dimensional"):
+    with pytest.raises(ValueError, match=r"parameters must be .* \(found depth 2\)"):
         evaluate(ns, np.full(shape, 0.5))
     assert evaluate(ns, 0.5).shape[0] == evaluate(ns, [0.5]).shape[0] == 1
 

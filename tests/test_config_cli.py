@@ -27,21 +27,21 @@ from gtbezier.export import (
 )
 from gtbezier.pia import DivergenceError
 from gtbezier.totalpos import MAX_TRIALS, NtpSuiteReport
-from bad_inputs import BAD_COUNT_FLAGS, BAD_COUNTS, BAD_TOLERANCE_FLAGS, BAD_TOLERANCES
+from bad_inputs import (BAD_COUNT_FLAGS, BAD_COUNTS, BAD_JSON_ARRAYS, BAD_TOLERANCE_FLAGS,
+                        BAD_TOLERANCES)
+
+_PROBLEM = datasets.circle_problem()
+_CIRCLE_ARRAYS = {
+    "nodes": _PROBLEM.nodeset.nodes.tolist(),
+    "coefficients": _PROBLEM.nodeset.coefficients.tolist(),
+    "weights": _PROBLEM.weights.tolist(),
+    "points": _PROBLEM.data.tolist(),
+    "params": _PROBLEM.params.tolist(),
+}
 
 
 def _circle_config(tmp_path, mode="fit", **overrides):
-    prob = datasets.circle_problem()
-    cfg = {
-        "mode": mode,
-        "nodes": prob.nodeset.nodes.tolist(),
-        "coefficients": prob.nodeset.coefficients.tolist(),
-        "scale": prob.nodeset.scale,
-        "weights": prob.weights.tolist(),
-        "points": prob.data.tolist(),
-        "params": prob.params.tolist(),
-        "max_iter": 20,
-    }
+    cfg = {"mode": mode, **_CIRCLE_ARRAYS, "scale": _PROBLEM.nodeset.scale, "max_iter": 20}
     cfg.update(overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -114,6 +114,18 @@ def test_config_structural_errors(tmp_path, payload, msg):
         load_config(path, "eval")
 
 
+@pytest.mark.parametrize("row", [*BAD_JSON_ARRAYS, "null"])
+@pytest.mark.parametrize("name", _CIRCLE_ARRAYS)
+def test_config_array_fields_follow_the_array_rule(tmp_path, name, row):
+    # every list field is checked in every mode, so eval mode checks points
+    # and params, which it does not use; an explicit null is no default
+    bad = None if row == "null" else BAD_JSON_ARRAYS[row][0](_CIRCLE_ARRAYS[name])
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"nodes": _CIRCLE_ARRAYS["nodes"], name: bad}))
+    with pytest.raises(ConfigError, match=f"^{name} must be "):
+        load_config(path, "eval")
+
+
 @pytest.mark.parametrize(
     "config,argv,msg",
     [
@@ -178,11 +190,19 @@ def test_config_structural_errors(tmp_path, payload, msg):
         # one trial past the cap: trial index 2**32 needs a second entropy word
         pytest.param({}, ["tp-check", "--trials", str(MAX_TRIALS + 1)],
                      "argument --trials: must be at most 4294967296$", id="trials-cap"),
+        # lists nested deeper than the JSON decoder's recursion limit
+        pytest.param(b'{"nodes": ' + b"[" * 100000 + b"]" * 100000 + b"}", ["basis-eval"],
+                     "config error: .*not valid JSON: maximum recursion depth exceeded",
+                     id="deep-nesting"),
+        # the array rule's table in every list field of a fit, where all are used
+        *(pytest.param({name: make(good)}, ["pia-fit"], f"config error: {name} must be ",
+                       id=f"pia-fit {name} {row}")
+          for name, good in _CIRCLE_ARRAYS.items() for row, (make, _) in BAD_JSON_ARRAYS.items()),
     ],
 )
-def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
-    # a fresh interpreter, so that an uncaught exception would show as a
-    # traceback and exit status 1
+def test_cli_bad_input_exits_2(tmp_path, monkeypatch, capsys, config, argv, msg):
+    # in process: main returns 2 or argparse exits with 2, and an uncaught
+    # exception would fail the test with its traceback
     if isinstance(config, bytes):
         path = tmp_path / "config.json"
         path.write_bytes(config)
@@ -190,12 +210,28 @@ def test_cli_bad_input_exits_2(tmp_path, config, argv, msg):
         path = _circle_config(tmp_path, mode=None, **config)
     if argv[0] != "example":
         argv = argv + ["--config", str(path)]
+    monkeypatch.chdir(tmp_path)
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "Traceback" not in err
+    assert re.search(msg, err.splitlines()[-1])
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_bad_input_exits_2_in_a_fresh_interpreter(tmp_path):
+    # an uncaught exception would show as a traceback and exit status 1
+    path = _circle_config(tmp_path, mode=None, weights=[0.5, 2.51, 5.5, 2.51, True])
     env = dict(os.environ, PYTHONPATH=str(Path(gtbezier.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "gtbezier.cli", *argv],
+    proc = subprocess.run([sys.executable, "-m", "gtbezier.cli", "pia-fit", "--config", str(path)],
                           cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert re.search(msg, proc.stderr.splitlines()[-1])
+    assert proc.stderr.splitlines()[-1] == (
+        "config error: weights must be a list of finite numbers (found bool)")
     assert not (tmp_path / "out").exists()
 
 

@@ -103,7 +103,7 @@ def test_construction_errors():
     with pytest.raises(ValueError, match="at least two"):
         GTBezierCurve(ns, np.ones(3), np.ones((1, 2)))
     # three numbers are not three points: a wrong dimension, not a short polygon
-    with pytest.raises(ValueError, match="two-dimensional array, one row per point"):
+    with pytest.raises(ValueError, match=r"points must be a list of lists .* \(found depth 1\)"):
         GTBezierCurve(ns, np.ones(3), [1.0, 2.0, 3.0])
     with pytest.raises(ValueError, match="finite"):
         GTBezierCurve(ns, np.ones(3), np.array([[0, 0], [1, np.inf], [2, 0]]))
