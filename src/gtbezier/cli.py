@@ -128,7 +128,8 @@ def cmd_pia_fit(args) -> int:
             title="pia fit",
         )
     print(f"ran {state.iteration} iterations, final error {format_float(state.error_history[-1])}")
-    print(f"spectral radius of iteration matrix: {format_float(iteration_spectrum(problem))}")
+    print("spectral radius of iteration matrix, LAPACK estimate (not a certificate): "
+          + format_float(iteration_spectrum(problem)))
     print(f"wrote outputs under {out}")
     return EXIT_OK
 

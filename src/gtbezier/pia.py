@@ -1,31 +1,27 @@
 """Progressive iterative approximation (PIA) for node-set curve fitting.
 
-Start from a curve whose control points are the data points themselves,
-then repeatedly add each point's residual to its control point:
-
-    P_i^(k+1) = P_i^k + (P_i - C^k(t_i))
-
-Because the rational basis is normalized totally positive, the iteration
-matrix I - C (C the rational collocation matrix at the fit parameters)
-has spectral radius below one whenever C is nonsingular, and the curves
-converge to interpolate the data.
-
-C depends only on the problem, so a FitProblem builds it once, as a
-read-only field. pia_run, the one iteration loop, steps in blocks through
-buffers allocated once per run and takes each block's error norms in one
-pass after it. pia_run(problem, 0) is the initial state.
+Start from the data points as control points, then repeatedly add each
+point's residual: P_i^(k+1) = P_i^k + (P_i - C^k(t_i)). As the rational
+basis is normalized totally positive, M = I - C (C the collocation matrix at
+the fit parameters, built once per FitProblem) has spectral radius below one
+whenever C is nonsingular, and the curves converge to interpolate the data.
+As the residuals obey d_(k+1) = M d_k, pia_run is a block power iteration: a
+block of steps is one product of a stack of powers of M, held within a fixed
+memory budget, with the block's first residual, recomputed from the controls.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import NodeSet, _index, _tolerance, validate_params, validate_weights
+from .basis import _FLOAT_MAX, NodeSet, _index, _tolerance, validate_params, validate_weights
 from .curve import GTBezierCurve, as_control_polygon
 from .totalpos import rational_collocation_matrix
 
 DIVERGENCE_FACTOR = 1e6
-_BLOCK = 64  # PIA steps between two passes over their error norms
+_BLOCK = 64  # most PIA steps in a block, whose error norms are taken together
+_FIRST_BLOCK = 8  # steps in a run's first block; each next one doubles, up to B
+_STACK_BUDGET = 2**18  # most doubles in a run's stack of powers (2 MiB)
 
 
 class DivergenceError(RuntimeError):
@@ -81,61 +77,80 @@ def fitted_curve(problem: FitProblem, state: PiaState) -> GTBezierCurve:
     return GTBezierCurve(problem.nodeset, problem.weights, state.control)
 
 
+def _stacked(n: int) -> bool:
+    """Whether runs on n nodes form M^1 .. M^(_BLOCK - 1): where it fits the budget."""
+    return (_BLOCK - 1) * n * n <= _STACK_BUDGET
+
+
+def _max_norms(block: np.ndarray) -> list:
+    """Per step (axis 1), the largest norm along axis 0: by hypot, which does
+    not square, once squares leave [2**-1020, max double]."""
+    squares = np.max(sum(x * x for x in block), -1)  # whole-array ops in either layout
+    if 2.0**-1020 <= squares.min() and squares.max() <= _FLOAT_MAX:
+        return np.sqrt(squares).tolist()
+    return np.max(np.hypot.reduce(block), -1).tolist()
+
+
 def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
     """Iterate until the max residual norm drops to tol or max_iter is hit.
 
     Starts from the data points as control points; each update adds the
     residuals P_i - C^k(t_i) to them and records their maximum Euclidean
     norm. max_iter = 0 returns that initial state with an empty history.
-    Raises DivergenceError if the error grows past DIVERGENCE_FACTOR times
-    the first recorded error: a threshold on growth, not a proof that the
-    run diverges, as errors can rise (about 17-fold on 31 uniform nodes)
-    before they fall.
+    Raises DivergenceError on a NaN or inf error or one past
+    DIVERGENCE_FACTOR times the first: a threshold on growth, not a proof
+    of divergence, as errors can first rise (17-fold on 31 uniform nodes).
 
-    The steps run in blocks of _BLOCK, each writing into preallocated
-    slots, and a block's error norms are taken in one pass after it. Only
-    then is the step that meets tol or trips the guard found, so up to
-    _BLOCK - 1 steps past it are computed and dropped (never steps past
-    max_iter). Floating-point overflow raises no warning, in those steps
-    or any other: an error that overflows is recorded as inf, which trips
-    the guard. Histories and controls equal those of taking one update at
-    a time.
+    Steps run in blocks that grow from _FIRST_BLOCK to B steps and end at
+    P^j + d_j + ... + d_(j+k), k the step that stops the run or the last.
+    Up to 64 nodes, where the stack M^1 .. M^(_BLOCK - 1) fits _STACK_BUDGET
+    doubles, a block takes d_j = P - C P^j afresh in np.longdouble (as in
+    iterative refinement) and d_(j+i) = M^i d_j in one product with the
+    stack; short first blocks keep the largest residuals off high powers.
+    Above 64 nodes, where a power's product costs what a step does, the
+    steps run one float update at a time.
     """
     max_iter, tol = _index(max_iter, "max_iter"), _tolerance(tol, "tol")
     data, c = problem.data, problem.collocation
-    ctrl = np.empty((_BLOCK + 1,) + data.shape)
-    delta = np.empty((_BLOCK,) + data.shape)
-    product = np.empty_like(data)
-    # step j reads ctrl[j] and writes delta[j] and ctrl[j + 1]
-    slots = list(zip(ctrl[:-1], delta, ctrl[1:]))
-    ctrl[0] = data
-    history = []
+    n, dim = data.shape
+    b, stacked = max(1, min(_BLOCK, max_iter)), _stacked(n)
+    c_wide = c.astype(np.longdouble if stacked else float, copy=False)
+    control, history = data.copy(), []  # residuals hold points as columns
+    powers = np.empty((n, b - 1 if stacked else 0, n))
+    stack, formed = powers.reshape(n, -1), 0  # (M^T)^i = (M^i)^T side by side
     with np.errstate(over="ignore", invalid="ignore"):
+        # (coordinate, step, point), points contiguous where steps run one at a time
+        residuals = np.empty((dim, b, n)) if stacked else np.empty((b, n, dim)).transpose(2, 0, 1)
         while len(history) < max_iter:
-            steps = min(_BLOCK, max_iter - len(history))
-            # outputs passed positionally: keyword parsing costs each call
-            for control, step, updated in slots[:steps]:
-                np.dot(c, control, product)
-                np.subtract(data, product, step)
-                np.add(control, step, updated)
-            block = delta[:steps]
-            # sqrt is monotone and correctly rounded, so the root of the
-            # largest squared norm is the largest norm, bit for bit
-            errs = np.sqrt(np.max(np.add.reduce(block * block, -1), -1)).tolist()
-            if not history:
+            steps = min(b, max_iter - len(history), len(history) + _FIRST_BLOCK)
+            block = residuals[:, :steps]
+            product = np.dot(c_wide, control.astype(c_wide.dtype, copy=False))
+            np.subtract(data, product, block[:, 0].T, casting="same_kind")
+            if stacked:
+                for i in range(formed, steps - 1):  # (M^T)^(i + 1) = (M^i M)^T, as first needed
+                    powers[:, i] = powers[:, 0] @ powers[:, i - 1] if i else np.eye(n) - c.T
+                formed = max(formed, steps - 1)
+                np.matmul(block[:, 0], stack[:, :(steps - 1) * n],
+                          block[:, 1:].reshape(dim, (steps - 1) * n))
+            else:
+                running = control.copy()
+                for i in range(1, steps):
+                    running += block[:, i - 1].T
+                    np.subtract(data, c @ running, block[:, i].T)
+            errs = _max_norms(block)
+            if not history:  # a first error of 0 stops the run, and NaN trips the guard
                 first = errs[0]
-                limit = DIVERGENCE_FACTOR * first if first > 0 else np.inf
+                limit = min(DIVERGENCE_FACTOR * first, _FLOAT_MAX)
             for k, err in enumerate(errs):
-                if err > limit:
-                    raise DivergenceError(
-                        f"fit error {err:.3e} exceeds {DIVERGENCE_FACTOR:.0e} x initial {first:.3e}"
-                    )
+                if not err <= limit:  # NaN and inf trip it too
+                    raise DivergenceError(f"fit error {err:.3e} exceeds "
+                                          f"{DIVERGENCE_FACTOR:.0e} x initial {first:.3e}")
                 if err <= tol:
-                    history += errs[:k + 1]
-                    return PiaState(ctrl[k + 1].copy(), tuple(history))
+                    return PiaState(control + np.add.reduce(block[:, :k + 1], 1).T,
+                                    tuple(history + errs[:k + 1]))
             history += errs
-            ctrl[0] = ctrl[steps]
-    return PiaState(ctrl[0].copy(), tuple(history))
+            control += np.add.reduce(block, 1).T
+    return PiaState(control, tuple(history))
 
 
 def iteration_spectrum(problem: FitProblem) -> float:

@@ -1,11 +1,12 @@
 """Reference objects the tests check the library against: the paper's
 generalized Vandermonde matrices, the classical Bernstein polynomials, the
-rational basis rebuilt from its formula in mpmath, and the NTP suite's
-parameter draws made one np.random.default_rng([seed, trial]) at a time.
+rational basis rebuilt from its formula in mpmath, the NTP suite's
+parameter draws made one np.random.default_rng([seed, trial]) at a time,
+and the PIA update taken one step at a time in extended precision.
 
 They serve only to check the library's basis values, total-positivity
-verdicts and parameter draws. pytest puts this directory on sys.path, so
-tests import them with `from oracles import ...`.
+verdicts, parameter draws and fit histories. pytest puts this directory on
+sys.path, so tests import them with `from oracles import ...`.
 """
 
 import math
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 
 import mpmath as mp
 import numpy as np
+import pytest
 
 
 @dataclass(frozen=True)
@@ -120,3 +122,38 @@ def reference_draws(seed: int, trials, cases, a0: float, an: float, count: int) 
     eps = 1e-6 * (an - a0)
     return np.array([draw_params(np.random.default_rng([seed, t]), case, a0, an, eps, count)
                      for t, case in zip(trials, cases)])
+
+
+def pia_oracle(problem, steps: int):
+    """The PIA update P^(k+1) = P^k + (P - C P^k) taken one step at a time in
+    np.longdouble on the problem's float C, for exactly steps steps, with no
+    stop rule or guard: (control, history), both np.longdouble arrays, the
+    history holding each step's largest residual norm. Skips the calling
+    test where np.longdouble is no wider than a double."""
+    if np.finfo(np.longdouble).eps >= np.finfo(float).eps:
+        pytest.skip("np.longdouble is a plain double here: no PIA oracle")
+    c = problem.collocation.astype(np.longdouble)
+    data = problem.data.astype(np.longdouble)
+    control, history = data.copy(), np.empty(steps, np.longdouble)
+    for k in range(steps):
+        delta = data - c @ control
+        history[k] = np.sqrt(np.max(np.sum(delta * delta, axis=1)))
+        control += delta
+    return control, history
+
+
+def pia_errors(problem, control, history):
+    """A PIA run's errors against pia_oracle for as many steps: the largest
+    relative error of its (positive) history, and the largest control error
+    relative to the largest control coordinate."""
+    oracle_control, oracle_history = pia_oracle(problem, len(history))
+    history_error = np.max(np.abs(np.asarray(history) - oracle_history) / oracle_history,
+                           initial=0.0)
+    control_error = np.max(np.abs(control - oracle_control)) / np.max(np.abs(oracle_control))
+    return float(history_error), float(control_error)
+
+
+# pia_errors of the float step loop, one update at a time, on the helix fit to
+# 1e-4 (7938 steps), measured on x86-64 with OpenBLAS: the bounds of the helix
+# fit's history (no less accurate) and controls (within twice this error)
+HELIX_FIT_STEP_LOOP_ERRORS = (3.0e-12, 3.3e-14)

@@ -19,8 +19,11 @@ from gtbezier import (
     rational_collocation_matrix,
 )
 from gtbezier import datasets
-from gtbezier.pia import _BLOCK, DIVERGENCE_FACTOR
+from gtbezier.basis import _FLOAT_MAX
+from gtbezier.config import MAX_FIT_NODES
+from gtbezier.pia import _BLOCK, _FIRST_BLOCK, _STACK_BUDGET, DIVERGENCE_FACTOR, _stacked
 from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
+from oracles import HELIX_FIT_STEP_LOOP_ERRORS, pia_errors, pia_oracle
 
 # reference fit errors for the two benchmarks; matched at order of magnitude
 CIRCLE_EXPECTED = {1: 2.317e-01, 5: 2.236e-02, 10: 9.7e-03, 20: 1.8e-03}
@@ -75,9 +78,11 @@ def test_fixed_point_adjustments_are_zero():
 
 
 def test_initial_circle_residual_magnitude():
+    # _max_residual evaluates the curve in float, a few ulps off the exact
+    # residual; pia_run takes the residual in long double
     problem = datasets.circle_problem()
     err = pia_run(problem, 1).error_history[0]
-    assert err == _max_residual(problem, problem.data)
+    assert err == pytest.approx(_max_residual(problem, problem.data), rel=1e-15)
     assert CIRCLE_EXPECTED[1] / 10 < err < CIRCLE_EXPECTED[1] * 10
 
 
@@ -89,7 +94,7 @@ def test_step_bookkeeping_and_error_consistency():
     assert s2.iteration == 2
     assert s2.error_history[0] == s1.error_history[0]
     # the second recorded error is the residual of the one-step curve
-    assert s2.error_history[-1] == _max_residual(problem, s1.control)
+    assert s2.error_history[-1] == pytest.approx(_max_residual(problem, s1.control), rel=1e-15)
 
 
 def test_run_stops_at_tolerance():
@@ -217,38 +222,34 @@ def test_divergence_guard(monkeypatch):
         pia_run(problem, max_iter=50)
 
 
-# helix fit to 1e-4, pinned bit for bit: the loop's arithmetic must not change
-HELIX_TOL_STEPS = 7938
-HELIX_TOL_HISTORY = {
-    0: 0.8390353985920251,
-    9: 0.08919763998075578,
-    99: 0.0019060481452278263,
-    999: 0.0004895336865276733,
-    7937: 9.999309188697026e-05,
-}
+def _block_edges(max_iter):
+    """Steps done at each of pia_run's block edges: its blocks grow from
+    _FIRST_BLOCK steps, doubling up to _BLOCK (8, 24, 56, 120, 184, ...)."""
+    done, edges = 0, []
+    while done < max_iter:
+        done += min(_BLOCK, max_iter - done, done + _FIRST_BLOCK)
+        edges.append(done)
+    return edges
 
 
-def test_helix_run_to_tolerance_pinned():
-    state = pia_run(datasets.helix_problem(), max_iter=100000, tol=1e-4)
-    assert state.iteration == HELIX_TOL_STEPS == len(state.error_history)
-    for k, err in HELIX_TOL_HISTORY.items():
-        assert state.error_history[k] == err, k
+# the first edge followed by a block of _BLOCK steps
+FULL_EDGE = next(edge for edge in _block_edges(4 * _BLOCK) if edge >= _BLOCK - _FIRST_BLOCK)
 
 
 def _step_loop(problem, max_iter, tol=0.0):
     """The update P^(k+1) = P^k + (P - C P^k) written out one step at a
-    time, with pia_run's guard and stop rule; overflow gives inf errors
-    without a warning, as in pia_run. Returns (control, history)."""
+    time in float, with pia_run's norm, guard and stop rule; overflow gives
+    no warning, as in pia_run. Returns (control, history)."""
     data, c = problem.data, problem.collocation
     control, history = data.copy(), []
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(max_iter):
             delta = data - c @ control
-            err = float(np.max(np.linalg.norm(delta, axis=1)))
+            err = float(np.max(np.hypot.reduce(delta, axis=1)))
             control = control + delta
             history.append(err)
             first = history[0]
-            if first > 0 and err > DIVERGENCE_FACTOR * first:
+            if not err <= min(DIVERGENCE_FACTOR * first, _FLOAT_MAX):
                 raise DivergenceError(
                     f"fit error {err:.3e} exceeds {DIVERGENCE_FACTOR:.0e} x initial {first:.3e}"
                 )
@@ -257,34 +258,64 @@ def _step_loop(problem, max_iter, tol=0.0):
     return control, history
 
 
+HELIX_TOL_STEPS = 7938
+
+
+def test_helix_run_to_tolerance_pinned():
+    # the step count is pinned; the history and controls are bounded against
+    # the long-double oracle by the float step loop's own errors there
+    problem = datasets.helix_problem()
+    state = pia_run(problem, max_iter=100000, tol=1e-4)
+    assert state.iteration == HELIX_TOL_STEPS == len(state.error_history)
+    history_error, control_error = pia_errors(problem, state.control, state.error_history)
+    assert history_error <= HELIX_FIT_STEP_LOOP_ERRORS[0]
+    assert control_error <= 2 * HELIX_FIT_STEP_LOOP_ERRORS[1]
+
+
 def test_run_equals_chained_steps():
     # the blocked loop against one step at a time, on both sides of block
-    # edges, and with tolerances first met on the last step of the first
-    # block and on the first step of the second
+    # edges, and with tolerances first met on the last step of a block and
+    # on the first step of the next: the same step counts, and errors
+    # against the long-double oracle no larger than the step loop's (twice
+    # that for the controls), over all the runs on each problem
+    edges = _block_edges(4 * _BLOCK)[:4]
     for problem in (datasets.circle_problem(), datasets.helix_problem()):
-        errors = _step_loop(problem, 2 * _BLOCK + 1)[1]
-        runs = [(m, 0.0, m) for m in (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1)]
-        runs += [(2 * _BLOCK + 1, errors[stop - 1], stop) for stop in (_BLOCK, _BLOCK + 1)]
+        _, oracle = pia_oracle(problem, edges[-1] + 2)
+        runs = [(m, 0.0, m) for m in {0, 1} | {e + d for e in edges for d in (-1, 0, 1)}]
+        # tol between two oracle errors: the run stops on the step after the larger
+        runs += [(edges[-1] + 2, float(oracle[stop - 1] + oracle[stop - 2]) / 2, stop)
+                 for e in edges for stop in (e, e + 1)]
+        blocked, stepped = (0.0, 0.0), (0.0, 0.0)
         for max_iter, tol, steps in runs:
             control, history = _step_loop(problem, max_iter, tol)
             run = pia_run(problem, max_iter, tol)
             assert run.iteration == len(history) == steps
-            assert run.error_history == tuple(history)
-            assert np.array_equal(run.control, control)
             # a fresh array, not a view of the loop's buffers
             assert run.control.base is None and run.control.flags.owndata
+            blocked = np.maximum(blocked, pia_errors(problem, run.control, run.error_history))
+            stepped = np.maximum(stepped, pia_errors(problem, control, history))
+        assert blocked[0] <= stepped[0] and blocked[1] <= 2 * stepped[1]
 
 
-@pytest.mark.parametrize("factor,trip", [(1e100, 2), (1 + 1e6 ** (1 / (_BLOCK - 0.5)), _BLOCK + 1)],
-                         ids=["overflow", "block-edge"])
-def test_divergence_guard_trips_where_steps_do(monkeypatch, factor, trip):
-    # C = factor I scales each residual by 1 - factor per step. At 1e100 the
-    # second error overflows to inf, and the dropped steps after it overflow
-    # further, with no warning; the other factor passes the guard's 1e6 on
-    # the first step of the second block
+@pytest.mark.parametrize(
+    "factor,scale,trip",
+    [(1e100, 1.0, 2), (1 + 1e6 ** (1 / (FULL_EDGE - 0.5)), 1.0, FULL_EDGE + 1),
+     (np.nan, 1.0, 1), (1e3, 1e300, 3)],
+    ids=["overflow", "block-edge", "nan-error", "inf-error"],
+)
+def test_divergence_guard_trips_where_steps_do(monkeypatch, factor, scale, trip):
+    # C = factor I scales each residual by 1 - factor per step, data scaled
+    # by scale. At 1e100 the second error is 1e100 times the first, and the
+    # dropped steps after it overflow, with no warning; the next factor
+    # passes the guard's 1e6 on the first step of a block of _BLOCK steps.
+    # A NaN C gives a NaN first error; at 1e3 on data near 1e300 the third
+    # error overflows to inf while the guard's limit, 1e6 times the first,
+    # is past the largest double: NaN > limit and inf > inf are both false,
+    # so the guard trips on any error that is not <= its limit
     monkeypatch.setattr(gtbezier.pia, "rational_collocation_matrix",
                         lambda ns, w, params: factor * np.eye(5))
-    problem = datasets.circle_problem()
+    circle = datasets.circle_problem()
+    problem = FitProblem(scale * circle.data, circle.params, circle.nodeset, circle.weights)
     _step_loop(problem, trip - 1)
     with pytest.raises(DivergenceError) as stepped:
         _step_loop(problem, trip)
@@ -293,6 +324,79 @@ def test_divergence_guard_trips_where_steps_do(monkeypatch, factor, trip):
         with pytest.raises(DivergenceError) as blocked:
             pia_run(problem, max_iter=2 * _BLOCK + 1)
     assert str(blocked.value) == str(stepped.value)
+
+
+@pytest.mark.parametrize("scale", [2.0**664, 2.0**-664])
+def test_run_takes_norms_without_overflow(scale):
+    # data near 1e200 (or 1e-200) square past the double range; a power-of-two
+    # scale leaves every other rounding of the run exact, so the scaled run
+    # stops on the same step with the history scaled to rounding. The same
+    # holds within 1e-6 for a scale of exactly 1e200, whose rounding of the
+    # data moves the last errors, near 1e-10 of the data, as much as the step
+    # loop's own rounding does
+    problem = datasets.circle_problem()
+    base = pia_run(problem, 200, tol=1e-10)
+    for s, rel in ((scale, 1e-12), (1e200 if scale > 1 else 1e-200, 1e-6)):
+        scaled = FitProblem(s * problem.data, problem.params, problem.nodeset, problem.weights)
+        state = pia_run(scaled, 200, tol=1e-10 * s)
+        assert state.iteration == base.iteration == 121
+        assert np.all(np.isfinite(state.error_history)) and 0 < min(state.error_history)
+        np.testing.assert_allclose(state.error_history, s * np.array(base.error_history), rtol=rel)
+        np.testing.assert_allclose(state.control, s * base.control, rtol=1e-14)
+
+
+def _uniform_problem(n):
+    """n uniform nodes on [0, 1] with unit coefficients and weights, scale
+    n - 1, parameters at the nodes and data on a half circle: I - C is far
+    from normal, and the fit error first rises before it falls."""
+    t = np.linspace(0.0, 1.0, n)
+    data = np.column_stack([np.cos(np.pi * t), np.sin(np.pi * t)])
+    return FitProblem(data, t, NodeSet(t, np.ones(n), n - 1), np.ones(n))
+
+
+@pytest.mark.parametrize(
+    "make,steps,rise",
+    [(datasets.circle_problem, 121, 1.0), (datasets.helix_problem, HELIX_TOL_STEPS, 1.0),
+     (lambda: _uniform_problem(31), 2000, 17.0), (lambda: _uniform_problem(64), 20000, 700.0)],
+    ids=["circle", "helix", "uniform-31", "uniform-64"],
+)
+def test_run_accuracy_against_oracle(make, steps, rise):
+    # powers of a non-normal M lose accuracy as |M^i| grows: on 31 and 64
+    # uniform nodes the error first rises 17-fold (at step 991) and over
+    # 700-fold (still rising at step 20000). The blocked history must be no
+    # less accurate than the float step loop's, its controls within twice
+    problem = make()
+    run = pia_run(problem, steps)
+    control, history = _step_loop(problem, steps)
+    assert max(run.error_history) >= rise * run.error_history[0]
+    blocked = pia_errors(problem, run.control, run.error_history)
+    stepped = pia_errors(problem, control, history)
+    assert blocked[0] <= stepped[0] and blocked[1] <= 2 * stepped[1]
+
+
+def test_power_stack_fits_the_budget():
+    # shapes only, no problem of that size: a run forms its _BLOCK - 1 powers
+    # of an n x n matrix only where they fit the budget (up to 64 nodes, the
+    # helix's 31 included), so the largest fit the config accepts forms none
+    for n in (2, 5, 31, 64, 65, 512, MAX_FIT_NODES):
+        assert _stacked(n) == (n <= 64)
+        assert not _stacked(n) or (_BLOCK - 1) * n * n <= _STACK_BUDGET
+
+
+def test_single_steps_above_the_stack():
+    # above 64 nodes the steps run one float update at a time, in blocks
+    # only for their error norms: the step loop's arithmetic but for the
+    # rounding of the norms and of the sum that ends a block
+    t = np.linspace(0.0, 1.0, 65)
+    problem = FitProblem(np.column_stack([t, t * t]), t, NodeSet(t), np.ones(65))
+    _, errors = _step_loop(problem, 2 * _BLOCK + 1)
+    # a tol clear of the norms' rounding, first met inside a block (step 77)
+    for tol, steps in ((0.0, 2 * _BLOCK + 1), (errors[100] * (1 + 1e-9), 77)):
+        control, history = _step_loop(problem, 2 * _BLOCK + 1, tol)
+        run = pia_run(problem, 2 * _BLOCK + 1, tol)
+        assert run.iteration == len(history) == steps
+        np.testing.assert_allclose(run.error_history, history, rtol=1e-14)
+        np.testing.assert_allclose(run.control, control, rtol=0, atol=1e-14)
 
 
 def test_collocation_built_once_and_read_only(monkeypatch):
