@@ -5,10 +5,8 @@ point's residual: P_i^(k+1) = P_i^k + (P_i - C^k(t_i)). As the rational
 basis is normalized totally positive, M = I - C (C the collocation matrix at
 the fit parameters, built once per FitProblem) has spectral radius below one
 whenever C is nonsingular, and the curves converge to interpolate the data.
-As the residuals obey d_(k+1) = M d_k, pia_run is a block power iteration: a
-block of steps is one product of a stack of powers of M, held within a fixed
-memory budget, with the block's first residual, recomputed from the controls.
-"""
+As residuals obey d_(k+1) = M d_k, pia_run is a block power iteration, with
+M's powers held within a memory budget and residual replacement per block."""
 
 from dataclasses import dataclass, field
 
@@ -20,8 +18,7 @@ from .totalpos import rational_collocation_matrix
 
 DIVERGENCE_FACTOR = 1e6
 _BLOCK = 64  # most PIA steps in a block, whose error norms are taken together
-_FIRST_BLOCK = 8  # steps in a run's first block; each next one doubles, up to B
-_STACK_BUDGET = 2**18  # most doubles in a run's stack of powers (2 MiB)
+_STACK_BUDGET = 2**18  # most doubles in a run's stack of powers of M (2 MiB)
 
 
 class DivergenceError(RuntimeError):
@@ -77,18 +74,15 @@ def fitted_curve(problem: FitProblem, state: PiaState) -> GTBezierCurve:
     return GTBezierCurve(problem.nodeset, problem.weights, state.control)
 
 
-def _stacked(n: int) -> bool:
-    """Whether runs on n nodes form M^1 .. M^(_BLOCK - 1): where it fits the budget."""
-    return (_BLOCK - 1) * n * n <= _STACK_BUDGET
+def _block_size(n: int, max_iter: int) -> int:
+    """Steps B in a full block on n nodes: B n x n matrices fit the budget."""
+    return max(1, min(_BLOCK, max_iter, _STACK_BUDGET // (n * n)))
 
 
-def _max_norms(block: np.ndarray) -> list:
-    """Per step (axis 1), the largest norm along axis 0: by hypot, which does
-    not square, once squares leave [2**-1020, max double]."""
-    squares = np.max(sum(x * x for x in block), -1)  # whole-array ops in either layout
-    if 2.0**-1020 <= squares.min() and squares.max() <= _FLOAT_MAX:
-        return np.sqrt(squares).tolist()
-    return np.max(np.hypot.reduce(block), -1).tolist()
+def _split(a: np.ndarray, bits: int) -> np.ndarray:
+    """a rounded to whole multiples of 2**(e - bits), where |a| < 2**e."""
+    e = np.frexp(np.max(np.abs(a)))[1]
+    return np.ldexp(np.round(np.ldexp(a, bits - e)), e - bits)
 
 
 def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
@@ -101,55 +95,46 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
     DIVERGENCE_FACTOR times the first: a threshold on growth, not a proof
     of divergence, as errors can first rise (17-fold on 31 uniform nodes).
 
-    Steps run in blocks that grow from _FIRST_BLOCK to B steps and end at
-    P^j + d_j + ... + d_(j+k), k the step that stops the run or the last.
-    Up to 64 nodes, where the stack M^1 .. M^(_BLOCK - 1) fits _STACK_BUDGET
-    doubles, a block takes d_j = P - C P^j afresh in np.longdouble (as in
-    iterative refinement) and d_(j+i) = M^i d_j in one product with the
-    stack; short first blocks keep the largest residuals off high powers.
-    Above 64 nodes, where a power's product costs what a step does, the
-    steps run one float update at a time.
+    Blocks of 1, 1, 2, 4, ... _block_size steps take d_j = P - C P^j afresh,
+    d_(j+i) = M^i d_j in one product. Past one step d_j, whose rounding meets
+    the powers, is taken to about twice the working precision from C and P^j
+    split into parts of `bits` bits on one scale (exact products) and rest.
     """
     max_iter, tol = _index(max_iter, "max_iter"), _tolerance(tol, "tol")
     data, c = problem.data, problem.collocation
     n, dim = data.shape
-    b, stacked = max(1, min(_BLOCK, max_iter)), _stacked(n)
-    c_wide = c.astype(np.longdouble if stacked else float, copy=False)
-    control, history = data.copy(), []  # residuals hold points as columns
-    powers = np.empty((n, b - 1 if stacked else 0, n))
-    stack, formed = powers.reshape(n, -1), 0  # (M^T)^i = (M^i)^T side by side
+    b, bits = _block_size(n, max_iter), (53 - (n - 1).bit_length()) // 2
+    stack = np.empty((n, 0))  # P^1 .. P^(b - 1) side by side, P = M^T
+    if b > 1:  # else every block is one float step
+        c_hi = _split(c, bits)
+        c_lo, stack = c - c_hi, np.tile(np.eye(n) - c.T, b - 1)
+    control, history, residuals = data.copy(), [], np.empty((dim, b, n))  # (coord, step, point)
     with np.errstate(over="ignore", invalid="ignore"):
-        # (coordinate, step, point), points contiguous where steps run one at a time
-        residuals = np.empty((dim, b, n)) if stacked else np.empty((b, n, dim)).transpose(2, 0, 1)
-        while len(history) < max_iter:
-            steps = min(b, max_iter - len(history), len(history) + _FIRST_BLOCK)
+        k, power = 1, stack.reshape(n, b - 1, n).transpose(1, 0, 2)  # power[i] = P^(i + 1)
+        while k < b - 1:  # P^(k+j) = P^j P^k for j <= k: M^(k+j) = M^k M^j
+            np.matmul(power[:min(k, b - 1 - k)], power[k - 1], power[k:2 * k])
+            k *= 2
+        while len(history) < max_iter and not (history and history[-1] <= tol):
+            steps = min(b, max_iter - len(history), max(1, len(history)))
             block = residuals[:, :steps]
-            product = np.dot(c_wide, control.astype(c_wide.dtype, copy=False))
-            np.subtract(data, product, block[:, 0].T, casting="same_kind")
-            if stacked:
-                for i in range(formed, steps - 1):  # (M^T)^(i + 1) = (M^i M)^T, as first needed
-                    powers[:, i] = powers[:, 0] @ powers[:, i - 1] if i else np.eye(n) - c.T
-                formed = max(formed, steps - 1)
-                np.matmul(block[:, 0], stack[:, :(steps - 1) * n],
-                          block[:, 1:].reshape(dim, (steps - 1) * n))
-            else:
-                running = control.copy()
-                for i in range(1, steps):
-                    running += block[:, i - 1].T
-                    np.subtract(data, c @ running, block[:, i].T)
-            errs = _max_norms(block)
-            if not history:  # a first error of 0 stops the run, and NaN trips the guard
-                first = errs[0]
-                limit = min(DIVERGENCE_FACTOR * first, _FLOAT_MAX)
-            for k, err in enumerate(errs):
-                if not err <= limit:  # NaN and inf trip it too
-                    raise DivergenceError(f"fit error {err:.3e} exceeds "
-                                          f"{DIVERGENCE_FACTOR:.0e} x initial {first:.3e}")
-                if err <= tol:
-                    return PiaState(control + np.add.reduce(block[:, :k + 1], 1).T,
-                                    tuple(history + errs[:k + 1]))
-            history += errs
-            control += np.add.reduce(block, 1).T
+            first = block[:, 0].T
+            if steps == 1:  # the float step, as the curve evaluates it
+                np.subtract(data, c @ control, first)
+            else:  # c_hi @ hi is exact
+                hi = _split(control, bits)
+                np.subtract(data - c_hi @ hi, c_hi @ (control - hi) + c_lo @ control, first)
+                np.matmul(first.T, stack[:, :(steps - 1) * n], block[:, 1:].reshape(dim, -1))
+            squares = np.max(np.square(block).sum(0), -1)  # out of range: by hypot
+            errs = (np.sqrt(squares) if 2.0**-1020 <= squares.min() <= squares.max() <= _FLOAT_MAX
+                    else np.max(np.hypot.reduce(block), -1)).tolist()
+            initial = (history or errs)[0]  # 0 stops the run at once, and NaN trips the guard
+            limit = min(DIVERGENCE_FACTOR * initial, _FLOAT_MAX)
+            k = next((k for k, err in enumerate(errs) if err <= tol or not err <= limit), steps - 1)
+            if not errs[k] <= limit:  # NaN and inf trip it too
+                raise DivergenceError(f"fit error {errs[k]:.3e} exceeds "
+                                      f"{DIVERGENCE_FACTOR:.0e} x initial {initial:.3e}")
+            history += errs[:k + 1]
+            control += np.add.reduce(block[:, :k + 1], 1).T
     return PiaState(control, tuple(history))
 
 
