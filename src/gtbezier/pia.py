@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import _FLOAT_MAX, NodeSet, _index, _tolerance, validate_params, validate_weights
+from .basis import (_FLOAT_MAX, NodeSet, _index, _tolerance, rational_basis_matrix,
+                    validate_params, validate_weights)
 from .curve import GTBezierCurve, as_control_polygon
-from .totalpos import rational_collocation_matrix
 
 DIVERGENCE_FACTOR = 1e6
 _BLOCK = 64  # most PIA steps in a block, whose error norms are taken together
@@ -51,7 +51,7 @@ class FitProblem:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", w)
-        c = rational_collocation_matrix(self.nodeset, w, params)
+        c = rational_basis_matrix(self.nodeset, w, params)
         c.setflags(write=False)
         object.__setattr__(self, "collocation", c)
 

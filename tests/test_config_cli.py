@@ -1,11 +1,14 @@
 """Tests for config loading, CSV/SVG export, and the command-line interface."""
 
+import hashlib
 import json
 import os
 import re
 import subprocess
 import sys
 import tempfile
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,11 @@ from gtbezier import datasets
 from gtbezier.config import ConfigError, load_config
 from gtbezier.export import (
     _BLOCK_CELLS,
+    _CROSSOVER,
+    _K_LOW,
+    _KERNEL_CELLS,
+    _format_cells,
+    _tables,
     format_float,
     write_csv,
     write_history_csv,
@@ -290,7 +298,57 @@ def test_format_float_round_trips():
 
 
 # Writer byte identity: every writer's file equals a per-cell reference that
-# formats one cell at a time, as the writers did before they formatted blocks.
+# formats one cell at a time, as the writers did before they formatted blocks;
+# the numeric kernel's text equals format(x, ".17g") cell for cell.
+
+_NEWLINE = np.array([ord("\n") << 24], "<u4")  # the kernel's separator word
+
+
+def _kernel_matches_format(values):
+    x = np.asarray(values, dtype=float)
+    assert _format_cells(x, _NEWLINE).decode() == "".join(format(v, ".17g") + "\n" for v in x.tolist())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(), min_size=1, max_size=40))
+def test_kernel_matches_format_on_any_floats(values):
+    # st.floats draws subnormals, both zeros, both infinities and NaNs
+    _kernel_matches_format(values)
+
+
+def _ties(rng):
+    """Doubles m 2**-j (m odd) whose exact decimal expansion has 18
+    significant digits ending in 5: ties at 17 digits, in fixed and in
+    exponent notation."""
+    ties = []
+    for j in range(2, 26):
+        low, high = -(-10**17 // 5**j), min(10**18 // 5**j, 2**53)
+        ties += [(2 * m + 1) / 2**j for m in rng.integers(low // 2, (high - 1) // 2, size=20).tolist()]
+    for x in ties:
+        digits = Decimal(x).as_tuple().digits
+        assert len(digits) == 18 and digits[-1] == 5
+    return ties
+
+
+def test_kernel_matches_format_on_sweeps():
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    neighbours = np.concatenate([powers, np.nextafter(powers, 0), np.nextafter(powers, np.inf)])
+    ties = _ties(np.random.default_rng(5))
+    finfo = np.finfo(float)
+    extremes = [finfo.max, finfo.tiny, finfo.smallest_subnormal, np.nextafter(finfo.tiny, 0)]
+    for values in (neighbours, ties, extremes):
+        _kernel_matches_format(values)
+        _kernel_matches_format(np.negative(values))
+
+
+def test_kernel_power_table_within_its_bound():
+    powers = _tables()[0]
+    for j, k in enumerate(range(_K_LOW, _K_LOW + powers.shape[1])):
+        hi, head, tail, lo = powers[:, j].tolist()
+        assert head + tail == hi
+        exact = Fraction(10) ** k
+        assert abs(exact - Fraction(hi) - Fraction(lo)) <= exact / 2**104
+
 
 SPECIAL_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 1e-300, np.finfo(float).max,
                   -np.finfo(float).max, 1e16, 1e17, 0.1, 1 / 3, -2.5, 123456789.0)
@@ -342,21 +400,38 @@ def _table(rows, width, seed):
     return cells.reshape(rows, width)
 
 
-@pytest.mark.parametrize("width", [2, 32])
-@pytest.mark.parametrize("rows", ["zero", "one", "block", "block+1"])
+@pytest.mark.parametrize("width", [1, 2, 32])
+@pytest.mark.parametrize("rows", ["zero", "one", "below", "at", "block", "block+1", "blocks"])
 def test_write_csv_matches_per_cell_reference(tmp_path, width, rows):
+    # below and at the crossover (1 cell below it, and at it, for width 1) the
+    # table goes per cell and through the kernel; "blocks" spans three full
+    # kernel blocks and part of a fourth
     block = _BLOCK_CELLS // width
-    count = {"zero": 0, "one": 1, "block": block, "block+1": block + 1}[rows]
+    count = {"zero": 0, "one": 1, "below": (_CROSSOVER - 1) // width, "at": -(-_CROSSOVER // width),
+             "block": block, "block+1": block + 1, "blocks": 3 * (_KERNEL_CELLS // width) + 1}[rows]
     table = _table(count, width, seed=width * 7 + count)
     header = tuple(f"c{j}" for j in range(width))
     expected = _reference_csv(header, table)
     write_csv(tmp_path / "a.csv", header, table)
-    write_csv(tmp_path / "l.csv", header, table.tolist())  # rows as lists take the same path
+    write_csv(tmp_path / "l.csv", header, table.tolist())  # rows as lists go per cell
     assert (tmp_path / "a.csv").read_text() == expected
     assert (tmp_path / "l.csv").read_text() == expected
     if width == 2:
         write_points_csv(tmp_path / "p.csv", table)
         assert (tmp_path / "p.csv").read_text() == _reference_csv(("x", "y"), table)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.bool_, np.float32])
+def test_write_csv_of_int_bool_and_float32_arrays(tmp_path, dtype):
+    small = {np.int64: ([[0]], "0"), np.bool_: ([[True, False]], "1,0"),
+             np.float32: ([[1, 2]], "1,2")}[dtype]
+    write_csv(tmp_path / "s.csv", ("a", "b")[:len(small[0][0])], np.array(small[0], dtype=dtype))
+    assert (tmp_path / "s.csv").read_text().splitlines()[1] == small[1]
+    # a table past the crossover: each cell as its float prints
+    rng = np.random.default_rng(9)
+    table = (rng.normal(size=(_CROSSOVER, 3)) * 1e6).astype(dtype)
+    write_csv(tmp_path / "t.csv", ("a", "b", "c"), table)
+    assert (tmp_path / "t.csv").read_text() == _reference_csv(("a", "b", "c"), table.tolist())
 
 
 @pytest.mark.parametrize("length", [0, 1, _BLOCK_CELLS // 2 + 1])
@@ -464,18 +539,48 @@ def test_pia_fit_outputs_and_determinism(tmp_path):
     assert final == pytest.approx(1.8e-3, rel=10.0)
 
 
+# sha256 of files the commands wrote before CSV tables went through the
+# numeric kernel: its output is byte for byte the per-cell writer's. The fit's
+# digests pin the run's floats too; a change to PIA's arithmetic re-records them
+BASIS_TABLE_SHA256 = {
+    "circle": "e7c019b7083f7929bab8c5e4f702771e697bee352a9aca914bddccec2794001a",
+    "helix": "dd58136a02682370d98d0ef046c9b7e2c316b75459578ef705d5a76de5567525",
+}
+HELIX_FIT_SHA256 = {
+    "history.csv": "225bbbbf548e065eb1727e7a119aa94ed509fbb22b544d03ac0bd39360237d33",
+    "control.csv": "8d9c4b376bf5fc8844e0601863593e9c39eff6861e08f1ca4b92c694b7847a65",
+}
+
+
+def _problem_config(path, prob, mode, **extra):
+    cfg = {"mode": mode, "nodes": prob.nodeset.nodes.tolist(),
+           "coefficients": prob.nodeset.coefficients.tolist(), "scale": prob.nodeset.scale,
+           "weights": prob.weights.tolist(), "points": prob.data.tolist(),
+           "params": prob.params.tolist(), **extra}
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("which", ["circle", "helix"])
+def test_basis_eval_tables_pinned(tmp_path, which):
+    prob = {"circle": datasets.circle_problem, "helix": datasets.helix_problem}[which]()
+    path = _problem_config(tmp_path / "eval.json", prob, "eval")
+    out = tmp_path / "table"
+    assert cli.main(["basis-eval", "--config", str(path), "--grid", "10001", "--out", str(out)]) == 0
+    assert _sha256(out / "basis.csv") == BASIS_TABLE_SHA256[which]
+
+
 def test_pia_fit_helix_outputs_pinned(tmp_path):
     # the helix fit to 1e-4: the command writes the library's run exactly
     # (17 significant digits round-trip a double), in 7938 steps, with the
     # history and controls bounded against the long-double oracle by the float
-    # step loop's own errors there
+    # step loop's own errors there; the files are pinned by their digests
     prob = datasets.helix_problem()
-    cfg = {"mode": "fit", "nodes": prob.nodeset.nodes.tolist(),
-           "coefficients": prob.nodeset.coefficients.tolist(), "scale": prob.nodeset.scale,
-           "weights": prob.weights.tolist(), "points": prob.data.tolist(),
-           "params": prob.params.tolist(), "max_iter": 100000, "tol": 1e-4}
-    path = tmp_path / "helix.json"
-    path.write_text(json.dumps(cfg))
+    path = _problem_config(tmp_path / "helix.json", prob, "fit", max_iter=100000, tol=1e-4)
     out = tmp_path / "fit"
     assert cli.main(["pia-fit", "--config", str(path), "--out", str(out)]) == 0
     control = np.loadtxt(out / "control.csv", delimiter=",", skiprows=1)
@@ -489,6 +594,8 @@ def test_pia_fit_helix_outputs_pinned(tmp_path):
     history_error, control_error = pia_errors(prob, control, history[:, 1])
     assert history_error <= HELIX_FIT_STEP_LOOP_ERRORS[0]
     assert control_error <= 2 * HELIX_FIT_STEP_LOOP_ERRORS[1]
+    for name, digest in HELIX_FIT_SHA256.items():
+        assert _sha256(out / name) == digest, name
 
 
 def test_pia_fit_divergence_exit_code(tmp_path, monkeypatch):

@@ -213,7 +213,7 @@ def test_trajectory_affine_equivariance():
 def test_divergence_guard(monkeypatch):
     # C = 3I makes the iteration matrix I - C = -2I: every residual doubles
     # per step through the real loop until the guard trips
-    monkeypatch.setattr(gtbezier.pia, "rational_collocation_matrix",
+    monkeypatch.setattr(gtbezier.pia, "rational_basis_matrix",
                         lambda ns, w, params: 3.0 * np.eye(5))
     problem = datasets.circle_problem()
     with pytest.raises(DivergenceError, match="exceeds"):
@@ -317,7 +317,7 @@ def test_divergence_guard_trips_where_steps_do(monkeypatch, factor, scale, trip)
     # error overflows to inf while the guard's limit, 1e6 times the first,
     # is past the largest double: NaN > limit and inf > inf are both false,
     # so the guard trips on any error that is not <= its limit
-    monkeypatch.setattr(gtbezier.pia, "rational_collocation_matrix",
+    monkeypatch.setattr(gtbezier.pia, "rational_basis_matrix",
                         lambda ns, w, params: factor * np.eye(5))
     circle = datasets.circle_problem()
     problem = FitProblem(scale * circle.data, circle.params, circle.nodeset, circle.weights)
@@ -405,13 +405,13 @@ def test_single_steps_are_the_step_loop():
 def test_collocation_built_once_and_read_only(monkeypatch):
     reference = datasets.circle_problem()
     calls = []
-    build = gtbezier.pia.rational_collocation_matrix
+    build = gtbezier.pia.rational_basis_matrix
 
     def counting(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(gtbezier.pia, "rational_collocation_matrix", counting)
+    monkeypatch.setattr(gtbezier.pia, "rational_basis_matrix", counting)
     problem = FitProblem(reference.data, reference.params, reference.nodeset, reference.weights)
     data = problem.data.copy()
     pia_run(problem, max_iter=200)
@@ -423,6 +423,25 @@ def test_collocation_built_once_and_read_only(monkeypatch):
         problem.collocation,
         rational_collocation_matrix(problem.nodeset, problem.weights, problem.params),
     )
+
+
+def test_fit_problem_checks_its_inputs_once_each(monkeypatch):
+    # the collocation matrix is built from the parameters FitProblem has
+    # checked: validate_params once, the basis layer's parameter check once,
+    # and the weights once here and once in rational_basis_matrix
+    checked = []
+    reals = gtbezier.basis._reals
+
+    def counting(values, name, *args):
+        checked.append(name)
+        return reals(values, name, *args)
+
+    reference = datasets.circle_problem()
+    monkeypatch.setattr(gtbezier.basis, "_reals", counting)
+    problem = FitProblem(reference.data, reference.params, reference.nodeset, reference.weights)
+    counts = {name: checked.count(name) for name in ("params", "parameters", "weights")}
+    assert counts == {"params": 1, "parameters": 1, "weights": 2}
+    np.testing.assert_array_equal(problem.collocation, reference.collocation)
 
 
 def test_fitted_curve_wraps_state():
