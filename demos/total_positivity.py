@@ -8,25 +8,20 @@ that every collocation matrix of the rational basis is totally positive.
 
 import numpy as np
 
-from gtbezier import (
-    NodeSet,
-    is_totally_positive,
-    log_basis_matrix,
-    power_reduction,
-    rational_collocation_matrix,
-    verify_ntp_suite,
-)
+from gtbezier import NodeSet, is_totally_positive, rational_collocation_matrix, verify_ntp_suite
 from gtbezier import datasets
 
 # ------------------------------------------------------------------
-# a hand-checkable 2x2 case on nodes {0, 1}
-ns = NodeSet([0, 1])
-b = np.exp(log_basis_matrix(ns, [1 / 3, 2 / 3]))
+# a hand-checkable 2x2 case on nodes {0, 1} (a_0 = 0, a_n = 1, l = 1): the raw
+# basis beta_j(t) = c_j * t**a_j * (1 - t)**(1 - a_j) at t = 1/3, 2/3
+ns, t = NodeSet([0, 1]), np.array([[1 / 3], [2 / 3]])
+b = ns.coefficients * t ** ns.nodes * (1 - t) ** (1 - ns.nodes)
 print("collocation matrix B at t = 1/3, 2/3:\n", b)
 print("det B =", np.linalg.det(b))
 
-# the power matrix has entries x_i^(l*k_j); row/column scalings connect it to B
-a = power_reduction(ns, [1 / 3, 2 / 3])
+# the power matrix has entries x_i^(l*(a_j - a_0)), x_i = (t_i - a_0)/(a_n - t_i);
+# row/column scalings connect it to B
+a = (t / (1 - t)) ** ns.nodes
 print("\npower matrix A:\n", a, "\ndet A =", np.linalg.det(a))
 
 # ------------------------------------------------------------------

@@ -4,8 +4,6 @@ and progressive iterative approximation of the curves they blend."""
 from .basis import (
     NodeSet,
     bernstein_equivalent_nodeset,
-    log_basis_matrix,
-    power_reduction,
     rational_basis_matrix,
     validate_params,
     validate_weights,

@@ -12,8 +12,9 @@ the convention 0**0 == 1, which makes exactly the matching endpoint basis
 function survive at t = a_0 and t = a_n.
 
 The exponents of beta_i sum to l*(a_n - a_0), so up to a factor common to a row
-beta_i(t) = c_i * exp(l*(a_i - a_0)*s(t)), s(t) = log((t - a_0)/(a_n - t)). _log_powers
-forms them for the rational basis (their softmax) and the power matrix (their exp).
+beta_i(t) = c_i * exp(l*(a_i - a_0)*s(t)), s(t) = log((t - a_0)/(a_n - t)).
+rational_basis_matrix, the one evaluator, takes the row softmax of these
+exponents plus log c + log w.
 """
 
 import math
@@ -23,9 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # Largest accepted exponent span scale * (a_n - a_0). Every exponent is
-# s(t) * l*(a_j - a_0) with |s| <= about 1455, or in the raw log basis log h *
-# l*(a_j - a_0) or log h * l*(a_n - a_j) with |log h| <= 745, so below this span
-# each stays at or below about 1.5e303 and sums of them stay finite.
+# s(t) * l*(a_j - a_0) with |s| <= about 1455, so below this span each stays
+# at or below about 1.5e303 and its sum with log c + log w stays finite.
 MAX_EXPONENT_SPAN = 1e300
 _FLOAT_MAX = float(np.finfo(float).max)
 
@@ -170,54 +170,23 @@ def validate_params(ns: NodeSet, params) -> np.ndarray:
     return p
 
 
-def log_basis_matrix(ns: NodeSet, ts) -> np.ndarray:
-    """Log of every basis function at every parameter.
+def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
+    """Weight-normalized basis values at each parameter; rows sum to one.
 
-    Returns an (m, n+1) array with entry (i, j) = log beta_j(t_i), where
-    -inf marks an exactly-zero basis value. A zero exponent contributes
-    log 1 = 0 regardless of its base (the 0**0 == 1 endpoint convention),
-    so endpoint rows come out exact.
+    The weights are checked by validate_weights (None gives unit weights).
+    Stabilized softmax of s(t_i) * l*(a_j - a_0) + (log c + log w): the largest
+    term of each row is subtracted before exponentiation, so huge exponents
+    (large scale times node range) never overflow. Rows at t = a_0 and a_n take
+    exponent 0 where the node equals that endpoint and -inf elsewhere. s is a
+    difference of logs, since the ratio under- or overflows a subnormal step
+    from an endpoint at 0. Computed in place in one buffer.
     """
-    ts = _grid(ns, ts)
-    a0, an = ns.domain
-    h0 = ns.scale * (ts - a0)
-    h1 = ns.scale * (an - ts)
-    e0 = ns.scale * (ns.nodes - a0)
-    e1 = ns.scale * (an - ns.nodes)
-    # One (m, n+1) buffer; the terms are summed as (log c + h0 term) + h1 term,
-    # the order of the out-of-place formula, so the values stay bit-identical.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.multiply.outer(np.log(h0), e0)
-        out[:, e0 == 0.0] = 0.0
-        out += np.log(ns.coefficients)
-        term1 = np.multiply.outer(np.log(h1), e1)
-    term1[:, e1 == 0.0] = 0.0
-    out += term1
-    return out
-
-
-def _log_powers(ns: NodeSet, ts) -> np.ndarray:
-    """Entry (i, j) = s(t_i) * l*(a_j - a_0); rows at t = a_0 and a_n are exactly
-    0 where the node equals that endpoint and -inf elsewhere. s is a difference
-    of logs: the ratio under- or overflows a subnormal step from an endpoint at 0."""
+    w = validate_weights(ns, weights)
     ts, (a0, an) = _grid(ns, ts), ns.domain
     with np.errstate(divide="ignore", invalid="ignore"):  # endpoint rows are replaced
         out = np.multiply.outer(np.log(ts - a0) - np.log(an - ts), ns.scale * (ns.nodes - a0))
     out[ts == a0] = np.where(ns.nodes == a0, 0.0, -np.inf)
     out[ts == an] = np.where(ns.nodes == an, 0.0, -np.inf)
-    return out
-
-
-def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
-    """Weight-normalized basis values at each parameter; rows sum to one.
-
-    The weights are checked by validate_weights (None gives unit weights).
-    Stabilized softmax of _log_powers + (log c + log w): the largest term of
-    each row is subtracted before exponentiation, so huge exponents (large
-    scale times node range) never overflow. Computed in place in one buffer.
-    """
-    w = validate_weights(ns, weights)
-    out = _log_powers(ns, ts)
     out += np.log(ns.coefficients) + np.log(w)  # one vector: c*w may overflow
     out -= np.max(out, axis=1, keepdims=True)
     np.exp(out, out=out)
@@ -225,24 +194,12 @@ def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
     return out
 
 
-def power_reduction(ns: NodeSet, params) -> np.ndarray:
-    """Power matrix x_i ** (l*(a_j - a_0)), x_i = (t_i - a_0)/(a_n - t_i), with exact
-    0/1 border rows at endpoint parameters: TP exactly when the collocation
-    matrix is, which differs from it only by positive row and column scalings.
-    An entry beyond the largest double raises ValueError naming its parameter."""
-    params = validate_params(ns, params)
-    out = _log_powers(ns, params)
-    over = np.max(out, axis=1) > math.log(_FLOAT_MAX)  # exp(log(max)) is finite
-    if over.any():
-        raise ValueError(f"power matrix overflows a double at parameter {params[over][0].item()!r}")
-    return np.exp(out)
-
-
 def bernstein_equivalent_nodeset(n: int) -> NodeSet:
     """Node set on 0..n that reproduces the degree-n Bernstein basis.
 
     With nodes a_i = i, coefficients C(n, i)/n**n, and scale 1, the raw
-    basis satisfies beta_i(n*x) == B_i^n(x) for x in [0, 1].
+    basis satisfies beta_i(n*x) == B_i^n(x) for x in [0, 1]. Those rows sum
+    to one, so the normalized basis with unit weights equals it.
     """
     n = _index(n, "degree", 1)
     nodes = np.arange(n + 1, dtype=float)

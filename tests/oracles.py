@@ -1,5 +1,6 @@
 """Reference objects the tests check the library against: the paper's
-generalized Vandermonde matrices, the classical Bernstein polynomials, the
+generalized Vandermonde matrices, its raw basis and the power matrix of its
+TP reduction, the classical Bernstein polynomials, the
 rational basis rebuilt from its formula in mpmath, the NTP suite's
 parameter draws made one np.random.default_rng([seed, trial]) at a time,
 and the PIA update taken one step at a time in extended precision.
@@ -61,6 +62,35 @@ def generalized_vandermonde(spec: GenVandermondeSpec) -> np.ndarray:
     above = np.triu_indices(spec.t.size, k=1)
     mat[above] = (powers * colsign[None, :])[above]
     return mat
+
+
+def raw_log_basis(ns, ts) -> np.ndarray:
+    """Log of every raw basis function beta_j = c_j * h0**e0 * h1**e1 at every
+    parameter, one np.where per endpoint term: a zero exponent contributes
+    log 1 = 0 whatever its base (0**0 == 1), so endpoint rows come out exact
+    and -inf marks an exactly-zero value."""
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    a0, an = ns.domain
+    e0, e1 = ns.scale * (ns.nodes - a0), ns.scale * (an - ns.nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_h0 = np.log(ns.scale * (ts - a0))[:, None]
+        log_h1 = np.log(ns.scale * (an - ts))[:, None]
+        term0 = np.where(e0[None, :] == 0.0, 0.0, e0[None, :] * log_h0)
+        term1 = np.where(e1[None, :] == 0.0, 0.0, e1[None, :] * log_h1)
+    return np.log(ns.coefficients)[None, :] + term0 + term1
+
+
+def power_matrix(ns, params) -> np.ndarray:
+    """The paper's power matrix x_i**(l*(a_j - a_0)), x_i = (t_i - a_0)/(a_n - t_i),
+    with exact 0/1 rows at endpoint parameters (0**0 == 1 at a_0; at a_n the
+    limit of the row divided by its last entry). It is TP exactly when the raw collocation
+    matrix is: the two differ only by positive row and column scalings."""
+    params = np.asarray(params, dtype=float)
+    a0, an = ns.domain
+    with np.errstate(divide="ignore"):  # x = inf at a_n; that row is replaced
+        out = ((params - a0) / (an - params))[:, None] ** (ns.scale * (ns.nodes - a0))
+    out[params == an] = ns.nodes == an
+    return out
 
 
 def bernstein_reference(n: int, i: int, x: float) -> float:

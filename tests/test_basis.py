@@ -12,8 +12,6 @@ from gtbezier import (
     bernstein_equivalent_nodeset,
     curve_points,
     is_totally_positive,
-    log_basis_matrix,
-    power_reduction,
     rational_basis_matrix,
     validate_params,
     validate_weights,
@@ -22,7 +20,7 @@ from gtbezier import datasets
 from gtbezier.basis import MAX_EXPONENT_SPAN, _reals
 from gtbezier.curve import as_control_polygon
 from bad_inputs import BAD_ARRAYS, BAD_COUNTS, BAD_TOLERANCES
-from oracles import bernstein_reference, mp_rational_basis
+from oracles import bernstein_reference, mp_rational_basis, raw_log_basis
 
 
 def test_validate_minimal():
@@ -94,7 +92,7 @@ _ARRAY_ENTRY_POINTS = {
     "coefficients": ([1, 1, 1], lambda a: NodeSet([0, 1, 2], a)),
     "weights": ([1, 1, 1], lambda a: validate_weights(NodeSet([0, 1, 2]), a)),
     "params": ([0, 1, 2], lambda a: validate_params(NodeSet([0, 1, 2]), a)),
-    "parameters": ([0, 1, 2], lambda a: log_basis_matrix(NodeSet([0, 1, 2]), a)),
+    "parameters": ([0, 1, 2], lambda a: rational_basis_matrix(NodeSet([0, 1, 2]), None, a)),
     "points": ([[0, 0], [1, 1], [2, 0]], as_control_polygon),
     "matrix": ([[1, 0], [0, 1]], is_totally_positive),
 }
@@ -107,7 +105,7 @@ def test_array_rule_rejects_bad_arrays(name, row):
     make, error = BAD_ARRAYS[row]
     check(good)
     if name == "parameters" and row == "too-shallow":  # a scalar parameter is one
-        assert log_basis_matrix(NodeSet([0, 1, 2]), make(good)).shape == (1, 3)
+        assert rational_basis_matrix(NodeSet([0, 1, 2]), None, make(good)).shape == (1, 3)
         return
     with pytest.raises(error, match=f"^{name} must be "):
         check(make(good))
@@ -150,35 +148,33 @@ def test_rational_basis_checks_weights(weights, msg):
         rational_basis_matrix(NodeSet([0.0, 1.0, 2.0]), weights, [0.5, 1.0])
 
 
-def _raw(ns, t):
-    """Raw basis values at one parameter."""
-    return np.exp(log_basis_matrix(ns, t))[0]
+def _row(ns, t):
+    """Basis values at one parameter, unit weights: where the raw basis sums
+    to one, as on the node sets below, the raw values themselves."""
+    return rational_basis_matrix(ns, None, t)[0]
 
 
 def test_eval_linear_hand_values():
     # beta_0(t) = 1 - t and beta_1(t) = t on nodes {0, 1}
     ns = NodeSet([0, 1])
-    np.testing.assert_allclose(_raw(ns, 0.5), [0.5, 0.5], atol=1e-15)
-    assert _raw(ns, 0.0).tolist() == [1.0, 0.0]
+    np.testing.assert_allclose(_row(ns, 0.5), [0.5, 0.5], atol=1e-15)
+    assert _row(ns, 0.0).tolist() == [1.0, 0.0]
 
 
 def test_eval_degenerates_to_quadratic_bernstein():
     ns = NodeSet([0, 1, 2], [0.25, 0.5, 0.25])
     # t = 2x with x = 0.5: B^2_1(0.5) = 2 * 0.5 * 0.5
-    assert _raw(ns, 1.0)[1] == pytest.approx(0.5, abs=1e-15)
+    assert _row(ns, 1.0)[1] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_eval_errors():
     ns = NodeSet([0, 1])
     for ts in (1.5, -0.1, [0.2, 1.5]):
         with pytest.raises(ValueError, match="domain"):
-            log_basis_matrix(ns, ts)
-        with pytest.raises(ValueError, match="domain"):
             rational_basis_matrix(ns, validate_weights(ns), ts)
 
 
 _GRID_EVALUATORS = {
-    "log_basis_matrix": log_basis_matrix,
     "rational_basis_matrix": lambda ns, ts: rational_basis_matrix(ns, None, ts),
     "curve_points": lambda ns, ts: curve_points(GTBezierCurve(ns, None, [[0, 0], [1, 2], [2, 0]]), ts),
 }
@@ -236,7 +232,7 @@ def test_nonnegativity_random_node_sets():
             continue
         ns = NodeSet(nodes, rng.uniform(0.1, 3.0, n + 1), rng.uniform(0.1, 3.0))
         ts = rng.uniform(nodes[0], nodes[-1], 20)
-        assert np.all(np.exp(log_basis_matrix(ns, ts)) >= 0)
+        assert np.all(np.exp(raw_log_basis(ns, ts)) >= 0)
         vals = rational_basis_matrix(ns, validate_weights(ns, None), ts)
         assert np.all(vals >= 0)
 
@@ -306,7 +302,7 @@ def test_degeneration_matches_bernstein_oracle():
     xs = np.linspace(0.0, 1.0, 1000)
     for n in (1, 4, 8):
         ns = bernstein_equivalent_nodeset(n)
-        gt = np.exp(log_basis_matrix(ns, n * xs))
+        gt = rational_basis_matrix(ns, None, n * xs)
         oracle = np.array([[bernstein_reference(n, i, x) for i in range(n + 1)] for x in xs])
         assert np.max(np.abs(gt - oracle)) < 1e-12
 
@@ -363,12 +359,6 @@ def test_kernel_edge_cases():
     left = NodeSet([-10.0, -5.0, 0.0])
     assert rational_basis_matrix(right, None, [tiny]).tolist() == [[1.0, 0.0, 0.0]]
     assert rational_basis_matrix(left, None, [-tiny]).tolist() == [[0.0, 0.0, 1.0]]
-    assert power_reduction(right, [tiny, 1.0])[0].tolist() == [1.0, 0.0, 0.0]
-    # x = (t - a0)/(an - t) is about 2e324 a subnormal step before an = 0, so
-    # x**5 and x**10 are not doubles: the power matrix names the parameter
-    with pytest.raises(ValueError, match="overflows a double at parameter -5e-324$"):
-        power_reduction(left, [-10.0, -tiny])
-    assert np.isfinite(power_reduction(left, [-10.0, -1e-29])).all()  # x**10 about 1e300
     # c * w reaches 1e400, beyond a double; log c + log w does not overflow
     big = NodeSet([0.0, 1.0, 2.0, 3.0], [1e200, 1e200, 1.0, 1.0])
     vals = rational_basis_matrix(big, [1e200, 1.0, 1e200, 1.0], [0.0, 1e-300, 0.5, 1.5, 2.9, 3.0])
@@ -397,20 +387,6 @@ def test_rational_basis_matches_mpmath(case):
     max_err, mean_err = list(_LOG_SUM_ERRORS.values())[case]
     assert rel.max() <= 1.25 * max_err
     assert rel.mean() <= mean_err
-
-
-def _where_log_basis(ns, ts):
-    """log_basis_matrix as one np.where per endpoint term: the bit-exact
-    reference for the in-place kernel."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))
-    a0, an = ns.domain
-    e0, e1 = ns.scale * (ns.nodes - a0), ns.scale * (an - ns.nodes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_h0 = np.log(ns.scale * (ts - a0))[:, None]
-        log_h1 = np.log(ns.scale * (an - ts))[:, None]
-        term0 = np.where(e0[None, :] == 0.0, 0.0, e0[None, :] * log_h0)
-        term1 = np.where(e1[None, :] == 0.0, 0.0, e1[None, :] * log_h1)
-    return np.log(ns.coefficients)[None, :] + term0 + term1
 
 
 def _where_rational_basis(ns, w, ts):
@@ -444,11 +420,10 @@ def test_basis_kernel_equals_where_formula(case):
     a0, an = ns.domain
     rng = np.random.default_rng(case)
     ts = np.concatenate([[a0, an], np.linspace(a0, an, 1001), np.sort(rng.uniform(a0, an, 999))])
-    for got, want in ((log_basis_matrix(ns, ts), _where_log_basis(ns, ts)),
-                      (rational_basis_matrix(ns, w, ts), _where_rational_basis(ns, w, ts))):
-        assert got.shape == want.shape == (ts.size, ns.size)
-        assert np.array_equal(got, want)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    got, want = rational_basis_matrix(ns, w, ts), _where_rational_basis(ns, w, ts)
+    assert got.shape == want.shape == (ts.size, ns.size)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
     first, second = rational_basis_matrix(ns, w, ts), rational_basis_matrix(ns, w, ts)
     assert first is not second and not np.shares_memory(first, second)
-    assert first.flags.writeable and log_basis_matrix(ns, ts).flags.writeable
+    assert first.flags.writeable

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -572,6 +573,23 @@ def test_basis_eval_tables_pinned(tmp_path, which):
     out = tmp_path / "table"
     assert cli.main(["basis-eval", "--config", str(path), "--grid", "10001", "--out", str(out)]) == 0
     assert _sha256(out / "basis.csv") == BASIS_TABLE_SHA256[which]
+
+
+def test_basis_eval_holds_one_table(tmp_path):
+    # the command once built the basis values and then copied them beside the
+    # t column, a traced peak of 2.04 tables at this grid; it fills one table
+    prob = datasets.helix_problem()
+    path = _problem_config(tmp_path / "eval.json", prob, "eval")
+    grid, out = 100001, tmp_path / "table"
+    tracemalloc.start()
+    try:
+        assert cli.main(["basis-eval", "--config", str(path), "--grid", str(grid),
+                         "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    (out / "basis.csv").unlink()  # about 75 MB
+    assert peak <= 1.25 * grid * (prob.nodeset.size + 1) * 8
 
 
 def test_pia_fit_helix_outputs_pinned(tmp_path):

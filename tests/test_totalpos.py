@@ -1,5 +1,6 @@
-"""Tests for collocation matrices, power reduction, generalized Vandermonde
-matrices, and the total-positivity checks."""
+"""Tests for collocation matrices, the power reduction (against the oracles'
+power matrix), generalized Vandermonde matrices, and the total-positivity
+checks."""
 
 import warnings
 from itertools import combinations
@@ -13,8 +14,6 @@ from gtbezier import (
     NodeSet,
     NtpSuiteReport,
     is_totally_positive,
-    log_basis_matrix,
-    power_reduction,
     rational_collocation_matrix,
     validate_params,
     verify_ntp_suite,
@@ -23,7 +22,8 @@ from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import BOUNDARY_CASES, DEFAULT_REL_TOL, TpReport, _det_stack, _tp_reports
 from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
-from oracles import GenVandermondeSpec, draw_params, generalized_vandermonde, reference_draws
+from oracles import (GenVandermondeSpec, draw_params, generalized_vandermonde, power_matrix,
+                     raw_log_basis, reference_draws)
 
 
 def _random_node_set(rng, max_n=5):
@@ -47,7 +47,7 @@ def _interior_params(rng, ns, count=None):
 
 def _raw_collocation_matrix(ns, params):
     """Collocation matrix of the raw basis, entry (i, j) = beta_j(t_i)."""
-    return np.exp(log_basis_matrix(ns, validate_params(ns, params)))
+    return np.exp(raw_log_basis(ns, validate_params(ns, params)))
 
 
 def _all_minors(m):
@@ -78,8 +78,7 @@ def test_collocation_endpoint_rows():
 
 def test_collocation_rejects_bad_params():
     ns = NodeSet([0, 1])
-    for build in (validate_params, power_reduction,
-                  lambda ns, p: rational_collocation_matrix(ns, None, p)):
+    for build in (validate_params, lambda ns, p: rational_collocation_matrix(ns, None, p)):
         with pytest.raises(ValueError, match="increasing"):
             build(ns, [0.5, 0.2])
         with pytest.raises(ValueError, match="domain"):
@@ -131,19 +130,6 @@ def test_rational_collocation_row_sums():
         assert np.max(np.abs(mat.sum(axis=1) - 1.0)) < 1e-12
 
 
-def test_power_reduction_hand_values():
-    ns = NodeSet([0, 1])
-    a = power_reduction(ns, [1 / 3, 2 / 3])
-    np.testing.assert_allclose(a, [[1.0, 0.5], [1.0, 2.0]], atol=1e-15)
-    assert np.linalg.det(a) == pytest.approx(1.5)
-
-
-def test_power_reduction_border_rows():
-    ns = NodeSet([0, 1])
-    np.testing.assert_array_equal(power_reduction(ns, [0.0, 0.5]), [[1.0, 0.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(power_reduction(ns, [0.5, 1.0]), [[1.0, 1.0], [0.0, 1.0]])
-
-
 def test_power_reduction_tp_equivalent_to_collocation():
     # row/column scalings connect the two matrices, so exhaustive verdicts
     # must agree on random instances
@@ -152,7 +138,7 @@ def test_power_reduction_tp_equivalent_to_collocation():
         ns = _random_node_set(rng)
         params = _interior_params(rng, ns)
         b = _raw_collocation_matrix(ns, params)
-        a = power_reduction(ns, params)
+        a = power_matrix(ns, params)
         assert is_totally_positive(b).is_tp == is_totally_positive(a).is_tp
 
 
@@ -164,7 +150,7 @@ def test_rational_basis_is_scaled_power_matrix():
         ns = _random_node_set(rng)
         w = rng.uniform(0.2, 3.0, ns.size)
         params = _interior_params(rng, ns)
-        scaled = power_reduction(ns, params) * (ns.coefficients * w)
+        scaled = power_matrix(ns, params) * (ns.coefficients * w)
         np.testing.assert_allclose(rational_collocation_matrix(ns, w, params),
                                    scaled / scaled.sum(axis=1, keepdims=True), rtol=1e-13, atol=0)
 
@@ -277,7 +263,7 @@ def test_is_tp_large_entries_do_not_overflow():
     # match that of the row-normalized matrix
     mpmath = pytest.importorskip("mpmath")
     ns = NodeSet(np.arange(9.0), np.ones(9), 8.0)
-    m = np.exp(log_basis_matrix(ns, np.linspace(0.3, 7.7, 9)))
+    m = np.exp(raw_log_basis(ns, np.linspace(0.3, 7.7, 9)))
     assert m.max() > 1e114
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
