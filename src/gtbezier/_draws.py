@@ -1,18 +1,13 @@
 """Parameter draws of the randomized NTP suite, a chunk of trials at a time.
 
-Trial t of a suite with seed s draws its parameters from the stream of
-np.random.default_rng([s, t]), PCG64 seeded by SeedSequence([s, t]). The
-draws here are that stream's bit for bit, without a generator per trial:
-
-- SeedSequence hashes the entropy words (s's little-endian 32-bit words,
-  then t, below MAX_TRIALS = 2**32 and so one word) into a pool of
-  four words with constants that depend only on a word's position, so the
-  hashing runs once per chunk of trials, as uint32 array operations;
-- PCG64 is seeded from the pool and stepped in Python integers, which
-  hold its 128-bit state exactly; its XSL-RR output runs on arrays of the
-  states' 64-bit words;
-- Generator.uniform(low, high) is low + (high - low) * ((raw >> 11) * 2**-53).
-
+Trial t of a suite with seed s draws from np.random.default_rng([s, t]).
+The draws here are those streams bit for bit, without a numpy object per
+trial, by numpy's own routines run over an axis of trials:
+- SeedSequence.mix_entropy and SeedSequence.generate_state(4, np.uint64),
+  in their call order, as uint32 operations with one column per trial, on
+  s's little-endian 32-bit words and t (below MAX_TRIALS = 2**32, one word);
+- PCG64's seeding step and output function, the state in Python integers;
+- Generator.uniform(low, high): low + (high - low) * ((raw >> 11) * 2**-53).
 NumPy keeps the SeedSequence and PCG64 streams stable across releases.
 """
 
@@ -29,102 +24,58 @@ MAX_TRIALS = 2**32  # most trials in a suite: each trial index is one 32-bit wor
 # on a span of a few doubles, so no other span ever redraws.
 _MAX_DRAWS = 100
 
-_MASK32, _MASK64, _MASK128 = 2**32 - 1, 2**64 - 1, 2**128 - 1
-
-# SeedSequence's pool size and hash constants
+# SeedSequence's pool size and hash constants, PCG64's multiplier, word masks
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _words(n: int) -> list:
-    """n's little-endian 32-bit words, [0] for 0, as SeedSequence splits it."""
-    words = [n & _MASK32]
-    while n := n >> 32:
-        words.append(n & _MASK32)
-    return words
+_MASK32, _MASK128 = 2**32 - 1, 2**128 - 1
 
 
 @lru_cache(maxsize=None)
-def _hash_constants(words: int) -> tuple:
-    """SeedSequence's hash constants for an entropy of words >= _POOL_SIZE
-    words, as (xor, multiply) pairs of uint32 columns, one row per call of
-    hashmix: what the call XORs in and what it multiplies by.
-
-    The pairs are, in order: one for hashing the first words into the pool;
-    one per pool word, for mixing it into the others (row i for pool word
-    i, the word's own row 0 and unused); one per further word, for mixing
-    it into every pool word; and one, of 2 * _POOL_SIZE rows, for
-    generate_state. Each call's constants follow from the last call's.
-    """
-    def chain(const: int, mult: int, calls: int) -> list:
-        consts = [const]
-        for _ in range(calls):
-            consts.append(consts[-1] * mult & _MASK32)
-        return consts
-
-    def columns(consts: list, calls) -> tuple:
-        pair = tuple(np.array([0 if k is None else consts[k + i] for k in calls],
-                              dtype=np.uint32)[:, None] for i in (0, 1))
-        for col in pair:
-            col.setflags(write=False)  # cached and shared by every caller
-        return pair
-
-    a = chain(_INIT_A, _MULT_A, _POOL_SIZE * words)
-    pairs = [columns(a, range(_POOL_SIZE))]
-    call = _POOL_SIZE
-    for src in range(_POOL_SIZE):
-        calls = [None] * _POOL_SIZE
-        for dst in range(_POOL_SIZE):
-            if dst != src:
-                calls[dst], call = call, call + 1
-        pairs.append(columns(a, calls))
-    for first in range(call, len(a) - 1, _POOL_SIZE):
-        pairs.append(columns(a, range(first, first + _POOL_SIZE)))
-    pairs.append(columns(chain(_INIT_B, _MULT_B, 2 * _POOL_SIZE), range(2 * _POOL_SIZE)))
-    return tuple(pairs)
+def _hash_calls(const: int, mult: int, calls: int, skip: int | None = None) -> tuple:
+    """xor and multiplier uint32 columns, a row per call, of calls hashmix calls from
+    hash constant const, and the constant after them; a zero row goes in at skip."""
+    consts = [const * pow(mult, k, 2**32) & _MASK32 for k in range(calls + 1)]
+    cols = np.array([consts[:-1], consts[1:]], dtype=np.uint32)
+    if skip is not None:
+        cols = np.insert(cols, skip, 0, axis=1)
+    cols.setflags(write=False)  # cached and shared by every caller
+    return cols[0, :, None], cols[1, :, None], consts[-1]
 
 
 def _hashmix(value: np.ndarray, xor: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    value = value ^ xor
-    value *= mult
-    value ^= value >> 16
-    return value
+    value = (value ^ xor) * mult
+    return value ^ value >> 16
 
 
 def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x = x * _MIX_MULT_L
-    x -= y * _MIX_MULT_R
-    x ^= x >> 16
-    return x
+    x = x * _MIX_MULT_L - y * _MIX_MULT_R
+    return x ^ x >> 16
 
 
-def _streams(seed_words: list, trials: range) -> list:
+def _streams(seed: int, trials: range) -> list:
     """[state, increment] of PCG64 as default_rng([seed, t]) seeds it, for
-    each t of trials, every index below 2**32 and so one entropy word.
-
-    SeedSequence's calls of hashmix that do not depend on one another run
-    as one array operation, one row per call and one column per trial.
-    """
-    words = len(seed_words)
-    entropy = np.zeros((max(words + 1, _POOL_SIZE), len(trials)), dtype=np.uint32)
-    entropy[:words] = np.array(seed_words, dtype=np.uint32)[:, None]
-    entropy[words] = np.arange(trials.start, trials.stop, dtype=np.uint32)
-    passes = _hash_constants(len(entropy))
-    pool = _hashmix(entropy[:_POOL_SIZE], *passes[0])
-    # each pool word is mixed into the others, then each further word into all
-    for src in range(_POOL_SIZE):
-        mixed = _mix(pool, _hashmix(pool[src], *passes[1 + src]))
+    each t of trials; hashmix calls that share a source run as rows."""
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = np.zeros((max(len(words) + 1, _POOL_SIZE), len(trials)), dtype=np.uint32)
+    entropy[:len(words)] = np.array(words, dtype=np.uint32)[:, None]
+    entropy[len(words)] = np.arange(trials.start, trials.stop, dtype=np.uint32)
+    # mix_entropy: hash the first words, zeros past the entropy, into the pool
+    xor, mult, const = _hash_calls(_INIT_A, _MULT_A, _POOL_SIZE)
+    pool = _hashmix(entropy[:_POOL_SIZE], xor, mult)
+    for src in range(_POOL_SIZE):  # mix each pool word into the others
+        xor, mult, const = _hash_calls(const, _MULT_A, _POOL_SIZE - 1, src)
+        mixed = _mix(pool, _hashmix(pool[src], xor, mult))
         mixed[src] = pool[src]
         pool = mixed
-    for word, consts in zip(entropy[_POOL_SIZE:], passes[1 + _POOL_SIZE:-1]):
-        pool = _mix(pool, _hashmix(word, *consts))
-    # generate_state(4, np.uint64): eight words from the cycled pool, each
-    # pair read as one little-endian uint64
-    state = _hashmix(np.tile(pool, (2, 1)), *passes[-1]).astype(np.uint64)
+    for word in entropy[_POOL_SIZE:]:  # then each further word into all
+        xor, mult, const = _hash_calls(const, _MULT_A, _POOL_SIZE)
+        pool = _mix(pool, _hashmix(word, xor, mult))
+    # generate_state: eight words from the cycled pool, each pair one uint64
+    xor, mult, _ = _hash_calls(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+    state = _hashmix(np.tile(pool, (2, 1)), xor, mult).astype(np.uint64)
     streams = []
     for s0, s1, q0, q1 in (state[0::2] | state[1::2] << 32).T.tolist():
         inc = ((q0 << 64 | q1) << 1 | 1) & _MASK128
@@ -181,7 +132,7 @@ def suite_params(seed: int, trials: range, cases: list, a0: float, an: float,
     free = count - fixed_low - fixed_high
     todo = np.arange(len(trials))
     if low <= high:  # else no double lies strictly inside
-        streams = _streams(_words(seed), trials)
+        streams = _streams(seed, trials)
         cols = np.arange(count)
         drawn = (cols >= fixed_low[:, None]) & (cols < (count - fixed_high)[:, None])
         # a0 < low and high < an: sorting a row keeps the endpoints first and last

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from gtbezier import NodeSet, datasets, totalpos, verify_ntp_suite
-from gtbezier._draws import suite_params
+from gtbezier._draws import _streams, suite_params
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import BOUNDARY_CASES
 from oracles import reference_draws
 
-SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 11]  # 1 to 5 entropy words
+# 1 to 7 seed words: entropies of 2 to 8 words around SeedSequence's pool of 4
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 2**96 + 5, 2**130 + 11, 2**200 + 7]
 
 DOMAINS = {  # (a0, an, node count)
     "two-nodes": (0.0, 1.0, 2),  # the "both" case draws nothing
@@ -41,6 +42,16 @@ def test_draws_equal_default_rng_streams(seed, domain):
     assert (batch == ref).all()
     # rows strictly increasing within [a0, an]: verify_ntp_suite judges them unchecked
     assert (np.diff(batch) > 0).all() and a0 <= batch.min() and batch.max() <= an
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_seeded_pcg64_states_equal_numpy(seed):
+    # all 256 bits of (state, increment) after seeding: the draws show 53 of them
+    streams = dict(zip(range(6), _streams(seed, range(6))))
+    streams[2**32 - 1], = _streams(seed, range(2**32 - 1, 2**32))
+    for t in (0, 1, 5, 2**32 - 1):
+        state = np.random.PCG64([seed, t]).state["state"]
+        assert streams[t] == [state["state"], state["inc"]]
 
 
 @pytest.mark.parametrize("start", [2**32 - 2, 2**64 - 2])
