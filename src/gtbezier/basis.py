@@ -28,6 +28,7 @@ import numpy as np
 # at or below about 1.5e303 and its sum with log c + log w stays finite.
 MAX_EXPONENT_SPAN = 1e300
 _FLOAT_MAX = float(np.finfo(float).max)
+_BLOCK_VALUES = 2**17  # most values rational_basis_matrix holds node-major: 1 MiB, cache-sized
 
 
 def _index(value, name: str, low: int = 0, high: int | None = None) -> int:
@@ -170,6 +171,35 @@ def validate_params(ns: NodeSet, params) -> np.ndarray:
     return p
 
 
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """Sums down the columns of a non-negative (n, N) array, each equal bit for
+    bit to numpy's sum of that column laid out as a contiguous row. That sum is
+    pairwise (numpy/_core/src/umath/loops_utils.h.src): below 8 terms in turn;
+    up to 128, in 8 accumulators (accumulator k takes terms k, k + 8, ...)
+    folded as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
+    terms past the last multiple of 8 in turn; above 128, the sums of the
+    terms before and after half the count, rounded down to a multiple of 8."""
+    n, cols = a.shape
+    if n < 8:
+        return np.add.reduce(a, axis=0)  # row after row
+    if cols < 128:  # few columns: numpy's own sums of a row-major copy cost less
+        return np.add.reduce(np.ascontiguousarray(a.T), axis=1)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _row_sums(a[:half]) + _row_sums(a[half:])
+    m = n - n % 8
+    # the accumulators in bit-reversed order r0 r4 r2 r6 r1 r5 r3 r7, so that
+    # each fold adds one contiguous half of the rows to the other
+    acc = np.empty((8, cols))
+    np.add.reduce(a[:m].reshape(-1, 2, 2, 2, cols).transpose(0, 3, 2, 1, 4), axis=0,
+                  out=acc.reshape(2, 2, 2, cols))
+    acc[:4] += acc[4:]
+    acc[:2] += acc[2:4]
+    acc[0] += acc[1]
+    acc[1:1 + n - m] = a[m:]
+    return np.add.reduce(acc[:1 + n - m], axis=0)
+
+
 def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
     """Weight-normalized basis values at each parameter; rows sum to one.
 
@@ -179,19 +209,37 @@ def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
     (large scale times node range) never overflow. Rows at t = a_0 and a_n take
     exponent 0 where the node equals that endpoint and -inf elsewhere. s is a
     difference of logs, since the ratio under- or overflows a subnormal step
-    from an endpoint at 0. Computed in place in one buffer.
+    from an endpoint at 0.
+
+    The parameters are taken a block at a time in a node-major (n + 1, cols)
+    buffer of at most _BLOCK_VALUES values, so every step runs along the
+    parameters; each block is transposed into the C-ordered (N, n + 1)
+    result. Its values equal row-major evaluation bit for bit (_row_sums adds
+    in numpy's order for a row). The result stays row-major as well, since
+    BLAS sums a product of the basis in an order that follows its layout.
     """
     w = validate_weights(ns, weights)
     ts, (a0, an) = _grid(ns, ts), ns.domain
-    with np.errstate(divide="ignore", invalid="ignore"):  # endpoint rows are replaced
-        out = np.multiply.outer(np.log(ts - a0) - np.log(an - ts), ns.scale * (ns.nodes - a0))
-    out[ts == a0] = np.where(ns.nodes == a0, 0.0, -np.inf)
-    out[ts == an] = np.where(ns.nodes == an, 0.0, -np.inf)
-    out += np.log(ns.coefficients) + np.log(w)  # one vector: c*w may overflow
-    out -= np.max(out, axis=1, keepdims=True)
-    np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)  # at least 1: each row holds an exp(0)
-    return out
+    span = ns.scale * (ns.nodes - a0)
+    logs = (np.log(ns.coefficients) + np.log(w))[:, None]  # one vector: c*w may overflow
+    first = np.where(ns.nodes == a0, 0.0, -np.inf)[:, None]
+    last = np.where(ns.nodes == an, 0.0, -np.inf)[:, None]
+    basis = np.empty((ts.size, ns.size))
+    cols = max(1, _BLOCK_VALUES // ns.size)
+    buf = np.empty((ns.size, min(cols, ts.size)))
+    with np.errstate(divide="ignore", invalid="ignore"):  # endpoint columns are replaced
+        for start in range(0, ts.size, cols):
+            t = ts[start:start + cols]
+            out = buf[:, :t.size]
+            np.multiply.outer(span, np.log(t - a0) - np.log(an - t), out=out)
+            out[:, t == a0] = first
+            out[:, t == an] = last
+            out += logs
+            out -= out.max(axis=0)
+            np.exp(out, out=out)
+            out /= _row_sums(out)  # at least 1: each column holds an exp(0)
+            basis[start:start + cols] = out.T
+    return basis
 
 
 def bernstein_equivalent_nodeset(n: int) -> NodeSet:

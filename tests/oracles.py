@@ -1,7 +1,8 @@
 """Reference objects the tests check the library against: the paper's
 generalized Vandermonde matrices, its raw basis and the power matrix of its
 TP reduction, the classical Bernstein polynomials, the
-rational basis rebuilt from its formula in mpmath, the NTP suite's
+rational basis rebuilt from its formula in mpmath and evaluated row-major
+in floats, the NTP suite's
 parameter draws made one np.random.default_rng([seed, trial]) at a time,
 and the PIA update taken one step at a time in extended precision.
 
@@ -16,6 +17,8 @@ from dataclasses import dataclass
 import mpmath as mp
 import numpy as np
 import pytest
+
+from gtbezier.basis import _grid, validate_weights
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,23 @@ def mp_rational_basis(ns, weights, ts, dps: int = 50) -> np.ndarray:
             total = mp.fsum(vals)
             rows.append([float(v / total) for v in vals])
     return np.array(rows)
+
+
+def row_major_basis(ns, weights, ts) -> np.ndarray:
+    """The rational basis evaluated parameter-major in one (N, n + 1) buffer,
+    each step along the short rows: the reference whose bits
+    rational_basis_matrix keeps."""
+    w = validate_weights(ns, weights)
+    ts, (a0, an) = _grid(ns, ts), ns.domain
+    with np.errstate(divide="ignore", invalid="ignore"):  # endpoint rows are replaced
+        out = np.multiply.outer(np.log(ts - a0) - np.log(an - ts), ns.scale * (ns.nodes - a0))
+    out[ts == a0] = np.where(ns.nodes == a0, 0.0, -np.inf)
+    out[ts == an] = np.where(ns.nodes == an, 0.0, -np.inf)
+    out += np.log(ns.coefficients) + np.log(w)  # one vector: c*w may overflow
+    out -= np.max(out, axis=1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=1, keepdims=True)  # at least 1: each row holds an exp(0)
+    return out
 
 
 # Draws of one trial's parameters before giving up, as in the NTP suite

@@ -17,10 +17,11 @@ from gtbezier import (
     validate_weights,
 )
 from gtbezier import datasets
-from gtbezier.basis import MAX_EXPONENT_SPAN, _reals
+from gtbezier import basis
+from gtbezier.basis import MAX_EXPONENT_SPAN, _reals, _row_sums
 from gtbezier.curve import as_control_polygon
 from bad_inputs import BAD_ARRAYS, BAD_COUNTS, BAD_TOLERANCES
-from oracles import bernstein_reference, mp_rational_basis, raw_log_basis
+from oracles import bernstein_reference, mp_rational_basis, raw_log_basis, row_major_basis
 
 
 def test_validate_minimal():
@@ -427,3 +428,97 @@ def test_basis_kernel_equals_where_formula(case):
     first, second = rational_basis_matrix(ns, w, ts), rational_basis_matrix(ns, w, ts)
     assert first is not second and not np.shares_memory(first, second)
     assert first.flags.writeable
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _bit_identity_cases():
+    """(id, node set, weights): the datasets' node sets, the Bernstein node
+    sets of degree 1..8 and random node sets of 2..300 nodes, whose counts
+    fall on each side of _row_sums' 8- and 128-term branches."""
+    cases = [(f"kernel-{i}", ns, w) for i, (ns, w) in enumerate(_kernel_cases())]
+    cases += [(f"bernstein-{n}", bernstein_equivalent_nodeset(n), None) for n in range(1, 9)]
+    rng = np.random.default_rng(20)
+    for n in (2, 7, 8, 9, 16, 17, 64, 128, 129, 130, 300):
+        nodes = np.sort(rng.uniform(-2.0, 3.0, n))
+        ns = NodeSet(nodes, rng.uniform(0.1, 10.0, n), rng.uniform(0.5, 40.0) / (nodes[-1] - nodes[0]))
+        cases.append((f"random-{n}", ns, rng.uniform(0.1, 10.0, n)))
+    return cases
+
+
+_BIT_CASES = _bit_identity_cases()
+
+
+@pytest.mark.parametrize("count", [1, 2, 4099])
+@pytest.mark.parametrize("case", range(len(_BIT_CASES)), ids=[c[0] for c in _BIT_CASES])
+def test_basis_equals_row_major_kernel(case, count):
+    # the node-major blocks give the parameter-major kernel's values bit for
+    # bit, C-ordered like it; grids of two and more hold both ends
+    _, ns, w = _BIT_CASES[case]
+    a0, an = ns.domain
+    rng = np.random.default_rng([case, count])
+    ts = rng.uniform(a0, an, count)
+    ts[:2] = (a0 + an) / 2 if count == 1 else (an, a0)
+    got = rational_basis_matrix(ns, w, ts)
+    assert got.flags.c_contiguous
+    assert _same_bits(got, row_major_basis(ns, w, ts))
+
+
+@pytest.mark.parametrize("ns, ts", [
+    (NodeSet([0.0, 5.0, 10.0]), [0.0, 5e-324, 5.0, 10.0]),  # a subnormal step from a_0 = 0
+    (NodeSet([-10.0, -5.0, 0.0]), [-10.0, -5.0, -5e-324, 0.0]),
+    (NodeSet([0.0, 0.25, 0.5, 1.0], scale=MAX_EXPONENT_SPAN),
+     [0.0, np.nextafter(0.0, 1.0), 0.25, 0.5, np.nextafter(1.0, 0.0), 1.0]),
+    (NodeSet([0.0, 1e-300, 2.0], scale=0.5 * MAX_EXPONENT_SPAN), [0.0, 1e-300, 1.0, 2.0]),
+    (NodeSet([0, 0, 0, 1, 2.5, 3, 3], [1, 2, 3, 4, 5, 6, 7], 2.5), [3.0, 0.0, 0.0, 1.0, 2.5, 3.0]),
+    (NodeSet([0, 1, 1, 1, 2], [1e200, 1.0, 1e-200, 3.0, 1e200]), [0.0, 1.0, 1.0 + 1e-15, 2.0]),
+], ids=["subnormal-left", "subnormal-right", "max-span", "half-max-span", "repeated-ends",
+        "repeated-interior"])
+def test_basis_edge_cases_equal_row_major_kernel(ns, ts):
+    assert _same_bits(rational_basis_matrix(ns, None, ts), row_major_basis(ns, None, ts))
+
+
+@pytest.mark.parametrize("values", [1, 8, 40, 300])
+def test_basis_blocks_equal_row_major_kernel(monkeypatch, values):
+    # a budget of a few values per block: many blocks, a short last one, and
+    # single-column blocks; every parameter's row is the same
+    monkeypatch.setattr(basis, "_BLOCK_VALUES", values)
+    for _, ns, w in _BIT_CASES[:3] + _BIT_CASES[-2:]:
+        a0, an = ns.domain
+        ts = np.concatenate([[an, a0], np.random.default_rng(values).uniform(a0, an, 301)])
+        assert _same_bits(rational_basis_matrix(ns, w, ts), row_major_basis(ns, w, ts))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 4099, 20001])
+@pytest.mark.parametrize("case", range(3), ids=["circle", "helix", "raw-helix"])
+def test_curve_points_equal_row_major_product(case, count, dim):
+    # the BLAS product sums in an order that follows the basis layout; a
+    # C-ordered basis keeps the points the parameter-major kernel gave
+    ns, w = _kernel_cases()[case]
+    rng = np.random.default_rng([case, count, dim])
+    control = rng.standard_normal((ns.size, dim))
+    ts = rng.uniform(*ns.domain, count)
+    if count > 1:
+        ts[:2] = ns.domain
+    got = curve_points(GTBezierCurve(ns, w, control), ts)
+    assert _same_bits(got, row_major_basis(ns, w, ts) @ control)
+
+
+@pytest.mark.parametrize("count", [1, 3, 128, 4099])
+def test_row_sums_equal_numpy_row_sums(count):
+    # every branch of numpy's pairwise sum: in turn below 8 terms, the 8
+    # accumulators up to 128 and the halving split above, on values that
+    # include zeros and subnormals, from 128 columns on (fewer are summed as
+    # a row-major copy); a numpy that sums in another order fails here by name
+    rng = np.random.default_rng(count)
+    values = rng.random((count, 300)) * np.exp(rng.uniform(-745.0, 5.0, (count, 300)))
+    values[rng.random(values.shape) < 0.1] = 0.0
+    values[rng.random(values.shape) < 0.05] = 5e-324
+    assert np.any((values > 0) & (values < np.finfo(float).tiny))
+    for n in range(1, 301):
+        rows = np.ascontiguousarray(values[:, :n])
+        want = np.add.reduce(rows, axis=1)
+        assert _same_bits(_row_sums(np.ascontiguousarray(rows.T)), want), n

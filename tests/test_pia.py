@@ -16,6 +16,7 @@ from gtbezier import (
     fitted_curve,
     iteration_spectrum,
     pia_run,
+    rational_basis_matrix,
     rational_collocation_matrix,
 )
 from gtbezier import datasets
@@ -23,7 +24,7 @@ from gtbezier.basis import _FLOAT_MAX
 from gtbezier.config import MAX_FIT_NODES
 from gtbezier.pia import _BLOCK, _STACK_BUDGET, DIVERGENCE_FACTOR, _block_size
 from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
-from oracles import HELIX_FIT_STEP_LOOP_ERRORS, pia_errors, pia_oracle
+from oracles import HELIX_FIT_STEP_LOOP_ERRORS, pia_errors, pia_oracle, row_major_basis
 
 # reference fit errors for the two benchmarks; matched at order of magnitude
 CIRCLE_EXPECTED = {1: 2.317e-01, 5: 2.236e-02, 10: 9.7e-03, 20: 1.8e-03}
@@ -423,6 +424,19 @@ def test_collocation_built_once_and_read_only(monkeypatch):
         problem.collocation,
         rational_collocation_matrix(problem.nodeset, problem.weights, problem.params),
     )
+
+
+@pytest.mark.parametrize("make", [datasets.circle_problem, datasets.helix_problem],
+                         ids=["circle", "helix"])
+def test_collocation_is_the_c_ordered_basis(make):
+    # BLAS sums PIA's products in an order that follows the layout of C, so
+    # the runs keep their bits only with C C-ordered and equal to the basis
+    problem = make()
+    c = problem.collocation
+    assert c.flags.c_contiguous
+    for want in (rational_basis_matrix(problem.nodeset, problem.weights, problem.params),
+                 row_major_basis(problem.nodeset, problem.weights, problem.params)):
+        assert np.array_equal(c.view(np.uint64), want.view(np.uint64))
 
 
 def test_fit_problem_checks_its_inputs_once_each(monkeypatch):
