@@ -28,7 +28,7 @@ import numpy as np
 # at or below about 1.5e303 and its sum with log c + log w stays finite.
 MAX_EXPONENT_SPAN = 1e300
 _FLOAT_MAX = float(np.finfo(float).max)
-_BLOCK_VALUES = 2**17  # most values rational_basis_matrix holds node-major: 1 MiB, cache-sized
+_BLOCK_VALUES = 2**17  # most values _softmax_blocks holds node-major: 1 MiB, cache-sized
 
 
 def _index(value, name: str, low: int = 0, high: int | None = None) -> int:
@@ -200,45 +200,61 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
     return np.add.reduce(acc[:1 + n - m], axis=0)
 
 
+def _softmax_blocks(ns: NodeSet, w: np.ndarray, ts: np.ndarray):
+    """Yield (start, e, sums) for checked weights w and parameters ts, a block
+    of parameters ts[start:start + cols] at a time: e is the node-major
+    (n + 1, cols) array of exp(x - max x) over each column's exponents
+    x = s(t) * l*(a_j - a_0) + (log c + log w), sums its column sums by
+    _row_sums, so e / sums is that block of the basis, transposed.
+
+    Rows at t = a_0 and a_n take exponent 0 where the node equals that
+    endpoint and -inf elsewhere. s is a difference of logs, since the ratio
+    under- or overflows a subnormal step from an endpoint at 0. e lives in one
+    buffer of at most _BLOCK_VALUES values, reused by the next block.
+    """
+    a0, an = ns.domain
+    span = ns.scale * (ns.nodes - a0)
+    logs = (np.log(ns.coefficients) + np.log(w))[:, None]  # one vector: c*w may overflow
+    first = np.where(ns.nodes == a0, 0.0, -np.inf)[:, None]
+    last = np.where(ns.nodes == an, 0.0, -np.inf)[:, None]
+    cols = max(1, _BLOCK_VALUES // ns.size)
+    buf = np.empty((ns.size, min(cols, ts.size)))
+    for start in range(0, ts.size, cols):
+        t = ts[start:start + cols]
+        e = buf[:, :t.size]
+        with np.errstate(divide="ignore", invalid="ignore"):  # endpoint columns are replaced
+            np.multiply.outer(span, np.log(t - a0) - np.log(an - t), out=e)
+        e[:, t == a0] = first
+        e[:, t == an] = last
+        e += logs
+        e -= e.max(axis=0)
+        np.exp(e, out=e)
+        yield start, e, _row_sums(e)  # at least 1: each column holds an exp(0)
+
+
 def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
     """Weight-normalized basis values at each parameter; rows sum to one.
 
     The weights are checked by validate_weights (None gives unit weights).
     Stabilized softmax of s(t_i) * l*(a_j - a_0) + (log c + log w): the largest
     term of each row is subtracted before exponentiation, so huge exponents
-    (large scale times node range) never overflow. Rows at t = a_0 and a_n take
-    exponent 0 where the node equals that endpoint and -inf elsewhere. s is a
-    difference of logs, since the ratio under- or overflows a subnormal step
-    from an endpoint at 0.
+    (large scale times node range) never overflow, and endpoint rows are
+    exact (see _softmax_blocks).
 
     The parameters are taken a block at a time in a node-major (n + 1, cols)
     buffer of at most _BLOCK_VALUES values, so every step runs along the
-    parameters; each block is transposed into the C-ordered (N, n + 1)
-    result. Its values equal row-major evaluation bit for bit (_row_sums adds
-    in numpy's order for a row). The result stays row-major as well, since
-    BLAS sums a product of the basis in an order that follows its layout.
+    parameters; each block is divided by its sums and transposed into the
+    C-ordered (N, n + 1) result. Its values equal row-major evaluation bit
+    for bit (_row_sums adds in numpy's order for a row). The layout is kept
+    too: BLAS sums a product in an order that follows it, and PIA's
+    products of the collocation matrix are pinned.
     """
     w = validate_weights(ns, weights)
-    ts, (a0, an) = _grid(ns, ts), ns.domain
-    span = ns.scale * (ns.nodes - a0)
-    logs = (np.log(ns.coefficients) + np.log(w))[:, None]  # one vector: c*w may overflow
-    first = np.where(ns.nodes == a0, 0.0, -np.inf)[:, None]
-    last = np.where(ns.nodes == an, 0.0, -np.inf)[:, None]
+    ts = _grid(ns, ts)
     basis = np.empty((ts.size, ns.size))
-    cols = max(1, _BLOCK_VALUES // ns.size)
-    buf = np.empty((ns.size, min(cols, ts.size)))
-    with np.errstate(divide="ignore", invalid="ignore"):  # endpoint columns are replaced
-        for start in range(0, ts.size, cols):
-            t = ts[start:start + cols]
-            out = buf[:, :t.size]
-            np.multiply.outer(span, np.log(t - a0) - np.log(an - t), out=out)
-            out[:, t == a0] = first
-            out[:, t == an] = last
-            out += logs
-            out -= out.max(axis=0)
-            np.exp(out, out=out)
-            out /= _row_sums(out)  # at least 1: each column holds an exp(0)
-            basis[start:start + cols] = out.T
+    for start, e, sums in _softmax_blocks(ns, w, ts):
+        e /= sums
+        basis[start:start + sums.size] = e.T
     return basis
 
 

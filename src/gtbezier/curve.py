@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import NodeSet, _index, _reals, rational_basis_matrix, validate_weights
+from .basis import (_FLOAT_MAX, NodeSet, _grid, _index, _reals, _softmax_blocks,
+                    validate_weights)
 
 
 def as_control_polygon(points) -> np.ndarray:
@@ -44,8 +45,27 @@ class GTBezierCurve:
 
 
 def curve_points(curve: GTBezierCurve, ts) -> np.ndarray:
-    """Curve points at each parameter, as an (m, d) array."""
-    return rational_basis_matrix(curve.nodeset, curve.weights, ts) @ curve.control
+    """Curve points at each parameter, as an (m, d) array.
+
+    Each block (e, sums) of _softmax_blocks is contracted with the controls P
+    before it is normalized, (e.T @ P) / sums, so the (m, n + 1) basis is
+    never built. The points meet an mpmath contraction's bound; their last
+    bits depend on how many parameters share a block, through BLAS's choice
+    of kernel.
+    """
+    ns = curve.nodeset
+    ts = _grid(ns, ts)
+    # a column of e sums to at most n + 1, so controls near the top of the
+    # double range are contracted at an exact power-of-two scale that keeps
+    # every product finite
+    k = ns.size.bit_length() if np.max(np.abs(curve.control)) > _FLOAT_MAX / ns.size else 0
+    control = np.ldexp(curve.control, -k)
+    points = np.empty((ts.size, curve.dim))
+    for start, e, sums in _softmax_blocks(ns, curve.weights, ts):
+        block = points[start:start + sums.size]
+        np.matmul(e.T, control, out=block)
+        block /= sums[:, None]
+    return np.ldexp(points, k, out=points) if k else points
 
 
 def sample_polyline(curve: GTBezierCurve, count: int) -> np.ndarray:

@@ -120,7 +120,7 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
             steps = min(b, max_iter - len(history), max(1, len(history)))
             block = residuals[:, :steps]
             first = block[:, 0].T
-            if steps == 1:  # the float step, as the curve evaluates it
+            if steps == 1:  # the float step, as C @ P
                 np.subtract(data, c @ control, first)
             else:  # c_hi @ hi is exact
                 hi = _split(control, bits)

@@ -1,5 +1,6 @@
 """Tests for the node-set basis functions."""
 
+import functools
 import math
 
 import numpy as np
@@ -21,7 +22,8 @@ from gtbezier import basis
 from gtbezier.basis import MAX_EXPONENT_SPAN, _reals, _row_sums
 from gtbezier.curve import as_control_polygon
 from bad_inputs import BAD_ARRAYS, BAD_COUNTS, BAD_TOLERANCES
-from oracles import bernstein_reference, mp_rational_basis, raw_log_basis, row_major_basis
+from oracles import (CURVE_POINTS_ERROR, bernstein_reference, mp_curve_points, mp_rational_basis,
+                     raw_log_basis, row_major_basis)
 
 
 def test_validate_minimal():
@@ -491,20 +493,42 @@ def test_basis_blocks_equal_row_major_kernel(monkeypatch, values):
         assert _same_bits(rational_basis_matrix(ns, w, ts), row_major_basis(ns, w, ts))
 
 
-@pytest.mark.parametrize("dim", [2, 3])
-@pytest.mark.parametrize("count", [1, 2, 4099, 20001])
-@pytest.mark.parametrize("case", range(3), ids=["circle", "helix", "raw-helix"])
-def test_curve_points_equal_row_major_product(case, count, dim):
-    # the BLAS product sums in an order that follows the basis layout; a
-    # C-ordered basis keeps the points the parameter-major kernel gave
+@functools.cache
+def _curve_case(case, count):
+    """Node set, weights, (n + 1, 3) controls and count parameters (both ends
+    first from 2 on), the rows checked (the first two, the last and a sample)
+    and the mpmath points there."""
     ns, w = _kernel_cases()[case]
-    rng = np.random.default_rng([case, count, dim])
-    control = rng.standard_normal((ns.size, dim))
+    rng = np.random.default_rng([case, count])
+    control = rng.standard_normal((ns.size, 3))
     ts = rng.uniform(*ns.domain, count)
     if count > 1:
         ts[:2] = ns.domain
-    got = curve_points(GTBezierCurve(ns, w, control), ts)
-    assert _same_bits(got, row_major_basis(ns, w, ts) @ control)
+    rows = np.unique(np.r_[:min(count, 2), count - 1, rng.choice(count, min(count, 128), False)])
+    return ns, w, control, ts, rows, mp_curve_points(ns, w, control, ts[rows])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 4099, 20001])
+@pytest.mark.parametrize("case", range(4), ids=["circle", "helix", "raw-helix", "repeated"])
+def test_curve_points_match_mpmath(monkeypatch, case, count, dim):
+    # the whole grid in the kernel's own blocks, then the checked rows alone
+    # in blocks of a few values: many blocks, a short last one and
+    # one-column blocks; the last bits depend on the block through BLAS's
+    # choice of kernel, so the points are held to a bound, not to bits
+    ns, w, control, ts, rows, want = _curve_case(case, count)
+    curve = GTBezierCurve(ns, w, control[:, :dim])
+    got = curve_points(curve, ts)
+    assert got.shape == (count, dim) and got.flags.c_contiguous
+    checked = [got[rows]]
+    for values in (1, 8, 40, 300):
+        monkeypatch.setattr(basis, "_BLOCK_VALUES", values)
+        checked.append(curve_points(curve, ts[rows]))
+    simple_ends = ns.nodes[1] > ns.nodes[0] and ns.nodes[-2] < ns.nodes[-1]
+    for got in checked:
+        assert np.max(np.abs(got - want[:, :dim])) <= CURVE_POINTS_ERROR
+        if count > 1 and simple_ends:  # the point at a simple end node is its control point
+            assert _same_bits(got[:2], control[[0, -1], :dim])
 
 
 @pytest.mark.parametrize("count", [1, 3, 128, 4099])

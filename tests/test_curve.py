@@ -1,6 +1,8 @@
 """Tests for curve evaluation, with classical and rational Bezier curves as
 node-set curves on the Bernstein-equivalent node set."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from gtbezier import (
     sample_polyline,
 )
 from gtbezier import datasets
+from gtbezier.basis import _BLOCK_VALUES
 from bad_inputs import BAD_COUNTS
 from oracles import bernstein_reference
 
@@ -65,6 +68,38 @@ def test_endpoint_interpolation_exact():
         a0, an = curve.nodeset.domain
         np.testing.assert_array_equal(curve_points(curve, [a0, an]),
                                       curve.control[[0, -1]])
+
+
+def test_curve_points_hold_one_block():
+    # the points once came from the whole (N, n + 1) basis, 25 MB at this
+    # grid; the blocks are contracted one at a time into the (N, d) result
+    prob = datasets.helix_problem()
+    curve = GTBezierCurve(prob.nodeset, prob.weights, prob.data)
+    ts = np.linspace(*prob.nodeset.domain, 100001)
+    tracemalloc.start()
+    try:
+        points = curve_points(curve, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert points.shape == (ts.size, 3)
+    assert peak <= 1.25 * (points.nbytes + _BLOCK_VALUES * 8)
+
+
+def test_curve_points_scale_exactly_to_the_top_of_the_range():
+    # a block is contracted before it is normalized, and its columns sum to
+    # up to n + 1: unscaled, controls near the largest double overflow there
+    helix, w = datasets.helix_node_set(), datasets.helix_weights()
+    control = datasets.helix_samples()
+    top = 1024 - np.frexp(np.max(np.abs(control)))[1]  # the largest shift that stays finite
+    ts = np.linspace(*helix.domain, 1001)
+    small = curve_points(GTBezierCurve(helix, w, control), ts)
+    for shift in (top - 6, top):  # below and above _FLOAT_MAX / (n + 1)
+        big = curve_points(GTBezierCurve(helix, w, np.ldexp(control, shift)), ts)
+        np.testing.assert_array_equal(big, np.ldexp(small, shift))
+    line = GTBezierCurve(NodeSet([0, 1]), None, [[1e308, -1e308], [1e308, 1.0]])
+    np.testing.assert_array_equal(curve_points(line, [0.0, 0.5, 1.0]),
+                                  [[1e308, -1e308], [1e308, -0.5e308], [1e308, 1.0]])
 
 
 def test_sample_polyline_counts():
