@@ -201,16 +201,17 @@ def _row_sums(a: np.ndarray) -> np.ndarray:
 
 
 def _softmax_blocks(ns: NodeSet, w: np.ndarray, ts: np.ndarray):
-    """Yield (start, e, sums) for checked weights w and parameters ts, a block
-    of parameters ts[start:start + cols] at a time: e is the node-major
-    (n + 1, cols) array of exp(x - max x) over each column's exponents
-    x = s(t) * l*(a_j - a_0) + (log c + log w), sums its column sums by
-    _row_sums, so e / sums is that block of the basis, transposed.
+    """Yield (start, e, sums) for each block ts[start:start + cols] of the
+    checked parameters ts, w the checked weights. e is the node-major
+    (n + 1, cols) array exp(x - max x) of each column's exponents
+    x = s(t) * l*(a_j - a_0) + (log c + log w), and sums holds its column
+    sums by _row_sums: e / sums is the block's basis, transposed.
 
     Rows at t = a_0 and a_n take exponent 0 where the node equals that
     endpoint and -inf elsewhere. s is a difference of logs, since the ratio
-    under- or overflows a subnormal step from an endpoint at 0. e lives in one
-    buffer of at most _BLOCK_VALUES values, reused by the next block.
+    under- or overflows a subnormal step from an endpoint at 0. e is a view
+    of one buffer of at most _BLOCK_VALUES values, which the next block
+    overwrites.
     """
     a0, an = ns.domain
     span = ns.scale * (ns.nodes - a0)
