@@ -493,6 +493,31 @@ def test_basis_blocks_equal_row_major_kernel(monkeypatch, values):
         assert _same_bits(rational_basis_matrix(ns, w, ts), row_major_basis(ns, w, ts))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("count", [1, 2, 4099, 20001])
+@pytest.mark.parametrize("case", range(3), ids=["circle", "helix", "raw-helix"])
+def test_curve_points_equal_row_major_product(case, count, dim):
+    # every row against the product of the row-major basis: (e.T @ P) / s
+    # and (e / s) @ P each sum n + 1 products and round once more, so they
+    # differ by at most (n + 2) eps (B @ |P|) to first order, one more eps for
+    # the rest (measured: 2.6 eps on the circle, 4.9 on the raw helix); the
+    # last bits follow BLAS's kernel, so they are not pinned
+    ns, w = _kernel_cases()[case]
+    rng = np.random.default_rng([case, count, dim])
+    control = rng.standard_normal((ns.size, dim))
+    ts = rng.uniform(*ns.domain, count)
+    if count > 1:
+        ts[:2] = ns.domain
+    got = curve_points(GTBezierCurve(ns, w, control), ts)
+    basis_rows = row_major_basis(ns, w, ts)
+    want = basis_rows @ control
+    assert got.shape == want.shape and got.flags.c_contiguous
+    bound = (ns.size + 2) * np.finfo(float).eps * (basis_rows @ np.abs(control))
+    assert np.all(np.abs(got - want) <= bound)
+    if count > 1:  # simple end nodes: both give the end control points
+        assert _same_bits(got[:2], want[:2]) and _same_bits(got[:2], control[[0, -1]])
+
+
 @functools.cache
 def _curve_case(case, count):
     """Node set, weights, (n + 1, 3) controls and count parameters (both ends
