@@ -171,41 +171,14 @@ def validate_params(ns: NodeSet, params) -> np.ndarray:
     return p
 
 
-def _row_sums(a: np.ndarray) -> np.ndarray:
-    """Sums down the columns of a non-negative (n, N) array, each equal bit for
-    bit to numpy's sum of that column laid out as a contiguous row. That sum is
-    pairwise (numpy/_core/src/umath/loops_utils.h.src): below 8 terms in turn;
-    up to 128, in 8 accumulators (accumulator k takes terms k, k + 8, ...)
-    folded as ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the
-    terms past the last multiple of 8 in turn; above 128, the sums of the
-    terms before and after half the count, rounded down to a multiple of 8."""
-    n, cols = a.shape
-    if n < 8:
-        return np.add.reduce(a, axis=0)  # row after row
-    if cols < 128:  # few columns: numpy's own sums of a row-major copy cost less
-        return np.add.reduce(np.ascontiguousarray(a.T), axis=1)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _row_sums(a[:half]) + _row_sums(a[half:])
-    m = n - n % 8
-    # the accumulators in bit-reversed order r0 r4 r2 r6 r1 r5 r3 r7, so that
-    # each fold adds one contiguous half of the rows to the other
-    acc = np.empty((8, cols))
-    np.add.reduce(a[:m].reshape(-1, 2, 2, 2, cols).transpose(0, 3, 2, 1, 4), axis=0,
-                  out=acc.reshape(2, 2, 2, cols))
-    acc[:4] += acc[4:]
-    acc[:2] += acc[2:4]
-    acc[0] += acc[1]
-    acc[1:1 + n - m] = a[m:]
-    return np.add.reduce(acc[:1 + n - m], axis=0)
-
-
 def _softmax_blocks(ns: NodeSet, w: np.ndarray, ts: np.ndarray):
     """Yield (start, e, sums) for each block ts[start:start + cols] of the
     checked parameters ts, w the checked weights. e is the node-major
     (n + 1, cols) array exp(x - max x) of each column's exponents
     x = s(t) * l*(a_j - a_0) + (log c + log w), and sums holds its column
-    sums by _row_sums: e / sums is the block's basis, transposed.
+    sums, each added row after row in node order: e / sums is the block's
+    basis, transposed. So a parameter's values depend neither on the block
+    width nor on the other parameters of the call.
 
     Rows at t = a_0 and a_n take exponent 0 where the node equals that
     endpoint and -inf elsewhere. s is a difference of logs, since the ratio
@@ -230,7 +203,10 @@ def _softmax_blocks(ns: NodeSet, w: np.ndarray, ts: np.ndarray):
         e += logs
         e -= e.max(axis=0)
         np.exp(e, out=e)
-        yield start, e, _row_sums(e)  # at least 1: each column holds an exp(0)
+        sums = e[0].copy()  # at least 1: each column holds an exp(0)
+        for row in e[1:]:
+            sums += row
+        yield start, e, sums
 
 
 def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
@@ -245,10 +221,8 @@ def rational_basis_matrix(ns: NodeSet, weights, ts) -> np.ndarray:
     The parameters are taken a block at a time in a node-major (n + 1, cols)
     buffer of at most _BLOCK_VALUES values, so every step runs along the
     parameters; each block is divided by its sums and transposed into the
-    C-ordered (N, n + 1) result. Its values equal row-major evaluation bit
-    for bit (_row_sums adds in numpy's order for a row). The layout is kept
-    too: BLAS sums a product in an order that follows it, and PIA's
-    products of the collocation matrix are pinned.
+    C-ordered (N, n + 1) result. A row's bits depend only on its parameter,
+    not on how many parameters share the call.
     """
     w = validate_weights(ns, weights)
     ts = _grid(ns, ts)

@@ -51,8 +51,8 @@ class FitProblem:
         object.__setattr__(self, "data", data)
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "weights", w)
-        # C-ordered, as the basis is: BLAS sums PIA's products in an order
-        # that follows the layout, so another layout would move the runs' bits
+        # the basis as returned, C-ordered: BLAS sums PIA's products in an
+        # order that follows the layout
         c = rational_basis_matrix(self.nodeset, w, params)
         c.setflags(write=False)
         object.__setattr__(self, "collocation", c)

@@ -11,6 +11,7 @@ total-positivity verdicts, parameter draws and fit histories. pytest puts
 this directory on sys.path, so tests import them with `from oracles import ...`.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -149,10 +150,13 @@ def mp_curve_points(ns, weights, control, ts, dps: int = 50) -> np.ndarray:
 CURVE_POINTS_ERROR = 1.06e-14
 
 
-def row_major_basis(ns, weights, ts) -> np.ndarray:
+def row_major_basis(ns, weights, ts, node_order: bool = False) -> np.ndarray:
     """The rational basis evaluated parameter-major in one (N, n + 1) buffer,
-    each step along the short rows: the reference whose bits
-    rational_basis_matrix keeps."""
+    each step along the short rows: the softmax in
+    s(t) = log(t - a0) - log(an - t) with exact endpoint rows. Each row is
+    divided by its sum in numpy's pairwise order, or with node_order by its
+    terms added one after another from the first node on, the order
+    rational_basis_matrix states; see near_row_major for the first."""
     w = validate_weights(ns, weights)
     ts, (a0, an) = _grid(ns, ts), ns.domain
     with np.errstate(divide="ignore", invalid="ignore"):  # endpoint rows are replaced
@@ -162,8 +166,18 @@ def row_major_basis(ns, weights, ts) -> np.ndarray:
     out += np.log(ns.coefficients) + np.log(w)  # one vector: c*w may overflow
     out -= np.max(out, axis=1, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=1, keepdims=True)  # at least 1: each row holds an exp(0)
+    # at least 1: each row holds an exp(0)
+    out /= functools.reduce(np.add, out.T)[:, None] if node_order else out.sum(axis=1)[:, None]
     return out
+
+
+def near_row_major(got, want, size: int) -> bool:
+    """Whether every value of got lies within size * eps * value of want, its
+    row_major_basis on size = n + 1 nodes. Both divide the same exponentials
+    by their row's sum, added in different orders: each sum of n + 1 terms
+    is off by at most n eps / 2 relative and each division by eps / 2, to
+    first order, so the two values differ by at most (n + 1) eps relative."""
+    return bool(np.all(np.abs(got - want) <= size * np.finfo(float).eps * want))
 
 
 # Draws of one trial's parameters before giving up, as in the NTP suite

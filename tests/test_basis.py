@@ -19,11 +19,11 @@ from gtbezier import (
 )
 from gtbezier import datasets
 from gtbezier import basis
-from gtbezier.basis import MAX_EXPONENT_SPAN, _reals, _row_sums
+from gtbezier.basis import MAX_EXPONENT_SPAN, _reals
 from gtbezier.curve import as_control_polygon
 from bad_inputs import BAD_ARRAYS, BAD_COUNTS, BAD_TOLERANCES
 from oracles import (CURVE_POINTS_ERROR, bernstein_reference, mp_curve_points, mp_rational_basis,
-                     raw_log_basis, row_major_basis)
+                     near_row_major, raw_log_basis, row_major_basis)
 
 
 def test_validate_minimal():
@@ -392,21 +392,6 @@ def test_rational_basis_matches_mpmath(case):
     assert rel.mean() <= mean_err
 
 
-def _where_rational_basis(ns, w, ts):
-    """rational_basis_matrix as the softmax in s(t) = log(t - a0) - log(an - t)
-    written out with np.where for the endpoint rows: the bit-exact reference
-    for the in-place kernel."""
-    ts = np.atleast_1d(np.asarray(ts, dtype=float))[:, None]
-    a0, an = ns.domain
-    with np.errstate(divide="ignore", invalid="ignore"):
-        powers = (np.log(ts - a0) - np.log(an - ts)) * (ns.scale * (ns.nodes - a0))[None, :]
-    powers = np.where(ts == a0, np.where(ns.nodes == a0, 0.0, -np.inf),
-                      np.where(ts == an, np.where(ns.nodes == an, 0.0, -np.inf), powers))
-    logits = powers + (np.log(ns.coefficients) + np.log(w))[None, :]
-    raw = np.exp(logits - np.max(logits, axis=1, keepdims=True))
-    return raw / raw.sum(axis=1, keepdims=True)
-
-
 def _kernel_cases():
     helix = datasets.helix_node_set()
     raw = NodeSet(helix.nodes, helix.coefficients, datasets.HELIX_SHARPNESS)
@@ -423,9 +408,9 @@ def test_basis_kernel_equals_where_formula(case):
     a0, an = ns.domain
     rng = np.random.default_rng(case)
     ts = np.concatenate([[a0, an], np.linspace(a0, an, 1001), np.sort(rng.uniform(a0, an, 999))])
-    got, want = rational_basis_matrix(ns, w, ts), _where_rational_basis(ns, w, ts)
+    got, want = rational_basis_matrix(ns, w, ts), row_major_basis(ns, w, ts)
     assert got.shape == want.shape == (ts.size, ns.size)
-    assert np.array_equal(got, want)
+    assert near_row_major(got, want, ns.size)
     assert np.array_equal(np.signbit(got), np.signbit(want))
     first, second = rational_basis_matrix(ns, w, ts), rational_basis_matrix(ns, w, ts)
     assert first is not second and not np.shares_memory(first, second)
@@ -439,7 +424,8 @@ def _same_bits(got, want):
 def _bit_identity_cases():
     """(id, node set, weights): the datasets' node sets, the Bernstein node
     sets of degree 1..8 and random node sets of 2..300 nodes, whose counts
-    fall on each side of _row_sums' 8- and 128-term branches."""
+    fall on each side of the 8- and 128-term branches of numpy's pairwise
+    sum, which row_major_basis takes."""
     cases = [(f"kernel-{i}", ns, w) for i, (ns, w) in enumerate(_kernel_cases())]
     cases += [(f"bernstein-{n}", bernstein_equivalent_nodeset(n), None) for n in range(1, 9)]
     rng = np.random.default_rng(20)
@@ -456,8 +442,9 @@ _BIT_CASES = _bit_identity_cases()
 @pytest.mark.parametrize("count", [1, 2, 4099])
 @pytest.mark.parametrize("case", range(len(_BIT_CASES)), ids=[c[0] for c in _BIT_CASES])
 def test_basis_equals_row_major_kernel(case, count):
-    # the node-major blocks give the parameter-major kernel's values bit for
-    # bit, C-ordered like it; grids of two and more hold both ends
+    # the node-major blocks give the parameter-major kernel's values within
+    # its bound, C-ordered like it, and each row the bits of a one-parameter
+    # call; grids of two and more hold both ends
     _, ns, w = _BIT_CASES[case]
     a0, an = ns.domain
     rng = np.random.default_rng([case, count])
@@ -465,7 +452,24 @@ def test_basis_equals_row_major_kernel(case, count):
     ts[:2] = (a0 + an) / 2 if count == 1 else (an, a0)
     got = rational_basis_matrix(ns, w, ts)
     assert got.flags.c_contiguous
-    assert _same_bits(got, row_major_basis(ns, w, ts))
+    assert near_row_major(got, row_major_basis(ns, w, ts), ns.size)
+    rows = np.unique(np.r_[:min(count, 2), count - 1, rng.choice(count, min(count, 64), False)])
+    assert _same_bits(got[rows], _one_at_a_time(ns, w, ts[rows]))
+
+
+def _one_at_a_time(ns, w, ts):
+    return np.array([rational_basis_matrix(ns, w, [t])[0] for t in ts])
+
+
+@pytest.mark.parametrize("case", range(len(_BIT_CASES)), ids=[c[0] for c in _BIT_CASES])
+def test_basis_rows_add_in_node_order(case):
+    # each row is its exponentials divided by their sum added from the first
+    # node on, bit for bit, whatever numpy's own order for a row
+    _, ns, w = _BIT_CASES[case]
+    a0, an = ns.domain
+    ts = np.concatenate([[an, a0], np.random.default_rng(case).uniform(a0, an, 301)])
+    got = rational_basis_matrix(ns, w, ts)
+    assert _same_bits(got, row_major_basis(ns, w, ts, node_order=True))
 
 
 @pytest.mark.parametrize("ns, ts", [
@@ -479,29 +483,37 @@ def test_basis_equals_row_major_kernel(case, count):
 ], ids=["subnormal-left", "subnormal-right", "max-span", "half-max-span", "repeated-ends",
         "repeated-interior"])
 def test_basis_edge_cases_equal_row_major_kernel(ns, ts):
-    assert _same_bits(rational_basis_matrix(ns, None, ts), row_major_basis(ns, None, ts))
+    got = rational_basis_matrix(ns, None, ts)
+    assert near_row_major(got, row_major_basis(ns, None, ts), ns.size)
+    assert _same_bits(got, _one_at_a_time(ns, None, ts))
 
 
 @pytest.mark.parametrize("values", [1, 8, 40, 300])
 def test_basis_blocks_equal_row_major_kernel(monkeypatch, values):
     # a budget of a few values per block: many blocks, a short last one, and
-    # single-column blocks; every parameter's row is the same
-    monkeypatch.setattr(basis, "_BLOCK_VALUES", values)
+    # single-column blocks; every parameter's row has the bits of the default
+    # block's and of a one-parameter call
     for _, ns, w in _BIT_CASES[:3] + _BIT_CASES[-2:]:
         a0, an = ns.domain
         ts = np.concatenate([[an, a0], np.random.default_rng(values).uniform(a0, an, 301)])
-        assert _same_bits(rational_basis_matrix(ns, w, ts), row_major_basis(ns, w, ts))
+        default, alone = rational_basis_matrix(ns, w, ts), _one_at_a_time(ns, w, ts)
+        with monkeypatch.context() as patch:
+            patch.setattr(basis, "_BLOCK_VALUES", values)
+            got = rational_basis_matrix(ns, w, ts)
+        assert near_row_major(got, row_major_basis(ns, w, ts), ns.size)
+        assert _same_bits(got, default) and _same_bits(got, alone)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("count", [1, 2, 4099, 20001])
 @pytest.mark.parametrize("case", range(3), ids=["circle", "helix", "raw-helix"])
 def test_curve_points_equal_row_major_product(case, count, dim):
-    # every row against the product of the row-major basis: (e.T @ P) / s
-    # and (e / s) @ P each sum n + 1 products and round once more, so they
-    # differ by at most (n + 2) eps (B @ |P|) to first order, one more eps for
-    # the rest (measured: 2.6 eps on the circle, 4.9 on the raw helix); the
-    # last bits follow BLAS's kernel, so they are not pinned
+    # every row against the product of the row-major basis, its rows summed
+    # in the kernel's order: (e.T @ P) / s and (e / s) @ P, with the same s,
+    # each sum n + 1 products and round once more, so they differ by at most
+    # (n + 2) eps (B @ |P|) to first order, one more eps for the rest
+    # (measured: 2.6 eps on the circle, 4.9 on the raw helix); the last bits
+    # follow BLAS's kernel, so they are not pinned
     ns, w = _kernel_cases()[case]
     rng = np.random.default_rng([case, count, dim])
     control = rng.standard_normal((ns.size, dim))
@@ -509,7 +521,7 @@ def test_curve_points_equal_row_major_product(case, count, dim):
     if count > 1:
         ts[:2] = ns.domain
     got = curve_points(GTBezierCurve(ns, w, control), ts)
-    basis_rows = row_major_basis(ns, w, ts)
+    basis_rows = row_major_basis(ns, w, ts, node_order=True)
     want = basis_rows @ control
     assert got.shape == want.shape and got.flags.c_contiguous
     bound = (ns.size + 2) * np.finfo(float).eps * (basis_rows @ np.abs(control))
@@ -554,20 +566,3 @@ def test_curve_points_match_mpmath(monkeypatch, case, count, dim):
         assert np.max(np.abs(got - want[:, :dim])) <= CURVE_POINTS_ERROR
         if count > 1 and simple_ends:  # the point at a simple end node is its control point
             assert _same_bits(got[:2], control[[0, -1], :dim])
-
-
-@pytest.mark.parametrize("count", [1, 3, 128, 4099])
-def test_row_sums_equal_numpy_row_sums(count):
-    # every branch of numpy's pairwise sum: in turn below 8 terms, the 8
-    # accumulators up to 128 and the halving split above, on values that
-    # include zeros and subnormals, from 128 columns on (fewer are summed as
-    # a row-major copy); a numpy that sums in another order fails here by name
-    rng = np.random.default_rng(count)
-    values = rng.random((count, 300)) * np.exp(rng.uniform(-745.0, 5.0, (count, 300)))
-    values[rng.random(values.shape) < 0.1] = 0.0
-    values[rng.random(values.shape) < 0.05] = 5e-324
-    assert np.any((values > 0) & (values < np.finfo(float).tiny))
-    for n in range(1, 301):
-        rows = np.ascontiguousarray(values[:, :n])
-        want = np.add.reduce(rows, axis=1)
-        assert _same_bits(_row_sums(np.ascontiguousarray(rows.T)), want), n

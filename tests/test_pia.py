@@ -24,8 +24,8 @@ from gtbezier.basis import _FLOAT_MAX
 from gtbezier.config import MAX_FIT_NODES
 from gtbezier.pia import _BLOCK, _STACK_BUDGET, DIVERGENCE_FACTOR, _block_size
 from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
-from oracles import (CURVE_POINTS_ERROR, HELIX_FIT_STEP_LOOP_ERRORS, pia_errors, pia_oracle,
-                     row_major_basis)
+from oracles import (CURVE_POINTS_ERROR, HELIX_FIT_STEP_LOOP_ERRORS, near_row_major, pia_errors,
+                     pia_oracle, row_major_basis)
 
 # reference fit errors for the two benchmarks; matched at order of magnitude
 CIRCLE_EXPECTED = {1: 2.317e-01, 5: 2.236e-02, 10: 9.7e-03, 20: 1.8e-03}
@@ -438,14 +438,13 @@ def test_collocation_built_once_and_read_only(monkeypatch):
 @pytest.mark.parametrize("make", [datasets.circle_problem, datasets.helix_problem],
                          ids=["circle", "helix"])
 def test_collocation_is_the_c_ordered_basis(make):
-    # BLAS sums PIA's products in an order that follows the layout of C, so
-    # the runs keep their bits only with C C-ordered and equal to the basis
+    # C is the basis bit for bit, C-ordered as BLAS reads it in PIA's
+    # products, and within the row-major kernel's bound
     problem = make()
-    c = problem.collocation
+    c, args = problem.collocation, (problem.nodeset, problem.weights, problem.params)
     assert c.flags.c_contiguous
-    for want in (rational_basis_matrix(problem.nodeset, problem.weights, problem.params),
-                 row_major_basis(problem.nodeset, problem.weights, problem.params)):
-        assert np.array_equal(c.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(c.view(np.uint64), rational_basis_matrix(*args).view(np.uint64))
+    assert near_row_major(c, row_major_basis(*args), problem.nodeset.size)
 
 
 def test_fit_problem_checks_its_inputs_once_each(monkeypatch):
