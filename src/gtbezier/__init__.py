@@ -18,7 +18,6 @@ from .pia import (
     pia_run,
 )
 from .totalpos import (
-    EXHAUSTIVE_LIMIT,
     NtpSuiteReport,
     TpReport,
     is_totally_positive,

@@ -89,6 +89,18 @@ def _reals(values, name: str, ndim: int, low: float = -_FLOAT_MAX, high: float =
     return arr
 
 
+def _per_node(values, name: str, size: int) -> np.ndarray:
+    """The rule of coefficients and weights: values, None for all ones, as a
+    read-only float copy of size entries, every one positive."""
+    arr = np.ones(size) if values is None else _reals(values, name, 1).copy()
+    if arr.size != size:
+        raise ValueError(f"{name} must match nodes in length")
+    if np.any(arr <= 0):
+        raise ValueError(f"{name} must all be positive")
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class NodeSet:
     """Sorted real nodes with per-node coefficients and a positive scale.
@@ -110,21 +122,15 @@ class NodeSet:
             raise ValueError("nodes must be non-decreasing")
         if nodes[0] == nodes[-1]:
             raise ValueError("degenerate node range: first and last node coincide")
-        coeffs = (np.ones_like(nodes) if self.coefficients is None
-                  else _reals(self.coefficients, "coefficients", 1))
-        if coeffs.shape != nodes.shape:
-            raise ValueError("coefficients must match nodes in length")
-        if np.any(coeffs <= 0):
-            raise ValueError("coefficients must all be positive")
+        coeffs = _per_node(self.coefficients, "coefficients", nodes.size)
         scale = _tolerance(self.scale, "scale")
         if scale == 0:
             raise ValueError("scale must be positive")
         # Python floats: an overflowing span becomes inf without a warning
         if scale * (float(nodes[-1]) - float(nodes[0])) > MAX_EXPONENT_SPAN:
             raise ValueError(f"scale * (a_n - a_0) must be at most {MAX_EXPONENT_SPAN:g}")
-        nodes, coeffs = nodes.copy(), coeffs.copy()
+        nodes = nodes.copy()
         nodes.setflags(write=False)
-        coeffs.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "scale", scale)
@@ -142,13 +148,7 @@ class NodeSet:
 
 def validate_weights(ns: NodeSet, weights=None) -> np.ndarray:
     """Check a weight vector against its node set (positive, matching length)."""
-    w = np.ones(ns.size) if weights is None else _reals(weights, "weights", 1).copy()
-    if w.size != ns.size:
-        raise ValueError("weights must match nodes in length")
-    if np.any(w <= 0):
-        raise ValueError("weights must all be positive")
-    w.setflags(write=False)
-    return w
+    return _per_node(weights, "weights", ns.size)
 
 
 def _grid(ns: NodeSet, ts) -> np.ndarray:

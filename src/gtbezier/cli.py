@@ -92,15 +92,13 @@ def cmd_tp_check(args) -> int:
     except ValueError as exc:  # a node span too narrow to draw parameters from
         raise ConfigError(str(exc)) from exc
     out = _outdir(args)
-    rows, cols = ("", "")
-    if report.worst_witness is not None:
-        rows = ";".join(str(i) for i in report.worst_witness[0])
-        cols = ";".join(str(j) for j in report.worst_witness[1])
+    rows = ";".join(str(i) for i in report.worst_witness[0])
+    cols = ";".join(str(j) for j in report.worst_witness[1])
     write_csv(
         out / "tp_report.csv",
         ("trials", "failures", "worst_minor", "worst_case", "worst_rows", "worst_cols"),
         [(str(report.trials), str(report.failures), report.worst_minor,
-          report.worst_case or "", rows, cols)],
+          report.worst_case, rows, cols)],
     )
     status = "PASS" if report.passed else "FAIL"
     print(f"{status}: {report.trials} trials, {report.failures} failures")

@@ -1,11 +1,10 @@
 """Total-positivity machinery: collocation matrices and minor-enumeration TP checks.
 
-A matrix is totally positive (TP) when every minor, of every order and
-index selection, is non-negative; strictly totally positive (STP) when
-every minor is positive. Verdicts here are numerical: a minor counts as
-non-negative when it is >= -tol * scale, where scale is the product of
-the Euclidean norms of the submatrix rows (a Hadamard-style bound), so
-the tolerance tracks the wildly varying magnitude of the minors.
+A matrix is totally positive (TP) when every minor is non-negative.
+Verdicts here are numerical: a minor counts as non-negative when it is
+>= -DEFAULT_REL_TOL * scale, scale the product of the Euclidean norms of the
+submatrix rows (a Hadamard-style bound), so the tolerance tracks the wildly
+varying magnitude of the minors.
 
 Minors are enumerated over a (T, r, c) stack of matrices, one pass per order:
 is_totally_positive judges a stack of one, verify_ntp_suite chunks of trials.
@@ -22,8 +21,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from ._draws import MAX_TRIALS, suite_params
-from .basis import (NodeSet, _index, _reals, _tolerance, rational_basis_matrix,
-                    validate_params, validate_weights)
+from .basis import (NodeSet, _index, _reals, rational_basis_matrix, validate_params,
+                    validate_weights)
 
 # Exhaustive enumeration touches sum_k C(d,k)^2 minors; 8 keeps that instant.
 # Larger matrices are checked on consecutive row/column windows only.
@@ -84,27 +83,22 @@ def _method(rows: int, cols: int) -> str:
 class TpReport:
     """Verdict of a total-positivity check.
 
-    witness records the minor with the smallest acceptance margin as
-    (row indices, column indices, determinant value). method names the
-    minors that were checked: "exhaustive" (every minor, a TP certificate)
-    or "contiguous" (consecutive windows only, an STP certificate whose TP
-    verdict is advisory).
+    witness is the minor with the smallest acceptance margin, as (row
+    indices, column indices, determinant value); every report has one.
     """
 
     is_tp: bool
-    is_stp: bool
-    witness: tuple | None
-    method: str
+    witness: tuple
 
 
-def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
+def is_totally_positive(m) -> TpReport:
     """Check total positivity of a matrix by minor enumeration.
 
     Every minor up to order min(rows, cols) is enumerated when neither
     dimension exceeds EXHAUSTIVE_LIMIT; above it only minors on consecutive
-    row/column windows are checked. A minor passes as non-negative when
-    det >= -tol*scale and counts as strictly positive when det > tol*scale,
-    with scale the product of the submatrix row norms.
+    row/column windows are checked, so the verdict is advisory. A minor
+    passes as non-negative when det >= -DEFAULT_REL_TOL * scale, with scale
+    the product of the submatrix row norms.
 
     Rows whose largest entry exceeds one are first scaled down by an exact
     power of two, so that minors of large entries do not overflow; a
@@ -115,10 +109,10 @@ def is_totally_positive(m, tol: float = DEFAULT_REL_TOL) -> TpReport:
     m = _reals(m, "matrix", 2)
     if m.size == 0:
         raise ValueError("matrix must not be empty")
-    return _tp_reports(m[None], _tolerance(tol, "tol"))[0]
+    return _tp_reports(m[None])[0]
 
 
-def _tp_reports(stack: np.ndarray, tol: float) -> list:
+def _tp_reports(stack: np.ndarray) -> list:
     """One TpReport per matrix of a finite (T, r, c) stack; each matrix is
     judged exactly as is_totally_positive judges it alone."""
     t, r, c = stack.shape
@@ -127,8 +121,8 @@ def _tp_reports(stack: np.ndarray, tol: float) -> list:
     stack = np.ldexp(stack, -shifts[:, :, None])
     method = _method(r, c)
     sq = stack * stack
-    all_ok, all_strict = np.ones(t, dtype=bool), np.ones(t, dtype=bool)
-    worst_margin, witness = np.full(t, np.inf), [None] * t
+    all_ok, witness = np.ones(t, dtype=bool), [None] * t
+    worst_margin = np.full(t, np.nan)  # so order 1 sets every witness, margins of inf too
     for k in range(1, min(r, c) + 1):
         rset, cset = _index_sets(r, k, method), _index_sets(c, k, method)
         if method == "exhaustive":
@@ -141,38 +135,43 @@ def _tp_reports(stack: np.ndarray, tol: float) -> list:
         scales = np.multiply.reduce(norms[:, rset], axis=2)
         unscale = shifts[:, rset].sum(axis=2)[:, :, None]
         dets = _det_stack(subs)
-        margins = dets + tol * scales
+        margins = dets + DEFAULT_REL_TOL * scales
         all_ok &= np.all(margins >= 0.0, axis=(1, 2))
-        all_strict &= np.all(dets > tol * scales, axis=(1, 2))
         # the witness is chosen and reported in the original scale
         with np.errstate(over="ignore"):
             margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
         width = dets.shape[2]
         margins, dets = margins.reshape(t, -1), dets.reshape(t, -1)
         least = np.argmin(margins, axis=1)
-        for j in np.flatnonzero(margins[np.arange(t), least] < worst_margin):
+        for j in np.flatnonzero(~(margins[np.arange(t), least] >= worst_margin)):
             i = least[j]
             worst_margin[j] = margins[j, i]
             row, col = divmod(int(i), width)
             witness[j] = (tuple(rset[row].tolist()), tuple(cset[col].tolist()), float(dets[j, i]))
-    return [TpReport(bool(ok), bool(strict), w, method)
-            for ok, strict, w in zip(all_ok, all_strict, witness)]
+    return [TpReport(bool(ok), w) for ok, w in zip(all_ok, witness)]
 
 
 @dataclass(frozen=True)
 class NtpSuiteReport:
-    """Aggregate outcome of the randomized NTP verification trials."""
+    """Outcome of the randomized NTP trials: the least-determinant witness,
+    its trial's boundary case, and the (trial, case) of each trial not TP."""
 
     trials: int
-    failures: int
-    worst_minor: float
-    worst_witness: tuple | None
-    worst_case: str | None
+    worst_witness: tuple
+    worst_case: str
     failed_trials: tuple
 
     @property
+    def failures(self) -> int:
+        return len(self.failed_trials)
+
+    @property
+    def worst_minor(self) -> float:
+        return self.worst_witness[2]
+
+    @property
     def passed(self) -> bool:
-        return self.failures == 0
+        return not self.failed_trials
 
 
 def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSuiteReport:
@@ -192,7 +191,8 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     minor entries per trial when every minor is enumerated, the (n-k+1)^2
     determinant grid of the window views above EXHAUSTIVE_LIMIT. Each
     trial's parameters, matrix and verdict are those it has alone; a node
-    span too narrow to draw them from raises ValueError.
+    span too narrow to draw them from raises ValueError. Of equal worst
+    witnesses the report keeps the first.
     """
     w = validate_weights(ns, weights)
     trials = _index(trials, "trials", 1, MAX_TRIALS)
@@ -204,16 +204,15 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     else:
         per_trial = n * n  # the order-1 determinant grid is the largest
     chunk = max(1, _GATHER_LIMIT // per_trial)
-    failed = []
-    worst = (np.inf, None, None)  # (witness det, witness, case)
+    failed, worst = [], None  # worst: (witness, case), the first of least determinant
     for start in range(0, trials, chunk):
         chunk_trials = range(start, min(start + chunk, trials))
         cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in chunk_trials]
         params = suite_params(seed, chunk_trials, cases, a0, an, n)
         stack = rational_basis_matrix(ns, w, params.ravel()).reshape(-1, n, n)
-        for trial, case, report in zip(chunk_trials, cases, _tp_reports(stack, DEFAULT_REL_TOL)):
+        for trial, case, report in zip(chunk_trials, cases, _tp_reports(stack)):
             if not report.is_tp:
                 failed.append((trial, case))
-            if report.witness is not None and report.witness[2] < worst[0]:
-                worst = (report.witness[2], report.witness, case)
-    return NtpSuiteReport(trials, len(failed), *worst, failed_trials=tuple(failed))
+            if worst is None or report.witness[2] < worst[0][2]:
+                worst = report.witness, case
+    return NtpSuiteReport(trials, *worst, tuple(failed))

@@ -501,23 +501,28 @@ def test_basis_eval_example_grid(tmp_path):
     assert len((out / "basis.csv").read_text().splitlines()) == 102
 
 
-def test_tp_check_pass_and_report(tmp_path):
-    path = _circle_config(tmp_path, mode="tp-check")
-    out = tmp_path / "tp"
-    code = cli.main(
-        ["tp-check", "--config", str(path), "--trials", "20", "--seed", "5", "--out", str(out)]
-    )
-    assert code == 0
-    header, row = (out / "tp_report.csv").read_text().splitlines()
-    assert header.startswith("trials,failures,worst_minor")
-    assert row.split(",")[0] == "20" and row.split(",")[1] == "0"
+def test_tp_check_pass_and_report(tmp_path, capsys):
+    # the whole stdout and report, pinned on the circle and the helix; every
+    # boundary trial has a zero minor, so the worst witness is a left trial's
+    circle = _circle_config(tmp_path, mode="tp-check")
+    helix = _problem_config(tmp_path / "helix.json", datasets.helix_problem(), "tp-check")
+    for path, args, trials in ((circle, ["--trials", "20", "--seed", "5"], 20),
+                               (helix, ["--trials", "3"], 3)):
+        out = tmp_path / path.stem
+        assert cli.main(["tp-check", "--config", str(path), *args, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (
+            f"PASS: {trials} trials, 0 failures\n"
+            "worst minor 0 (case left, rows [0], cols [1])\n"
+            f"wrote {out / 'tp_report.csv'}\n")
+        assert (out / "tp_report.csv").read_bytes() == (
+            b"trials,failures,worst_minor,worst_case,worst_rows,worst_cols\n"
+            + f"{trials},0,0,left,0,1\n".encode())
 
 
 def test_tp_check_failure_exit_code(tmp_path, monkeypatch):
     path = _circle_config(tmp_path, mode="tp-check")
     fake = NtpSuiteReport(
-        trials=4, failures=1, worst_minor=-0.5,
-        worst_witness=((0, 1), (0, 1), -0.5), worst_case="interior",
+        trials=4, worst_witness=((0, 1), (0, 1), -0.5), worst_case="interior",
         failed_trials=((0, "interior"),),
     )
     monkeypatch.setattr(cli, "verify_ntp_suite", lambda *a, **k: fake)

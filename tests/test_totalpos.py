@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from gtbezier import (
-    EXHAUSTIVE_LIMIT,
     NodeSet,
     NtpSuiteReport,
     is_totally_positive,
@@ -20,8 +19,9 @@ from gtbezier import (
 )
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
-from gtbezier.totalpos import BOUNDARY_CASES, DEFAULT_REL_TOL, TpReport, _det_stack, _tp_reports
-from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
+from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, EXHAUSTIVE_LIMIT, TpReport,
+                               _det_stack, _method, _tp_reports)
+from bad_inputs import BAD_COUNTS
 from oracles import (GenVandermondeSpec, draw_params, generalized_vandermonde, power_matrix,
                      raw_log_basis, reference_draws)
 
@@ -97,8 +97,7 @@ def test_collocation_chebyshev_minors_positive():
     k = np.arange(5)
     cheb = np.sort(0.5 * (a0 + an) + 0.5 * (an - a0) * np.cos((2 * k + 1) * np.pi / 10))
     report = is_totally_positive(_raw_collocation_matrix(ns, cheb))
-    assert report.method == "exhaustive"
-    assert report.is_tp and report.is_stp
+    assert report.is_tp
     assert report.witness[2] > 0
 
 
@@ -236,7 +235,7 @@ def test_witness_det_matches_cofactor_oracle():
 
 def test_is_tp_identity_and_antidiagonal():
     rep = is_totally_positive(np.eye(2))
-    assert rep.is_tp and not rep.is_stp
+    assert rep.is_tp
     assert rep.witness[2] == 0.0
     rep = is_totally_positive([[0.0, 1.0], [1.0, 0.0]])
     assert not rep.is_tp
@@ -245,16 +244,14 @@ def test_is_tp_identity_and_antidiagonal():
 
 def test_is_tp_selects_enumeration_by_size():
     assert EXHAUSTIVE_LIMIT == 8
-    assert is_totally_positive(np.ones((8, 8))).method == "exhaustive"
-    assert is_totally_positive(np.ones((2, 8))).method == "exhaustive"
-    assert is_totally_positive(np.ones((9, 9))).method == "contiguous"
-    assert is_totally_positive(np.ones((2, 9))).method == "contiguous"
+    assert _method(8, 8) == _method(2, 8) == "exhaustive"
+    assert _method(9, 9) == _method(2, 9) == "contiguous"
     assert is_totally_positive(np.ones((9, 9))).is_tp
     # the helix collocation matrix is 31 x 31; the verdict never refuses a size
     prob = datasets.helix_problem()
     rep = is_totally_positive(
         rational_collocation_matrix(prob.nodeset, prob.weights, prob.params))
-    assert rep.method == "contiguous" and rep.is_tp
+    assert rep.is_tp
 
 
 def test_is_tp_large_entries_do_not_overflow():
@@ -270,7 +267,6 @@ def test_is_tp_large_entries_do_not_overflow():
         rep = is_totally_positive(m)
         normalized = is_totally_positive(m / m.max(axis=1, keepdims=True))
     assert rep.is_tp and normalized.is_tp
-    assert rep.is_stp == normalized.is_stp
     rows, cols, det = rep.witness
     with mpmath.workdps(50):
         exact = mpmath.det(mpmath.matrix(m[np.ix_(rows, cols)].tolist()))
@@ -278,19 +274,18 @@ def test_is_tp_large_entries_do_not_overflow():
 
 
 def test_is_tp_input_validation():
-    with pytest.raises(ValueError, match="tol must be a finite number >= 0"):
-        is_totally_positive(np.eye(2), tol=-1.0)
     with pytest.raises(ValueError, match="finite"):
         is_totally_positive([[np.inf, 1.0], [0.0, 1.0]])
 
 
-@pytest.mark.parametrize("tol", BAD_TOLERANCES)
-def test_is_tp_rejects_non_finite_tol(tol):
-    # the tolerance rule: a NaN margin fails every comparison, so the
-    # identity would read not TP; an infinite tolerance overflows the
-    # margins; None once raised a comparison TypeError naming no argument
-    with pytest.raises((TypeError, ValueError), match="tol must be a finite number >= 0"):
-        is_totally_positive(np.eye(2), tol=tol)
+@pytest.mark.parametrize("m", [[[np.finfo(float).max]], np.full((2, 2), np.finfo(float).max)],
+                         ids=["1x1", "2x2"])
+def test_is_tp_witness_where_every_margin_overflows(m):
+    # each minor's margin is inf in the original scale, where the witness is
+    # chosen; the first minor of order 1 is the witness, not None
+    rep = is_totally_positive(m)
+    assert rep.is_tp
+    assert rep.witness == ((0,), (0,), float(np.finfo(float).max))
 
 
 def test_example_collocation_is_tp():
@@ -298,13 +293,14 @@ def test_example_collocation_is_tp():
     rng = np.random.default_rng(37)
     params = _interior_params(rng, prob.nodeset)
     rep = is_totally_positive(rational_collocation_matrix(prob.nodeset, prob.weights, params))
-    assert rep.is_tp and rep.method == "exhaustive"
+    assert rep.is_tp
 
 
-def test_contiguous_stp_implies_exhaustive_tp():
-    # above EXHAUSTIVE_LIMIT only windows are checked; a window STP verdict
-    # (every window minor positive, tol=0) must hold up against all minors,
-    # enumerated by the oracle and accepted as in the exhaustive verdict
+def test_contiguous_stp_implies_exhaustive_tp(monkeypatch):
+    # above EXHAUSTIVE_LIMIT only windows are checked; a window verdict with
+    # no tolerance whose witness is positive (every window minor positive)
+    # must hold up against all minors, enumerated by the oracle and accepted
+    # as in the exhaustive verdict
     rng = np.random.default_rng(41)
     for n, count in ((9, 48619), (9, 48619), (10, 184755)):
         while True:
@@ -313,8 +309,10 @@ def test_contiguous_stp_implies_exhaustive_tp():
                 break
         ns = NodeSet(nodes, rng.uniform(0.2, 2.0, n), rng.uniform(0.3, 2.0))
         mat = _raw_collocation_matrix(ns, _interior_params(rng, ns))
-        report = is_totally_positive(mat, tol=0.0)
-        assert report.method == "contiguous" and report.is_stp
+        with monkeypatch.context() as patch:
+            patch.setattr(totalpos, "DEFAULT_REL_TOL", 0.0)
+            report = is_totally_positive(mat)
+        assert report.is_tp and report.witness[2] > 0
         dets, scales = _all_minors(mat)
         assert dets.size == count
         assert np.all(dets >= -1e-9 * scales)
@@ -331,7 +329,6 @@ def test_positive_scaling_preserves_tp():
                                           _interior_params(rng, ns))
         report = is_totally_positive(mat)
         assert report.is_tp
-        assert report.is_tp or not report.is_stp  # is_stp implies is_tp
         scaled = np.diag(rng.uniform(0.1, 10.0, mat.shape[0])) @ mat
         scaled = scaled @ np.diag(rng.uniform(0.1, 10.0, mat.shape[1]))
         assert is_totally_positive(scaled).is_tp
@@ -401,12 +398,11 @@ def test_ntp_suite_reports_pinned():
     circle = datasets.circle_problem()
     report = verify_ntp_suite(circle.nodeset, circle.weights, trials=400, seed=20240809)
     assert report == NtpSuiteReport(
-        trials=400, failures=0, worst_minor=0.0, worst_witness=((0,), (1,), 0.0),
-        worst_case="left", failed_trials=())
+        trials=400, worst_witness=((0,), (1,), 0.0), worst_case="left", failed_trials=())
+    assert (report.failures, report.worst_minor) == (0, 0.0)
     ns, w = datasets.helix_node_set(), datasets.helix_weights()
     assert verify_ntp_suite(ns, w, trials=8, seed=3) == NtpSuiteReport(
-        trials=8, failures=0, worst_minor=0.0, worst_witness=((0,), (1,), 0.0),
-        worst_case="left", failed_trials=())
+        trials=8, worst_witness=((0,), (1,), 0.0), worst_case="left", failed_trials=())
     # a one-trial suite is interior only, so its witness is a nonzero minor
     interior = verify_ntp_suite(ns, w, trials=1, seed=3)
     assert interior.worst_case == "interior"
@@ -419,21 +415,21 @@ def _reference_suite(ns, w, trials, seed):
     its collocation matrix, judge it alone, and fold the reports in order."""
     cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in range(trials)]
     draws = reference_draws(seed, range(trials), cases, *ns.domain, ns.size)
-    failed, worst = [], (np.inf, None, None)  # (witness det, witness, case)
-    for trial, case, params in zip(range(trials), cases, draws):
-        report = is_totally_positive(rational_collocation_matrix(ns, w, params))
-        if not report.is_tp:
-            failed.append((trial, case))
-        if report.witness is not None and report.witness[2] < worst[0]:
-            worst = (report.witness[2], report.witness, case)
-    return NtpSuiteReport(trials, len(failed), worst[0], worst[1], worst[2], tuple(failed))
+    reports = [is_totally_positive(rational_collocation_matrix(ns, w, params))
+               for params in draws]
+    failed = tuple((trial, case) for trial, case, report in zip(range(trials), cases, reports)
+                   if not report.is_tp)
+    # min keeps the first of equal determinants
+    witness, case = min(zip((report.witness for report in reports), cases),
+                        key=lambda pair: pair[0][2])
+    return NtpSuiteReport(trials, witness, case, failed)
 
 
 def _suite_stacks(monkeypatch, ns, w, trials, seed=0):
     """Shapes of the matrix stacks verify_ntp_suite judges, in call order."""
     shapes, judge = [], totalpos._tp_reports
     monkeypatch.setattr(totalpos, "_tp_reports",
-                        lambda stack, tol: shapes.append(stack.shape) or judge(stack, tol))
+                        lambda stack: shapes.append(stack.shape) or judge(stack))
     verify_ntp_suite(ns, w, trials, seed)
     monkeypatch.undo()
     return shapes
@@ -466,14 +462,13 @@ def test_tp_reports_judge_each_matrix_of_a_stack_alone():
     assert raw.max() > 1e40
     mats += [raw, np.eye(5), np.eye(5)[::-1]]
     stack = np.array(mats)
-    reports = _tp_reports(stack, DEFAULT_REL_TOL)
-    assert reports == [_tp_reports(m[None], DEFAULT_REL_TOL)[0] for m in stack]
-    assert _tp_reports(stack[::-1], DEFAULT_REL_TOL) == reports[::-1]
+    reports = _tp_reports(stack)
+    assert reports == [_tp_reports(m[None])[0] for m in stack]
+    assert _tp_reports(stack[::-1]) == reports[::-1]
     verdicts = []
     for m, report in zip(stack, reports):
         dets, scales = _all_minors(m)
         assert report.is_tp == bool(np.all(dets >= -DEFAULT_REL_TOL * scales))
-        assert report.is_stp == bool(np.all(dets > DEFAULT_REL_TOL * scales))
         verdicts.append(report.is_tp)
     assert verdicts == [True] * 4 + [False] * 4 + [True, True, False]
 
@@ -487,7 +482,7 @@ def _gathered_window_report(m, tol):
     row_max = np.max(np.abs(m), axis=1)
     shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
     m = np.ldexp(m, -shifts[:, None])
-    is_tp, is_stp, worst, witness = True, True, np.inf, None
+    is_tp, worst, witness = True, np.inf, None
     for k in range(1, min(r, c) + 1):
         rset = np.arange(r - k + 1)[:, None] + np.arange(k)
         cset = np.arange(c - k + 1)[:, None] + np.arange(k)
@@ -496,7 +491,6 @@ def _gathered_window_report(m, tol):
         scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)[0]
         margins = dets + tol * scales
         is_tp &= bool(np.all(margins >= 0.0))
-        is_stp &= bool(np.all(dets > tol * scales))
         unscale = shifts[rset].sum(axis=1)[:, None]
         with np.errstate(over="ignore"):
             margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
@@ -504,11 +498,11 @@ def _gathered_window_report(m, tol):
         if margins[i, j] < worst:
             worst = margins[i, j]
             witness = (tuple(rset[i].tolist()), tuple(cset[j].tolist()), float(dets[i, j]))
-    return TpReport(is_tp, is_stp, witness, "contiguous")
+    return TpReport(is_tp, witness)
 
 
 @pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
-def test_window_views_equal_gathered_windows(tol):
+def test_window_views_equal_gathered_windows(monkeypatch, tol):
     # reading windows as strided views changes no determinant, scale or
     # witness: reports are == the gathered reference, matrix by matrix, on
     # random, TP (Vandermonde) and row-scaled matrices of every window size
@@ -523,9 +517,10 @@ def test_window_views_equal_gathered_windows(tol):
     stacks += [rng.uniform(-0.1, 1.0, (3, r, c))
                for r, c in ((2, 9), (9, 2), (1, 20), (5, 12), (12, 5))]
     stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None] for s in stacks[-6:]]
+    monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
     verdicts = set()
     for stack in stacks:
-        reports = _tp_reports(stack, tol)
+        reports = _tp_reports(stack)
         assert reports == [_gathered_window_report(m, tol) for m in stack]
         verdicts.update(rep.is_tp for rep in reports)
     assert verdicts == {True, False}
