@@ -38,7 +38,7 @@ EXIT_IO = 3
 EXIT_DIVERGED = 4
 
 POLYLINE_SAMPLES = 401
-_EVAL_ROWS = 4096  # basis-eval rows filled per basis call
+_EVAL_ROWS = 1024  # basis-eval rows a block: filled by one basis call, then written
 
 _CURVE_STYLES = {
     "gt": {"stroke": "#d62728"},
@@ -69,19 +69,24 @@ def _outdir(args) -> Path:
 def cmd_basis_eval(args) -> int:
     cfg = load_config(args.config, "eval", grid=args.grid)
     ns = cfg.nodeset
-    # one table, t then the basis values; rows are independent, so filling it
-    # a block at a time gives the whole grid's bits without a second copy
-    table = np.empty((cfg.grid, ns.size + 1))
-    table[:, 0] = np.linspace(*ns.domain, cfg.grid)
-    for start in range(0, cfg.grid, _EVAL_ROWS):
-        block = table[start:start + _EVAL_ROWS]
-        block[:, 1:] = rational_basis_matrix(ns, cfg.weights, block[:, 0])
     out = _outdir(args)
+    ts = np.linspace(*ns.domain, cfg.grid)
+    buf = np.empty((min(cfg.grid, _EVAL_ROWS), ns.size + 1))
+    devs = []
+
+    def blocks():  # t, then the basis values, in one buffer refilled block by block
+        for start in range(0, cfg.grid, _EVAL_ROWS):
+            t = ts[start:start + _EVAL_ROWS]
+            block = buf[:t.size]
+            block[:, 0] = t
+            block[:, 1:] = rational_basis_matrix(ns, cfg.weights, t)
+            devs.append(np.max(np.abs(block[:, 1:].sum(axis=1) - 1.0)))
+            yield block
+
     header = ("t",) + tuple(f"T{j}" for j in range(ns.size))
-    write_csv(out / "basis.csv", header, table)
-    dev = float(np.max(np.abs(table[:, 1:].sum(axis=1) - 1.0)))
+    write_csv(out / "basis.csv", header, blocks())
     print(f"wrote {out / 'basis.csv'} ({cfg.grid} rows, {ns.size} basis functions)")
-    print(f"max |row sum - 1| = {format_float(dev)}")
+    print(f"max |row sum - 1| = {format_float(max(devs))}")
     return EXIT_OK
 
 

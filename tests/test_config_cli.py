@@ -401,11 +401,18 @@ def _table(rows, width, seed):
 
 
 @pytest.mark.parametrize("width", [1, 2, 32])
-@pytest.mark.parametrize("rows", ["zero", "one", "below", "at", "block", "block+1", "blocks"])
-def test_write_csv_matches_per_cell_reference(tmp_path, width, rows):
+@pytest.mark.parametrize("rows, kernel_cells", [
+    pytest.param(rows, cells, id=rows if cells == _KERNEL_CELLS else f"{rows}-pass{cells}")
+    for cells in (_KERNEL_CELLS, 1, 33)
+    for rows in ("zero", "one", "below", "at", "block", "block+1", "blocks")
+    # at one row a pass every row ends a pass, at the crossover already
+    if cells > 1 or rows in ("zero", "one", "below", "at")])
+def test_write_csv_matches_per_cell_reference(tmp_path, monkeypatch, kernel_cells, width, rows):
     # below and at the crossover (1 cell below it, and at it, for width 1) the
     # table goes per cell and through the kernel; "blocks" spans three full
-    # kernel blocks and part of a fourth
+    # kernel passes of the default size and part of a fourth; the pass size
+    # moves no byte, down to one row a pass
+    monkeypatch.setattr(gtbezier.export, "_KERNEL_CELLS", kernel_cells)
     block = _BLOCK_CELLS // width
     count = {"zero": 0, "one": 1, "below": (_CROSSOVER - 1) // width, "at": -(-_CROSSOVER // width),
              "block": block, "block+1": block + 1, "blocks": 3 * (_KERNEL_CELLS // width) + 1}[rows]
@@ -579,21 +586,60 @@ def test_basis_eval_tables_pinned(tmp_path, which):
                                   rational_basis_matrix(prob.nodeset, prob.weights, table[:, 0]))
 
 
-def test_basis_eval_holds_one_table(tmp_path):
-    # the command once built the basis values and then copied them beside the
-    # t column, a traced peak of 2.04 tables at this grid; it fills one table
+def _basis_eval(tmp_path, prob, grid, capsys):
+    """Run basis-eval on prob's node set at grid; the table read back and the
+    printed max |row sum - 1|."""
+    path = _problem_config(tmp_path / "eval.json", prob, "eval")
+    out = tmp_path / f"grid-{grid}"
+    assert cli.main(["basis-eval", "--config", str(path), "--grid", str(grid), "--out", str(out)]) == 0
+    dev = capsys.readouterr().out.splitlines()[-1].removeprefix("max |row sum - 1| = ")
+    return np.loadtxt(out / "basis.csv", delimiter=",", skiprows=1, ndmin=2), dev
+
+
+@pytest.mark.parametrize("which", ["circle", "helix"])
+def test_basis_eval_stream_edges(tmp_path, which, capsys):
+    # the table is written a block of _EVAL_ROWS rows at a time, each block in
+    # kernel passes of _KERNEL_CELLS // width rows (a last block below
+    # _CROSSOVER cells per cell): grids on each side of both edges give the
+    # whole grid's table and the whole table's row-sum deviation
+    prob = {"circle": datasets.circle_problem, "helix": datasets.helix_problem}[which]()
+    pass_rows = _KERNEL_CELLS // (prob.nodeset.size + 1)
+    eval_rows = cli._EVAL_ROWS
+    for grid in (1, 2, eval_rows - 1, eval_rows, eval_rows + 1, pass_rows - 1, pass_rows + 1):
+        table, dev = _basis_eval(tmp_path, prob, grid, capsys)
+        ts = np.linspace(*prob.nodeset.domain, grid)
+        basis = rational_basis_matrix(prob.nodeset, prob.weights, ts)
+        np.testing.assert_array_equal(table[:, 0], ts)
+        np.testing.assert_array_equal(table[:, 1:], basis)
+        assert dev == format_float(np.max(np.abs(basis.sum(axis=1) - 1.0)))
+
+
+def test_basis_eval_holds_one_block(tmp_path):
+    # the command once held the whole (grid, n + 1) table, a traced peak of
+    # 28 MB at this grid; it holds the t grid, one buffer of _EVAL_ROWS
+    # rows and one kernel pass (within its 2 MiB budget), whatever the grid
     prob = datasets.helix_problem()
     path = _problem_config(tmp_path / "eval.json", prob, "eval")
-    grid, out = 100001, tmp_path / "table"
+    grid, out, width = 100001, tmp_path / "table", prob.nodeset.size + 1
+    ts = np.linspace(*prob.nodeset.domain, _KERNEL_CELLS // width)
+    cells = np.column_stack([ts, rational_basis_matrix(prob.nodeset, prob.weights, ts)]).ravel()
+    seps = (np.array([ord(",")] * (width - 1) + [ord("\n")]) << 24).astype("<u4")
+    # the kernel's tables and the command's first-call state, built once per process
+    _tables()
+    assert cli.main(["basis-eval", "--config", str(path), "--grid", "11", "--out", str(out)]) == 0
     tracemalloc.start()
     try:
+        _format_cells(cells, seps)
+        kernel_pass = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
         assert cli.main(["basis-eval", "--config", str(path), "--grid", str(grid),
                          "--out", str(out)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     (out / "basis.csv").unlink()  # about 75 MB
-    assert peak <= 1.25 * grid * (prob.nodeset.size + 1) * 8
+    assert kernel_pass <= 2**21
+    assert peak <= 1.25 * (grid * 8 + cli._EVAL_ROWS * width * 8 + kernel_pass)
 
 
 def test_pia_fit_helix_outputs_pinned(tmp_path):

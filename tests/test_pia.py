@@ -22,7 +22,7 @@ from gtbezier import (
 from gtbezier import datasets
 from gtbezier.basis import _FLOAT_MAX
 from gtbezier.config import MAX_FIT_NODES
-from gtbezier.pia import _BLOCK, _STACK_BUDGET, DIVERGENCE_FACTOR, _block_size
+from gtbezier.pia import _BLOCK, _MIN_BLOCK, _STACK_BUDGET, DIVERGENCE_FACTOR, _block_size
 from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
 from oracles import (CURVE_POINTS_ERROR, HELIX_FIT_STEP_LOOP_ERRORS, near_row_major, pia_errors,
                      pia_oracle, row_major_basis)
@@ -392,20 +392,22 @@ def test_power_stack_fits_the_budget():
     # shapes only, no problem of that size: B n x n matrices fit the budget,
     # so a run's stack of the powers M^1 .. M^(B - 1) does too; full blocks
     # up to 64 nodes (the helix's 31 included), single steps and no stack
-    # from 363 nodes on, up to the largest fit the config accepts
-    for n in (2, 5, 31, 64, 65, 200, 362, 363, MAX_FIT_NODES):
+    # where the budget leaves fewer than _MIN_BLOCK steps, from 182 nodes on,
+    # up to the largest fit the config accepts
+    for n in (2, 5, 31, 64, 65, 170, 181, 182, 200, 363, MAX_FIT_NODES):
         b = _block_size(n, 10**6)
         assert 1 <= b <= _BLOCK and (b - 1) * n * n < _STACK_BUDGET
         assert b == 1 or b * n * n <= _STACK_BUDGET
-        assert (b == _BLOCK) == (n <= 64) and (b == 1) == (n > 362)
+        assert (b == _BLOCK) == (n <= 64) and (b == 1) == (n > 181)
+        assert b == 1 or b >= _MIN_BLOCK
     assert _block_size(31, 5) == 5 and _block_size(31, 0) == 1
 
 
 def test_single_steps_are_the_step_loop():
-    # from 363 nodes on, each block is one float step: the step loop's
+    # from 182 nodes on, each block is one float step: the step loop's
     # arithmetic, but for the rounding of the norms
-    t = np.linspace(0.0, 1.0, 363)
-    problem = FitProblem(np.column_stack([t, t * t]), t, NodeSet(t), np.ones(363))
+    t = np.linspace(0.0, 1.0, 182)
+    problem = FitProblem(np.column_stack([t, t * t]), t, NodeSet(t), np.ones(182))
     control, history = _step_loop(problem, 20)
     run = pia_run(problem, 20)
     assert np.array_equal(run.control, control)
