@@ -6,10 +6,11 @@ Verdicts here are numerical: a minor counts as non-negative when it is
 submatrix rows (a Hadamard-style bound), so the tolerance tracks the wildly
 varying magnitude of the minors.
 
-Minors are enumerated over a (T, r, c) stack of matrices, one pass per order:
+Minors are judged over a (T, r, c) stack of matrices, one pass per order:
 is_totally_positive judges a stack of one, verify_ntp_suite chunks of trials.
-Small matrices gather every minor into a (T, R, C, k, k) array; larger ones
-read their consecutive k x k windows in place, as strided views of the stack.
+Small matrices gather every minor into a (T, R, C, k, k) array for _det_stack;
+for larger ones every consecutive k x k window comes from _window_dets, as a
+product of pivots of an elimination without row exchanges, one per corner.
 """
 
 from dataclasses import dataclass
@@ -31,7 +32,8 @@ DEFAULT_REL_TOL = 1e-9
 
 # Ceiling, in elements, on what one order materializes for a stack of trials
 # in the NTP suite: the gathered minors of exhaustive enumeration, or the
-# determinant grid of the window views. One 8-node trial alone gathers more
+# determinant grid of the windows, whose elimination passes hold a quarter
+# of it in each of their three buffers. One 8-node trial alone gathers more
 # and is judged by itself; up to 68 trials of 31 nodes share one stack.
 _GATHER_LIMIT = 2**16
 
@@ -45,7 +47,8 @@ def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
 
 def _det_stack(subs: np.ndarray) -> np.ndarray:
     """Determinants of an (..., k, k) stack: closed-form expansion for
-    k <= 3, LAPACK LU with partial pivoting above."""
+    k <= 3, LAPACK LU with partial pivoting above. The minors of exhaustive
+    enumeration, and the windows _window_dets cannot eliminate."""
     k = subs.shape[-1]
     if k == 1:
         return subs[..., 0, 0].copy()
@@ -61,6 +64,73 @@ def _det_stack(subs: np.ndarray) -> np.ndarray:
     # the determinant it returns is the correct 0.0
     with np.errstate(divide="ignore"):
         return np.linalg.det(subs)
+
+
+def _window_dets(stack: np.ndarray) -> list:
+    """Determinants of the consecutive k x k windows of a (T, r, c) stack,
+    one (T, r-k+1, c-k+1) grid per order k = 1 .. min(r, c).
+
+    The window at (i, j) is the k-th leading principal minor of the block
+    at corner (i, j), m = min(r-i, c-j) rows and columns, so one elimination
+    without row exchanges per corner gives every window there as the
+    product of the block's first k pivots. On a TP matrix that elimination
+    has no growth and is backward stable (de Boor & Pinkus 1977), and its
+    pivots are ratios of consecutive windows (Gasca & Pena 1992). Pivots
+    are multiplied as frexp mantissas with their exponents summed and
+    ldexp'd once, so no partial product overflows or underflows, and a
+    window's bits depend on its entries alone, never on the batch. Corners
+    of one block size are eliminated together, the batch on the last axis;
+    a pass's block copy, its update and its gathered blocks hold at most
+    _GATHER_LIMIT // 4 elements each. From its first zero or non-finite
+    pivot on, a corner's windows come from _det_stack.
+    """
+    t, r, c = stack.shape
+    orders = np.arange(1, min(r, c) + 1)
+    # every grid in one array; the k-th grid starts at starts[k - 1]
+    starts = np.concatenate([[0], np.cumsum(t * (r - orders + 1) * (c - orders + 1))])
+    flat = np.empty(starts[-1])
+    rows, cols = np.indices((r, c)).reshape(2, -1)
+    sizes = np.minimum(r - rows, c - cols)
+    work = np.empty(max(_GATHER_LIMIT // 4, orders.size ** 2))
+    prod = np.empty_like(work)
+    for m in orders:
+        corners = np.flatnonzero(sizes == m)
+        trial = np.repeat(np.arange(t), corners.size)
+        row, col = np.tile(rows[corners], t), np.tile(cols[corners], t)
+        blocks = sliding_window_view(stack, (m, m), axis=(1, 2))
+        step = work.size // (m * m)
+        for lo in range(0, trial.size, step):
+            tr, i, j = trial[lo:lo + step], row[lo:lo + step], col[lo:lo + step]
+            b = tr.size
+            a = work[:m * m * b].reshape(m, m, b)
+            a[...] = blocks[tr, i, j].transpose(1, 2, 0)
+            with np.errstate(all="ignore"):  # past a zero pivot the values are dropped
+                for s in range(m - 1):
+                    a[s + 1:, s] /= a[s, s]
+                    rest = m - s - 1
+                    update = prod[:rest * rest * b].reshape(rest, rest, b)
+                    np.multiply(a[s + 1:, s, None], a[s, None, s + 1:], out=update)
+                    a[s + 1:, s + 1:] -= update
+            # the pivot on row d goes to the grid of order d + 1, at the corner
+            d = np.arange(m)
+            flat[starts[d, None] + (tr * (r - d[:, None]) + i) * (c - d[:, None]) + j] = a[d, d]
+    # each grid now holds its corners' k-th pivots; a corner of the k-th
+    # grid sits at the same (i, j) in the (k-1)-th, which has one more row
+    # and column
+    grids = [flat[starts[k - 1]:starts[k]].reshape(t, r - k + 1, c - k + 1) for k in orders]
+    for k, grid in zip(orders, grids):
+        bad = (grid == 0.0) | ~np.isfinite(grid)
+        with np.errstate(all="ignore"):  # what is bad is replaced below
+            mant, expo = np.frexp(grid)
+            if k > 1:
+                mant *= last_mant[:, :-1, :-1]
+                expo += last_expo[:, :-1, :-1]
+                bad |= last_bad[:, :-1, :-1]
+            np.ldexp(mant, expo, out=grid)
+        if bad.any():
+            grid[bad] = _det_stack(sliding_window_view(stack, (k, k), axis=(1, 2))[bad])
+        last_mant, last_expo, last_bad = mant, expo, bad
+    return grids
 
 
 @lru_cache(maxsize=None)
@@ -92,13 +162,17 @@ class TpReport:
 
 
 def is_totally_positive(m) -> TpReport:
-    """Check total positivity of a matrix by minor enumeration.
+    """Check total positivity of a matrix by its minors.
 
     Every minor up to order min(rows, cols) is enumerated when neither
     dimension exceeds EXHAUSTIVE_LIMIT; above it only minors on consecutive
-    row/column windows are checked, so the verdict is advisory. A minor
-    passes as non-negative when det >= -DEFAULT_REL_TOL * scale, with scale
-    the product of the submatrix row norms.
+    row/column windows are checked, so the verdict is advisory. Those
+    windows are leading minors of the blocks at their corners, taken as
+    products of pivots of an elimination without row exchanges, which is
+    backward stable on a TP matrix; a corner goes to LAPACK from its first
+    zero or non-finite pivot on. A minor passes as non-negative when
+    det >= -DEFAULT_REL_TOL * scale, with scale the product of the
+    submatrix row norms.
 
     Rows whose largest entry exceeds one are first scaled down by an exact
     power of two, so that minors of large entries do not overflow; a
@@ -120,21 +194,21 @@ def _tp_reports(stack: np.ndarray) -> list:
     shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
     stack = np.ldexp(stack, -shifts[:, :, None])
     method = _method(r, c)
+    window_dets = _window_dets(stack) if method == "contiguous" else None
     sq = stack * stack
     all_ok, witness = np.ones(t, dtype=bool), [None] * t
     worst_margin = np.full(t, np.nan)  # so order 1 sets every witness, margins of inf too
     for k in range(1, min(r, c) + 1):
         rset, cset = _index_sets(r, k, method), _index_sets(c, k, method)
-        if method == "exhaustive":
-            subs = stack[:, rset[:, None, :, None], cset[None, :, None, :]]
-        else:  # read-only views of every k x k window
-            subs = sliding_window_view(stack, (k, k), axis=(1, 2))
         # each row's norm over a column set is summed once, not once per
         # minor it enters, and multiplied down each row set
         norms = np.sqrt(np.add.reduce(sq[:, :, cset], -1))
         scales = np.multiply.reduce(norms[:, rset], axis=2)
         unscale = shifts[:, rset].sum(axis=2)[:, :, None]
-        dets = _det_stack(subs)
+        if window_dets is None:
+            dets = _det_stack(stack[:, rset[:, None, :, None], cset[None, :, None, :]])
+        else:
+            dets = window_dets[k - 1]
         margins = dets + DEFAULT_REL_TOL * scales
         all_ok &= np.all(margins >= 0.0, axis=(1, 2))
         # the witness is chosen and reported in the original scale
@@ -189,7 +263,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     call, with T as large as keeps what every order materializes within
     _GATHER_LIMIT elements (at least one trial): C(n,k)^2 * k^2 gathered
     minor entries per trial when every minor is enumerated, the (n-k+1)^2
-    determinant grid of the window views above EXHAUSTIVE_LIMIT. Each
+    determinant grid of the windows above EXHAUSTIVE_LIMIT. Each
     trial's parameters, matrix and verdict are those it has alone; a node
     span too narrow to draw them from raises ValueError. Of equal worst
     witnesses the report keeps the first.

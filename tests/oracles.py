@@ -2,9 +2,10 @@
 generalized Vandermonde matrices, its raw basis and the power matrix of its
 TP reduction, the classical Bernstein polynomials, the rational basis
 rebuilt from its formula in mpmath (with the curve points contracted from
-it there) and evaluated row-major in floats, the NTP suite's parameter
-draws made one np.random.default_rng([seed, trial]) at a time, and the PIA
-update taken one step at a time in extended precision.
+it there) and evaluated row-major in floats, determinants in mpmath, the
+NTP suite's parameter draws made one np.random.default_rng([seed, trial])
+at a time, and the PIA update taken one step at a time in extended
+precision.
 
 They serve only to check the library's basis values, curve points,
 total-positivity verdicts, parameter draws and fit histories. pytest puts
@@ -201,6 +202,30 @@ def draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) ->
                 return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
     raise ValueError(f"no {free} distinct parameters drawn in [{low!r}, {high!r}]; "
                      "the node span is too narrow")
+
+
+def mp_det(window, dps: int = 50):
+    """Determinant of a float matrix in dps-digit mpmath, by elimination with
+    partial pivoting. mpmath.det is not used: it calls a matrix singular
+    when a pivot is small against the matrix norm, as the pivots of
+    row-scaled collocation windows are."""
+    with mp.workdps(dps):
+        a = [[mp.mpf(x) for x in row] for row in np.asarray(window, dtype=float).tolist()]
+        det = mp.mpf(1)
+        for s in range(len(a)):
+            p = max(range(s, len(a)), key=lambda q: abs(a[q][s]))
+            if not a[p][s]:
+                return mp.mpf(0)
+            if p != s:
+                a[s], a[p] = a[p], a[s]
+                det = -det
+            pivot = a[s]
+            det *= pivot[s]
+            for row in a[s + 1:]:
+                factor = row[s] / pivot[s]
+                for c in range(s + 1, len(a)):
+                    row[c] -= factor * pivot[c]
+        return +det
 
 
 def reference_draws(seed: int, trials, cases, a0: float, an: float, count: int) -> np.ndarray:

@@ -20,10 +20,10 @@ from gtbezier import (
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, EXHAUSTIVE_LIMIT, TpReport,
-                               _det_stack, _method, _tp_reports)
+                               _det_stack, _method, _tp_reports, _window_dets)
 from bad_inputs import BAD_COUNTS
-from oracles import (GenVandermondeSpec, draw_params, generalized_vandermonde, power_matrix,
-                     raw_log_basis, reference_draws)
+from oracles import (GenVandermondeSpec, draw_params, generalized_vandermonde, mp_det,
+                     power_matrix, raw_log_basis, reference_draws)
 
 
 def _random_node_set(rng, max_n=5):
@@ -473,21 +473,29 @@ def test_tp_reports_judge_each_matrix_of_a_stack_alone():
     assert verdicts == [True] * 4 + [False] * 4 + [True, True, False]
 
 
-def _gathered_window_report(m, tol):
+def _row_scaled(m):
+    """m with each row whose largest entry exceeds one scaled down by a power
+    of two, as _tp_reports scales it, and the shifts."""
+    row_max = np.max(np.abs(m), axis=-1)
+    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
+    return np.ldexp(m, -shifts[..., None]), shifts
+
+
+def _gathered_window_report(m, tol, lapack=False):
     """Reference for the window verdict of one matrix: each order's k x k
     windows gathered into a copy by index arrays, their row norms by
-    np.linalg.norm and np.prod, their determinants by _det_stack (closed
-    form up to order 3, np.linalg.det above)."""
+    np.linalg.norm and np.prod; their determinants from _window_dets, or,
+    with lapack, from _det_stack (closed form up to order 3, np.linalg.det
+    above) on the gathered copies."""
     r, c = m.shape
-    row_max = np.max(np.abs(m), axis=1)
-    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
-    m = np.ldexp(m, -shifts[:, None])
+    m, shifts = _row_scaled(m)
+    grids = None if lapack else _window_dets(m[None])
     is_tp, worst, witness = True, np.inf, None
     for k in range(1, min(r, c) + 1):
         rset = np.arange(r - k + 1)[:, None] + np.arange(k)
         cset = np.arange(c - k + 1)[:, None] + np.arange(k)
         subs = m[None][:, rset[:, None, :, None], cset[None, :, None, :]]
-        dets = _det_stack(subs)[0]
+        dets = _det_stack(subs)[0] if lapack else grids[k - 1][0]
         scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)[0]
         margins = dets + tol * scales
         is_tp &= bool(np.all(margins >= 0.0))
@@ -501,11 +509,10 @@ def _gathered_window_report(m, tol):
     return TpReport(is_tp, witness)
 
 
-@pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
-def test_window_views_equal_gathered_windows(monkeypatch, tol):
-    # reading windows as strided views changes no determinant, scale or
-    # witness: reports are == the gathered reference, matrix by matrix, on
-    # random, TP (Vandermonde) and row-scaled matrices of every window size
+def _window_test_stacks():
+    """Random, TP (generalized Vandermonde) and row-scaled stacks of every
+    window size; the first matrix of each of the first nine is TP, and so
+    is the first of the row-scaled stacks."""
     rng = np.random.default_rng(2026)
     stacks = []
     for n in (*range(9, 31, 3), 31):
@@ -517,13 +524,130 @@ def test_window_views_equal_gathered_windows(monkeypatch, tol):
     stacks += [rng.uniform(-0.1, 1.0, (3, r, c))
                for r, c in ((2, 9), (9, 2), (1, 20), (5, 12), (12, 5))]
     stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None] for s in stacks[-6:]]
+    return stacks
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
+def test_window_views_equal_gathered_windows(monkeypatch, tol):
+    # the stacked verdict's row-norm scales, unscaling and witness choice
+    # are those of a reference that gathers every window into a copy:
+    # reports are ==, matrix by matrix, on random, TP (Vandermonde) and
+    # row-scaled matrices of every window size; both take each order's
+    # determinants from _window_dets
     monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
     verdicts = set()
-    for stack in stacks:
+    for stack in _window_test_stacks():
         reports = _tp_reports(stack)
         assert reports == [_gathered_window_report(m, tol) for m in stack]
         verdicts.update(rep.is_tp for rep in reports)
     assert verdicts == {True, False}
+
+
+def _helix_trials(seed, trials):
+    """The helix suite's first trials at seed, rebuilt from their draws."""
+    ns, w = datasets.helix_node_set(), datasets.helix_weights()
+    cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in range(trials)]
+    draws = reference_draws(seed, range(trials), cases, *ns.domain, ns.size)
+    return np.array([rational_collocation_matrix(ns, w, params) for params in draws])
+
+
+def test_window_dets_match_mpmath(monkeypatch):
+    # sampled windows of every order of the TP matrices, row-scaled as
+    # _tp_reports scales them: every order of helix suite trial 0 at seed 1,
+    # and one window an order of one of the Vandermonde matrices of the
+    # window test (the row-scaled 31-node one among them). Against 50-digit
+    # mpmath, each error is within a few ulps of the verdict's scale (the
+    # product of the row norms), far below its tolerance. On orders 4 and
+    # up, where _det_stack calls np.linalg.det, the errors' geometric mean
+    # is below LAPACK's on the same windows (their largest is not: one
+    # low-order window sets it, at about 1e-21 to 2e-19 of the scale, for
+    # either method)
+    mpmath = pytest.importorskip("mpmath")
+    stacks = _window_test_stacks()
+    helix = _helix_trials(1, 1)[0]
+    assert verify_ntp_suite(datasets.helix_node_set(), datasets.helix_weights(), 1,
+                            seed=1).worst_witness == is_totally_positive(helix).witness
+    rng = np.random.default_rng(7)
+    vander = [_row_scaled(s[0])[0] for s in stacks[:9] + stacks[-6:-5]]
+    samples = [(helix, k) for k in range(1, 32)]
+    samples += [(vander[rng.choice([q for q, m in enumerate(vander) if len(m) >= k])], k)
+                for k in range(1, 32)]
+    log_ratio = 0  # of the kernel's error to LAPACK's, summed over orders >= 4
+    for m, k in samples:
+        i, j = rng.integers(len(m) - k + 1, size=2)
+        window = m[i:i + k, j:j + k]
+        exact = mp_det(window)
+        err = abs(mpmath.mpf(_window_dets(m[None])[k - 1][0, i, j]) - exact)
+        assert err <= 4 * k * np.finfo(float).eps * np.prod(np.linalg.norm(window, axis=1))
+        if k >= 4:
+            ref = abs(mpmath.mpf(float(_det_stack(window[None])[0])) - exact)
+            log_ratio += mpmath.log(err) - mpmath.log(ref)
+    assert log_ratio < 0
+    # every matrix of the window test keeps the LAPACK reference's verdict,
+    # and its witness at the library's tolerance; with none, the witness of a
+    # TP Vandermonde matrix is its most negative rounding error and moves
+    for tol in (0.0, DEFAULT_REL_TOL):
+        monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
+        for stack in stacks:
+            for m, report in zip(stack, _tp_reports(stack)):
+                ref = _gathered_window_report(m, tol, lapack=True)
+                assert report.is_tp == ref.is_tp
+                if tol:
+                    assert report.witness[:2] == ref.witness[:2]
+
+
+@pytest.mark.parametrize("k, rows, cols, exact", [
+    (19, 4, 12, 7.383e-125), (18, 4, 13, 9.475e-129), (20, 2, 11, 2.738e-141)])
+def test_window_dets_give_helix_minors_their_sign(k, rows, cols, exact):
+    # helix suite trial 0 at seed 1 is TP; np.linalg.det has given these
+    # minors the wrong sign and is off by up to 480% on them, while the
+    # elimination agrees with 50-digit mpmath
+    m = _helix_trials(1, 1)[0]
+    window = m[rows:rows + k, cols:cols + k]
+    det = _window_dets(m[None])[k - 1][0, rows, cols]
+    reference = float(mp_det(window))
+    assert reference == pytest.approx(exact, rel=1e-3)
+    assert det == pytest.approx(reference, rel=1e-3)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+def test_window_dets_fall_back_to_det_stack():
+    # from a corner's first zero pivot on, its windows are _det_stack's, bit
+    # for bit: the unit first row of the left and both-endpoint helix
+    # trials zeroes the first pivot at corners (0, j > 0), the unit last row
+    # of the latter the last pivot at corners (i, j < i), and an
+    # antidiagonal matrix has a zero leading pivot with nonzero later minors
+    # off its antidiagonal and a zero second pivot on it; each also with its
+    # rows scaled by 2**600, then down again as _tp_reports scales them
+    trials = _helix_trials(1, 4)
+    n = trials.shape[1]
+    left = [(0, j, k) for j in range(1, n) for k in range(1, n - j + 1)]
+    right = [(i, j, n - i) for i in range(1, n) for j in range(i)]
+    anti = [(i, j, k) for k in range(1, 10) for i in range(10 - k) for j in range(10 - k)
+            if k > 1 or i + j != 8]
+    for m, windows in ((trials[1], left), (trials[3], left + right), (np.eye(9)[::-1], anti)):
+        for scaled in (m, m * 2.0**600):
+            scaled = _row_scaled(scaled)[0]
+            grids = _window_dets(scaled[None])
+            for i, j, k in windows:
+                expected = _det_stack(scaled[None, i:i + k, j:j + k])[0]
+                assert _bits(grids[k - 1][0, i, j]) == _bits(expected)
+    assert is_totally_positive(np.eye(9)[::-1]).witness[2] == -1.0
+
+
+def test_window_dets_do_not_depend_on_the_stack():
+    # a window's bits are its own: helix stacks of 1, 4 and 68 trials (one
+    # suite chunk) are judged exactly as each trial alone
+    trials = _helix_trials(5, 68)
+    alone = [_tp_reports(m[None])[0] for m in trials]
+    for count in (1, 4, 68):
+        assert _tp_reports(trials[:count]) == alone[:count]
+    stacked = _window_dets(trials[:4])
+    for t, m in enumerate(trials[:4]):
+        assert all(_bits(a[t]) == _bits(b[0]) for a, b in zip(stacked, _window_dets(m[None])))
 
 
 def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
