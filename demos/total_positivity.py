@@ -33,8 +33,9 @@ print("\ngeneralized Vandermonde (real exponents):\n", np.round(w, 4))
 print("det =", np.linalg.det(w))
 
 # ------------------------------------------------------------------
-# full verdicts via minor enumeration: every minor up to 8 x 8, consecutive
-# windows above that
+# full verdicts via minor enumeration: every minor up to 8 x 8; above that,
+# consecutive windows, each a product of pivots of one Neville elimination
+# per column offset
 prob = datasets.circle_problem()
 params = np.linspace(0.3, 2.9, 5)
 c = rational_collocation_matrix(prob.nodeset, prob.weights, params)

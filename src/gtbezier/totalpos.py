@@ -10,7 +10,8 @@ Minors are judged over a (T, r, c) stack of matrices, one pass per order:
 is_totally_positive judges a stack of one, verify_ntp_suite chunks of trials.
 Small matrices gather every minor into a (T, R, C, k, k) array for _det_stack;
 for larger ones every consecutive k x k window comes from _window_dets, as a
-product of pivots of an elimination without row exchanges, one per corner.
+product of pivots of one Neville elimination per column offset (Gasca & Pena
+1992), backward stable on TP matrices (Alonso, Gasca & Pena 1997).
 """
 
 from dataclasses import dataclass
@@ -30,11 +31,11 @@ from .basis import (NodeSet, _index, _reals, rational_basis_matrix, validate_par
 EXHAUSTIVE_LIMIT = 8
 DEFAULT_REL_TOL = 1e-9
 
-# Ceiling, in elements, on what one order materializes for a stack of trials
-# in the NTP suite: the gathered minors of exhaustive enumeration, or the
-# determinant grid of the windows, whose elimination passes hold a quarter
-# of it in each of their three buffers. One 8-node trial alone gathers more
-# and is judged by itself; up to 68 trials of 31 nodes share one stack.
+# Ceiling, in elements, on what a stack of NTP suite trials holds: one order's
+# gathered minors of exhaustive enumeration, or every order's determinant grid
+# of the windows, whose Neville passes hold a quarter of it in each of their
+# three buffers. One 8- or 64-node trial holds more and is judged alone; up to 6
+# trials of 31 nodes share one stack.
 _GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
@@ -70,66 +71,66 @@ def _window_dets(stack: np.ndarray) -> list:
     """Determinants of the consecutive k x k windows of a (T, r, c) stack,
     one (T, r-k+1, c-k+1) grid per order k = 1 .. min(r, c).
 
-    The window at (i, j) is the k-th leading principal minor of the block
-    at corner (i, j), m = min(r-i, c-j) rows and columns, so one elimination
-    without row exchanges per corner gives every window there as the
-    product of the block's first k pivots. On a TP matrix that elimination
-    has no growth and is backward stable (de Boor & Pinkus 1977), and its
-    pivots are ratios of consecutive windows (Gasca & Pena 1992). Pivots
-    are multiplied as frexp mantissas with their exponents summed and
+    A Neville elimination without row exchanges of the columns from j on
+    (step s subtracts from each row below row s a multiple of the row above
+    it) leaves on row i+k-1 of column k-1 the pivot W_k(i, j) / W_{k-1}(i, j)
+    (Gasca & Pena 1992), so one elimination per column offset gives each of
+    its windows as a product of pivots, backward stable on a TP matrix
+    (Alonso, Gasca & Pena 1997). The (trial, offset) pairs are eliminated
+    together, the batch on the last axis, in passes whose gathered columns,
+    work array and update hold at most _GATHER_LIMIT // 4 elements each.
+    Pivots are multiplied as frexp mantissas with their exponents summed and
     ldexp'd once, so no partial product overflows or underflows, and a
-    window's bits depend on its entries alone, never on the batch. Corners
-    of one block size are eliminated together, the batch on the last axis;
-    a pass's block copy, its update and its gathered blocks hold at most
-    _GATHER_LIMIT // 4 elements each. From its first zero or non-finite
-    pivot on, a corner's windows come from _det_stack.
+    window's bits depend on its entries alone. A step divides by pivots of the
+    windows above, so a window comes from _det_stack when its own pivot, or
+    that of a window of its offset inside its first k-1 rows, is zero or
+    non-finite.
     """
     t, r, c = stack.shape
     orders = np.arange(1, min(r, c) + 1)
-    # every grid in one array; the k-th grid starts at starts[k - 1]
-    starts = np.concatenate([[0], np.cumsum(t * (r - orders + 1) * (c - orders + 1))])
-    flat = np.empty(starts[-1])
-    rows, cols = np.indices((r, c)).reshape(2, -1)
-    sizes = np.minimum(r - rows, c - cols)
-    work = np.empty(max(_GATHER_LIMIT // 4, orders.size ** 2))
-    prod = np.empty_like(work)
-    for m in orders:
-        corners = np.flatnonzero(sizes == m)
-        trial = np.repeat(np.arange(t), corners.size)
-        row, col = np.tile(rows[corners], t), np.tile(cols[corners], t)
-        blocks = sliding_window_view(stack, (m, m), axis=(1, 2))
-        step = work.size // (m * m)
-        for lo in range(0, trial.size, step):
-            tr, i, j = trial[lo:lo + step], row[lo:lo + step], col[lo:lo + step]
-            b = tr.size
-            a = work[:m * m * b].reshape(m, m, b)
-            a[...] = blocks[tr, i, j].transpose(1, 2, 0)
-            with np.errstate(all="ignore"):  # past a zero pivot the values are dropped
-                for s in range(m - 1):
-                    a[s + 1:, s] /= a[s, s]
-                    rest = m - s - 1
-                    update = prod[:rest * rest * b].reshape(rest, rest, b)
-                    np.multiply(a[s + 1:, s, None], a[s, None, s + 1:], out=update)
-                    a[s + 1:, s + 1:] -= update
-            # the pivot on row d goes to the grid of order d + 1, at the corner
-            d = np.arange(m)
-            flat[starts[d, None] + (tr * (r - d[:, None]) + i) * (c - d[:, None]) + j] = a[d, d]
-    # each grid now holds its corners' k-th pivots; a corner of the k-th
-    # grid sits at the same (i, j) in the (k-1)-th, which has one more row
-    # and column
-    grids = [flat[starts[k - 1]:starts[k]].reshape(t, r - k + 1, c - k + 1) for k in orders]
+    # pairs offset-major, so those whose offset reaches order k come first
+    # and a pass's widths are alike; an offset's columns past its width, or
+    # past r, never reach a pivot
+    col, trial = np.divmod(np.arange(c * t), t)
+    widths = np.minimum(r, c - col)
+    pivots = [np.empty(((c - k + 1) * t, r - k + 1)) for k in orders]
+    limit = max(_GATHER_LIMIT // 4, r * orders.size)
+    work, prod = np.empty(limit), np.empty(limit)
+    lo = 0
+    while lo < col.size:
+        w = widths[lo]
+        hi = min(lo + limit // (r * w), col.size)
+        b = hi - lo
+        a = work[:r * w * b].reshape(r, w, b)
+        # a narrower offset's padding repeats the last column
+        cols = np.minimum(col[lo:hi] + np.arange(w)[:, None], c - 1)
+        a[...] = stack[trial[lo:hi], :, cols].transpose(2, 0, 1)
+        with np.errstate(all="ignore"):  # what a zero pivot spoils is replaced
+            for s in range(w - 1):
+                mult = a[s + 1:, s] / a[s:-1, s]
+                update = prod[:(r - s - 1) * (w - s - 1) * b].reshape(r - s - 1, w - s - 1, b)
+                np.multiply(mult[:, None], a[s:-1, s + 1:], out=update)
+                a[s + 1:, s + 1:] -= update
+        # the pivot on row k-1+i of column k-1 is window (i, j)'s k-th
+        for k in range(1, w + 1):
+            pivots[k - 1][lo:hi] = a[k - 1:, k - 1, :len(pivots[k - 1]) - lo].T
+        lo = hi
+    grids = [p.reshape(c - k + 1, t, r - k + 1).transpose(1, 2, 0) for k, p in zip(orders, pivots)]
+    # a window of the k-th grid sits at the same (i, j) in the (k-1)-th, which
+    # has one more row and column; inner marks a bad pivot in a window's rows
+    last_mant, last_expo = np.ones((t, r + 1, c + 1)), np.zeros((t, r + 1, c + 1), np.intc)
+    inner = np.zeros((t, r + 1, c + 1), bool)
     for k, grid in zip(orders, grids):
-        bad = (grid == 0.0) | ~np.isfinite(grid)
+        bad = (grid == 0.0) | ~np.isfinite(grid) | inner[:, :-1, :-1]
+        inner = bad | inner[:, 1:, :-1]
         with np.errstate(all="ignore"):  # what is bad is replaced below
             mant, expo = np.frexp(grid)
-            if k > 1:
-                mant *= last_mant[:, :-1, :-1]
-                expo += last_expo[:, :-1, :-1]
-                bad |= last_bad[:, :-1, :-1]
+            mant *= last_mant[:, :-1, :-1]
+            expo += last_expo[:, :-1, :-1]
             np.ldexp(mant, expo, out=grid)
         if bad.any():
             grid[bad] = _det_stack(sliding_window_view(stack, (k, k), axis=(1, 2))[bad])
-        last_mant, last_expo, last_bad = mant, expo, bad
+        last_mant, last_expo = mant, expo
     return grids
 
 
@@ -167,12 +168,11 @@ def is_totally_positive(m) -> TpReport:
     Every minor up to order min(rows, cols) is enumerated when neither
     dimension exceeds EXHAUSTIVE_LIMIT; above it only minors on consecutive
     row/column windows are checked, so the verdict is advisory. Those
-    windows are leading minors of the blocks at their corners, taken as
-    products of pivots of an elimination without row exchanges, which is
-    backward stable on a TP matrix; a corner goes to LAPACK from its first
-    zero or non-finite pivot on. A minor passes as non-negative when
-    det >= -DEFAULT_REL_TOL * scale, with scale the product of the
-    submatrix row norms.
+    windows are products of pivots of one Neville elimination per column
+    offset, backward stable on a TP matrix; a window goes to LAPACK when its
+    own pivot, or that of a window of its offset inside its first k-1 rows,
+    is zero or non-finite. A minor passes as non-negative when det >=
+    -DEFAULT_REL_TOL * scale, scale the product of the submatrix row norms.
 
     Rows whose largest entry exceeds one are first scaled down by an exact
     power of two, so that minors of large entries do not overflow; a
@@ -260,13 +260,13 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     draws are computed in one pass that equals those streams bit for bit.
     trials is at most MAX_TRIALS = 2**32, so each trial index is one word.
     Consecutive trials are judged as one (T, n, n) stack, built by one basis
-    call, with T as large as keeps what every order materializes within
-    _GATHER_LIMIT elements (at least one trial): C(n,k)^2 * k^2 gathered
-    minor entries per trial when every minor is enumerated, the (n-k+1)^2
-    determinant grid of the windows above EXHAUSTIVE_LIMIT. Each
-    trial's parameters, matrix and verdict are those it has alone; a node
-    span too narrow to draw them from raises ValueError. Of equal worst
-    witnesses the report keeps the first.
+    call, with T as large as keeps what the verdict holds at once within
+    _GATHER_LIMIT elements (at least one trial): per trial, the largest
+    order's C(n,k)^2 * k^2 gathered entries when every minor is enumerated,
+    or the (n-k+1)^2 determinant grids of all orders together above
+    EXHAUSTIVE_LIMIT. Each trial's parameters, matrix and verdict are those
+    it has alone; a node span too narrow to draw them from raises
+    ValueError. Of equal worst witnesses the report keeps the first.
     """
     w = validate_weights(ns, weights)
     trials = _index(trials, "trials", 1, MAX_TRIALS)
@@ -276,7 +276,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     if _method(n, n) == "exhaustive":
         per_trial = max((comb(n, k) * k) ** 2 for k in range(1, n + 1))
     else:
-        per_trial = n * n  # the order-1 determinant grid is the largest
+        per_trial = sum(k * k for k in range(1, n + 1))  # every order's grid is held
     chunk = max(1, _GATHER_LIMIT // per_trial)
     failed, worst = [], None  # worst: (witness, case), the first of least determinant
     for start in range(0, trials, chunk):

@@ -614,21 +614,32 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def test_window_dets_fall_back_to_det_stack():
-    # from a corner's first zero pivot on, its windows are _det_stack's, bit
-    # for bit: the unit first row of the left and both-endpoint helix
-    # trials zeroes the first pivot at corners (0, j > 0), the unit last row
-    # of the latter the last pivot at corners (i, j < i), and an
-    # antidiagonal matrix has a zero leading pivot with nonzero later minors
-    # off its antidiagonal and a zero second pivot on it; each also with its
-    # rows scaled by 2**600, then down again as _tp_reports scales them
+def test_window_dets_fall_back_to_det_stack(monkeypatch):
+    # a window's Neville steps divide by the pivots of the windows of its
+    # column offset inside its first k-1 rows; where one of those, or its
+    # own pivot, is zero or non-finite, the window is _det_stack's, bit for
+    # bit: the unit first row of the left and both-endpoint helix trials
+    # zeroes the first pivot of offsets j > 0, the unit last row of the
+    # latter the last pivot of windows (i, j < i), and an antidiagonal
+    # matrix has a zero leading pivot with nonzero later minors off its
+    # antidiagonal and a zero second pivot on it; each also with its rows
+    # scaled by 2**600, then down again as _tp_reports scales them
     trials = _helix_trials(1, 4)
     n = trials.shape[1]
     left = [(0, j, k) for j in range(1, n) for k in range(1, n - j + 1)]
     right = [(i, j, n - i) for i in range(1, n) for j in range(i)]
     anti = [(i, j, k) for k in range(1, 10) for i in range(10 - k) for j in range(10 - k)
             if k > 1 or i + j != 8]
-    for m, windows in ((trials[1], left), (trials[3], left + right), (np.eye(9)[::-1], anti)):
+    # an exact zero at (3, 2), below the top row of the windows (i < 3, 2, k)
+    # that reach row 4: offset 2's first step divides row 4 by it, though
+    # these windows and their leading minors are nonzero
+    zeroed = np.random.default_rng(5).uniform(0.5, 1.5, (9, 9))
+    zeroed[3, 2] = 0.0
+    below = [(i, 2, k) for i in range(3) for k in range(5 - i, 8)]
+    assert all(_det_stack(zeroed[None, i:i + q, 2:2 + q])[0] != 0.0
+               for i, _, k in below for q in range(1, k + 1))
+    for m, windows in ((trials[1], left), (trials[3], left + right), (np.eye(9)[::-1], anti),
+                       (zeroed, below)):
         for scaled in (m, m * 2.0**600):
             scaled = _row_scaled(scaled)[0]
             grids = _window_dets(scaled[None])
@@ -636,6 +647,18 @@ def test_window_dets_fall_back_to_det_stack():
                 expected = _det_stack(scaled[None, i:i + k, j:j + k])[0]
                 assert _bits(grids[k - 1][0, i, j]) == _bits(expected)
     assert is_totally_positive(np.eye(9)[::-1]).witness[2] == -1.0
+    # a zero pivot spoils only the windows whose rows hold its window: the
+    # helix trials at seed 7, one per boundary case, send as many windows
+    # to _det_stack as the unit first and last rows of their endpoints give
+    sent, det_stack = [], totalpos._det_stack
+    monkeypatch.setattr(totalpos, "_det_stack",
+                        lambda subs: sent.append(len(subs)) or det_stack(subs))
+    counts = []
+    for m in _helix_trials(7, 4):
+        sent.clear()
+        _tp_reports(m[None])
+        counts.append(sum(sent))
+    assert counts == [0, 465, 465, 930]
 
 
 def test_window_dets_do_not_depend_on_the_stack():
@@ -651,25 +674,27 @@ def test_window_dets_do_not_depend_on_the_stack():
 
 
 def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
-    # what every order materializes for a stack stays within the ceiling
-    # unless one trial alone exceeds it, as 8 nodes (every minor) do: the
-    # gathered minors (trials x minors x k x k elements) of exhaustive
-    # enumeration, the determinant grid (trials x windows) of window views
-    def gathered(trials, n):
+    # what a stack's verdict holds at once stays within the ceiling unless
+    # one trial alone exceeds it, as 8 nodes (every minor) and 64 nodes
+    # (windows) do: the gathered minors of one order (trials x minors x k x
+    # k elements) of exhaustive enumeration, the determinant grids of every
+    # order (trials x windows) of window views
+    def held(trials, n):
         if n <= EXHAUSTIVE_LIMIT:
             return trials * max((comb(n, k) * k) ** 2 for k in range(1, n + 1))
-        return trials * max((n - k + 1) ** 2 for k in range(1, n + 1))
+        return trials * sum((n - k + 1) ** 2 for k in range(1, n + 1))
 
     circle = datasets.circle_problem()
     helix = datasets.helix_node_set(), datasets.helix_weights()
     for (ns, w), trials, stacked in (((circle.nodeset, circle.weights), 100, 40),
                                      ((bernstein_equivalent_nodeset(7), None), 3, 1),
-                                     (helix, 2, 2), (helix, 70, 68),
-                                     ((NodeSet(np.arange(12.0)), None), 40, 40)):
+                                     (helix, 4, 4), (helix, 14, 6),
+                                     ((NodeSet(np.arange(12.0)), None), 40, 40),
+                                     ((NodeSet(np.linspace(0, 1, 64), None, 63), None), 2, 1)):
         shapes = _suite_stacks(monkeypatch, ns, w, trials)
         assert sum(t for t, _, _ in shapes) == trials
         assert all(shape[1:] == (ns.size, ns.size) for shape in shapes)
-        assert all(gathered(t, ns.size) <= totalpos._GATHER_LIMIT or t == 1 for t, _, _ in shapes)
+        assert all(held(t, ns.size) <= totalpos._GATHER_LIMIT or t == 1 for t, _, _ in shapes)
         if stacked == 1:
             assert {t for t, _, _ in shapes} == {1}
         else:
