@@ -112,18 +112,20 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
     data, c = problem.data, problem.collocation
     n, dim = data.shape
     b, bits = _block_size(n, max_iter), (53 - (n - 1).bit_length()) // 2
-    stack = np.empty((n, 0))  # P^1 .. P^(b - 1) side by side, P = M^T
+    stack = np.empty((n, (b - 1) * n))  # P^1 .. P^(b - 1) side by side, P = M^T
+    power = stack.reshape(n, b - 1, n).transpose(1, 0, 2)  # power[i] = P^(i + 1)
+    formed = 1  # powers in the stack; blocks form the rest as they first need them
     if b > 1:  # else every block is one float step
         c_hi = _split(c, bits)
-        c_lo, stack = c - c_hi, np.tile(np.eye(n) - c.T, b - 1)
+        c_lo, power[0] = c - c_hi, np.eye(n) - c.T
     control, history, residuals = data.copy(), [], np.empty((dim, b, n))  # (coord, step, point)
     with np.errstate(over="ignore", invalid="ignore"):
-        k, power = 1, stack.reshape(n, b - 1, n).transpose(1, 0, 2)  # power[i] = P^(i + 1)
-        while k < b - 1:  # P^(k+j) = P^j P^k for j <= k: M^(k+j) = M^k M^j
-            np.matmul(power[:min(k, b - 1 - k)], power[k - 1], power[k:2 * k])
-            k *= 2
         while len(history) < max_iter and not (history and history[-1] <= tol):
             steps = min(b, max_iter - len(history), max(1, len(history)))
+            while formed < steps - 1:  # P^(k+j) = P^j P^k for j <= k: M^(k+j) = M^k M^j
+                np.matmul(power[:min(formed, b - 1 - formed)], power[formed - 1],
+                          power[formed:2 * formed])
+                formed = min(2 * formed, b - 1)
             block = residuals[:, :steps]
             first = block[:, 0].T
             if steps == 1:  # the float step, as C @ P

@@ -9,9 +9,9 @@ varying magnitude of the minors.
 Minors are judged over a (T, r, c) stack of matrices, one pass per order:
 is_totally_positive judges a stack of one, verify_ntp_suite chunks of trials.
 Small matrices gather every minor into a (T, R, C, k, k) array for _det_stack;
-for larger ones every consecutive k x k window comes from _window_dets, as a
-product of pivots of one Neville elimination per column offset (Gasca & Pena
-1992), backward stable on TP matrices (Alonso, Gasca & Pena 1997).
+larger ones take each consecutive k x k window from _window_dets, a product of
+pivots of one Neville elimination per column offset (Gasca & Pena 1992; backward
+stable on TP matrices, Alonso, Gasca & Pena 1997), or _det_stack if not finite.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,6 @@ from itertools import combinations
 from math import comb
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ._draws import MAX_TRIALS, suite_params
 from .basis import (NodeSet, _index, _reals, rational_basis_matrix, validate_params,
@@ -82,9 +81,10 @@ def _window_dets(stack: np.ndarray) -> list:
     Pivots are multiplied as frexp mantissas with their exponents summed and
     ldexp'd once, so no partial product overflows or underflows, and a
     window's bits depend on its entries alone. A step divides by pivots of the
-    windows above, so a window comes from _det_stack when its own pivot, or
-    that of a window of its offset inside its first k-1 rows, is zero or
-    non-finite.
+    windows above; one by a zero pivot leaves its row non-finite in every
+    later column, up to each dependent window's own last pivot, so a window
+    comes from _det_stack exactly when its product turns non-finite (a zero
+    pivot after finite ones is its computed determinant, 0).
     """
     t, r, c = stack.shape
     orders = np.arange(1, min(r, c) + 1)
@@ -116,20 +116,19 @@ def _window_dets(stack: np.ndarray) -> list:
             pivots[k - 1][lo:hi] = a[k - 1:, k - 1, :len(pivots[k - 1]) - lo].T
         lo = hi
     grids = [p.reshape(c - k + 1, t, r - k + 1).transpose(1, 2, 0) for k, p in zip(orders, pivots)]
-    # a window of the k-th grid sits at the same (i, j) in the (k-1)-th, which
-    # has one more row and column; inner marks a bad pivot in a window's rows
+    # window (i, j) of order k extends that of order k-1, a grid one row and column larger
     last_mant, last_expo = np.ones((t, r + 1, c + 1)), np.zeros((t, r + 1, c + 1), np.intc)
-    inner = np.zeros((t, r + 1, c + 1), bool)
     for k, grid in zip(orders, grids):
-        bad = (grid == 0.0) | ~np.isfinite(grid) | inner[:, :-1, :-1]
-        inner = bad | inner[:, 1:, :-1]
-        with np.errstate(all="ignore"):  # what is bad is replaced below
+        with np.errstate(all="ignore"):  # what is not finite is replaced below
             mant, expo = np.frexp(grid)
             mant *= last_mant[:, :-1, :-1]
             expo += last_expo[:, :-1, :-1]
             np.ldexp(mant, expo, out=grid)
+        bad = ~np.isfinite(grid)
         if bad.any():
-            grid[bad] = _det_stack(sliding_window_view(stack, (k, k), axis=(1, 2))[bad])
+            corner = np.ravel_multi_index(np.nonzero(bad), stack.shape)
+            grid[bad] = _det_stack(np.take(stack, corner[:, None, None]
+                                           + np.arange(k)[:, None] * c + np.arange(k)))
         last_mant, last_expo = mant, expo
     return grids
 
@@ -169,9 +168,9 @@ def is_totally_positive(m) -> TpReport:
     dimension exceeds EXHAUSTIVE_LIMIT; above it only minors on consecutive
     row/column windows are checked, so the verdict is advisory. Those
     windows are products of pivots of one Neville elimination per column
-    offset, backward stable on a TP matrix; a window goes to LAPACK when its
-    own pivot, or that of a window of its offset inside its first k-1 rows,
-    is zero or non-finite. A minor passes as non-negative when det >=
+    offset, backward stable on a TP matrix; a window goes to LAPACK only
+    when its elimination turns non-finite, as a division by a zero pivot
+    makes it. A minor passes as non-negative when det >=
     -DEFAULT_REL_TOL * scale, scale the product of the submatrix row norms.
 
     Rows whose largest entry exceeds one are first scaled down by an exact

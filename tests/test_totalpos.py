@@ -616,18 +616,18 @@ def _bits(x):
 
 def test_window_dets_fall_back_to_det_stack(monkeypatch):
     # a window's Neville steps divide by the pivots of the windows of its
-    # column offset inside its first k-1 rows; where one of those, or its
-    # own pivot, is zero or non-finite, the window is _det_stack's, bit for
+    # column offset inside its first k-1 rows; a division by a zero one
+    # leaves the row non-finite in every later column, so the window's own
+    # last pivot turns non-finite and the window is _det_stack's, bit for
     # bit: the unit first row of the left and both-endpoint helix trials
-    # zeroes the first pivot of offsets j > 0, the unit last row of the
-    # latter the last pivot of windows (i, j < i), and an antidiagonal
-    # matrix has a zero leading pivot with nonzero later minors off its
-    # antidiagonal and a zero second pivot on it; each also with its rows
-    # scaled by 2**600, then down again as _tp_reports scales them
+    # zeroes the first pivot of offsets j > 0, which the windows (0, j, k > 1)
+    # divide by, and an antidiagonal matrix has a zero leading pivot with
+    # nonzero later minors off its antidiagonal and a zero second pivot on
+    # it; each also with its rows scaled by 2**600, then down again as
+    # _tp_reports scales them
     trials = _helix_trials(1, 4)
     n = trials.shape[1]
-    left = [(0, j, k) for j in range(1, n) for k in range(1, n - j + 1)]
-    right = [(i, j, n - i) for i in range(1, n) for j in range(i)]
+    left = [(0, j, k) for j in range(1, n) for k in range(2, n - j + 1)]
     anti = [(i, j, k) for k in range(1, 10) for i in range(10 - k) for j in range(10 - k)
             if k > 1 or i + j != 8]
     # an exact zero at (3, 2), below the top row of the windows (i < 3, 2, k)
@@ -638,7 +638,7 @@ def test_window_dets_fall_back_to_det_stack(monkeypatch):
     below = [(i, 2, k) for i in range(3) for k in range(5 - i, 8)]
     assert all(_det_stack(zeroed[None, i:i + q, 2:2 + q])[0] != 0.0
                for i, _, k in below for q in range(1, k + 1))
-    for m, windows in ((trials[1], left), (trials[3], left + right), (np.eye(9)[::-1], anti),
+    for m, windows in ((trials[1], left), (trials[3], left), (np.eye(9)[::-1], anti),
                        (zeroed, below)):
         for scaled in (m, m * 2.0**600):
             scaled = _row_scaled(scaled)[0]
@@ -647,9 +647,9 @@ def test_window_dets_fall_back_to_det_stack(monkeypatch):
                 expected = _det_stack(scaled[None, i:i + k, j:j + k])[0]
                 assert _bits(grids[k - 1][0, i, j]) == _bits(expected)
     assert is_totally_positive(np.eye(9)[::-1]).witness[2] == -1.0
-    # a zero pivot spoils only the windows whose rows hold its window: the
-    # helix trials at seed 7, one per boundary case, send as many windows
-    # to _det_stack as the unit first and last rows of their endpoints give
+    # only those windows go there: the helix trials at seed 7, one per
+    # boundary case, send the 435 windows (0, j > 0, k > 1) of each unit
+    # first row to _det_stack, and none for a unit last row
     sent, det_stack = [], totalpos._det_stack
     monkeypatch.setattr(totalpos, "_det_stack",
                         lambda subs: sent.append(len(subs)) or det_stack(subs))
@@ -658,12 +658,34 @@ def test_window_dets_fall_back_to_det_stack(monkeypatch):
         sent.clear()
         _tp_reports(m[None])
         counts.append(sum(sent))
-    assert counts == [0, 465, 465, 930]
+    assert counts == [0, 435, 0, 435]
+
+
+def test_window_dets_keep_a_zero_pivot_on_a_finite_chain(monkeypatch):
+    # a window whose own pivot is an exact zero, after finite pivots, has the
+    # computed determinant 0 and never reaches _det_stack (here made to give
+    # NaN): the unit last row of a right-endpoint helix trial is zero in the
+    # columns of the windows (i, j < i) that end on it, the unit first row
+    # of a left-endpoint one in those of the windows (0, j > 0, 1), and on a
+    # 9 x 9 matrix whose rows 4 and 5 are equal offset j's first step zeroes
+    # row 5 past column 0, the last row of the windows (6 - k, j, k > 1)
+    monkeypatch.setattr(totalpos, "_det_stack", lambda subs: np.full(subs.shape[:-2], np.nan))
+    trials = _helix_trials(1, 4)
+    n = trials.shape[1]
+    right = [(i, j, n - i) for i in range(1, n) for j in range(i)]
+    first = [(0, j, 1) for j in range(1, n)]
+    twin = np.random.default_rng(5).uniform(0.5, 1.5, (9, 9))
+    twin[5] = twin[4]
+    pair = [(6 - k, j, k) for k in range(2, 7) for j in range(10 - k)]
+    for m, windows in ((trials[2], right), (trials[1], first), (twin, pair)):
+        for scaled in (m, m * 2.0**600):
+            grids = _window_dets(_row_scaled(scaled)[0][None])
+            assert all(grids[k - 1][0, i, j] == 0.0 for i, j, k in windows)
 
 
 def test_window_dets_do_not_depend_on_the_stack():
-    # a window's bits are its own: helix stacks of 1, 4 and 68 trials (one
-    # suite chunk) are judged exactly as each trial alone
+    # a window's bits are its own: helix stacks of 1, 4 and 68 trials (a
+    # suite chunk holds 6) are judged exactly as each trial alone
     trials = _helix_trials(5, 68)
     alone = [_tp_reports(m[None])[0] for m in trials]
     for count in (1, 4, 68):
