@@ -8,6 +8,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from gtbezier import (
     NodeSet,
@@ -273,6 +274,24 @@ def test_is_tp_large_entries_do_not_overflow():
         assert det == pytest.approx(float(exact), rel=1e-9)
 
 
+def test_is_tp_leaves_a_read_only_input_as_it_was():
+    # a matrix with no row above 1 is judged as given, not on a scaled copy,
+    # so nothing may write to it: read-only float64 inputs, by windows (a
+    # left-endpoint helix trial, whose unit first row zeroes windows) and by
+    # every minor, unscaled and with a row scaled, keep their bytes
+    helix = _helix_trials(1, 2)[1]
+    small = np.random.default_rng(3).uniform(0.0, 1.0, (6, 6))
+    for m, tp in ((helix, True), (small, False)):
+        for row in (None, 2):
+            m = m.copy()
+            if row is not None:
+                m[row] *= 1e3
+            m.setflags(write=False)
+            before = m.tobytes()
+            assert is_totally_positive(m).is_tp == tp
+            assert m.tobytes() == before
+
+
 def test_is_tp_input_validation():
     with pytest.raises(ValueError, match="finite"):
         is_totally_positive([[np.inf, 1.0], [0.0, 1.0]])
@@ -481,21 +500,23 @@ def _row_scaled(m):
     return np.ldexp(m, -shifts[..., None]), shifts
 
 
-def _gathered_window_report(m, tol, lapack=False):
+def _gathered_window_report(m, tol, lapack=False, grids=None):
     """Reference for the window verdict of one matrix: each order's k x k
     windows gathered into a copy by index arrays, their row norms by
-    np.linalg.norm and np.prod; their determinants from _window_dets, or,
-    with lapack, from _det_stack (closed form up to order 3, np.linalg.det
-    above) on the gathered copies."""
+    np.linalg.norm and np.prod; their determinants from grids, each order's
+    of the row-scaled matrix, by default from _window_dets, or, with lapack,
+    from _det_stack (closed form up to order 3, np.linalg.det above) on the
+    gathered copies."""
     r, c = m.shape
     m, shifts = _row_scaled(m)
-    grids = None if lapack else _window_dets(m[None])
+    if grids is None and not lapack:
+        grids = [grid[0] for grid in _window_dets(m[None])]
     is_tp, worst, witness = True, np.inf, None
     for k in range(1, min(r, c) + 1):
         rset = np.arange(r - k + 1)[:, None] + np.arange(k)
         cset = np.arange(c - k + 1)[:, None] + np.arange(k)
         subs = m[None][:, rset[:, None, :, None], cset[None, :, None, :]]
-        dets = _det_stack(subs)[0] if lapack else grids[k - 1][0]
+        dets = _det_stack(subs)[0] if lapack else grids[k - 1]
         scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)[0]
         margins = dets + tol * scales
         is_tp &= bool(np.all(margins >= 0.0))
@@ -618,47 +639,123 @@ def test_window_dets_fall_back_to_det_stack(monkeypatch):
     # a window's Neville steps divide by the pivots of the windows of its
     # column offset inside its first k-1 rows; a division by a zero one
     # leaves the row non-finite in every later column, so the window's own
-    # last pivot turns non-finite and the window is _det_stack's, bit for
-    # bit: the unit first row of the left and both-endpoint helix trials
-    # zeroes the first pivot of offsets j > 0, which the windows (0, j, k > 1)
-    # divide by, and an antidiagonal matrix has a zero leading pivot with
+    # last pivot turns non-finite. A window with a row zero across its
+    # columns is then +0.0, bit for bit: the unit first row of the left and
+    # both-endpoint helix trials zeroes the first pivot of offsets j > 0,
+    # which the windows (0, j > 0, k > 1) divide by, and their row 0 is zero
+    # from column 1 on. A non-finite window with no zero row is _det_stack's,
+    # bit for bit: an antidiagonal matrix has a zero leading pivot with
     # nonzero later minors off its antidiagonal and a zero second pivot on
-    # it; each also with its rows scaled by 2**600, then down again as
+    # it. Each also with its rows scaled by 2**600, then down again as
     # _tp_reports scales them
     trials = _helix_trials(1, 4)
     n = trials.shape[1]
     left = [(0, j, k) for j in range(1, n) for k in range(2, n - j + 1)]
+    for m in (trials[1], trials[3]):
+        for scaled in (m, m * 2.0**600):
+            grids = _window_dets(_row_scaled(scaled)[0][None])
+            assert all(_bits(grids[k - 1][0, i, j]) == _bits(0.0) for i, j, k in left)
     anti = [(i, j, k) for k in range(1, 10) for i in range(10 - k) for j in range(10 - k)
             if k > 1 or i + j != 8]
     # an exact zero at (3, 2), below the top row of the windows (i < 3, 2, k)
     # that reach row 4: offset 2's first step divides row 4 by it, though
-    # these windows and their leading minors are nonzero
+    # these windows and their leading minors are nonzero and have no zero row
     zeroed = np.random.default_rng(5).uniform(0.5, 1.5, (9, 9))
     zeroed[3, 2] = 0.0
     below = [(i, 2, k) for i in range(3) for k in range(5 - i, 8)]
     assert all(_det_stack(zeroed[None, i:i + q, 2:2 + q])[0] != 0.0
                for i, _, k in below for q in range(1, k + 1))
-    for m, windows in ((trials[1], left), (trials[3], left), (np.eye(9)[::-1], anti),
-                       (zeroed, below)):
+    sent, det_stack = [], totalpos._det_stack
+    monkeypatch.setattr(totalpos, "_det_stack",
+                        lambda subs: sent.append(subs.copy()) or det_stack(subs))
+    for m, windows in ((np.eye(9)[::-1], anti), (zeroed, below)):
         for scaled in (m, m * 2.0**600):
             scaled = _row_scaled(scaled)[0]
+            sent.clear()
             grids = _window_dets(scaled[None])
             for i, j, k in windows:
                 expected = _det_stack(scaled[None, i:i + k, j:j + k])[0]
                 assert _bits(grids[k - 1][0, i, j]) == _bits(expected)
+            if m is zeroed:
+                # 17 windows go there, the 12 below among them
+                assert sum(map(len, sent)) == 17
+                assert all(any((subs == scaled[i:i + k, j:j + k]).all(axis=(1, 2)).any()
+                               for subs in sent if subs.shape[1:] == (k, k))
+                           for i, j, k in windows)
     assert is_totally_positive(np.eye(9)[::-1]).witness[2] == -1.0
-    # only those windows go there: the helix trials at seed 7, one per
-    # boundary case, send the 435 windows (0, j > 0, k > 1) of each unit
-    # first row to _det_stack, and none for a unit last row
-    sent, det_stack = [], totalpos._det_stack
-    monkeypatch.setattr(totalpos, "_det_stack",
-                        lambda subs: sent.append(len(subs)) or det_stack(subs))
+    # no helix trial sends a window there: at seed 7, one trial per boundary
+    # case, the windows under a unit first row are zeros and those over a
+    # unit last row have finite chains
     counts = []
     for m in _helix_trials(7, 4):
         sent.clear()
         _tp_reports(m[None])
-        counts.append(sum(sent))
-    assert counts == [0, 435, 0, 435]
+        counts.append(sum(map(len, sent)))
+    assert counts == [0, 0, 0, 0]
+
+
+def _routed_window_dets(m):
+    """Every order's window determinants of one row-scaled matrix, with each
+    window whose product of pivots is not finite sent to _det_stack, zero
+    row or not: eliminating m[i:, j:] without row exchanges, as
+    _window_dets' passes do, leaves window (i, j, k)'s k-th pivot on the
+    diagonal. Also the number of windows with a zero row sent there."""
+    r, c = m.shape
+    grids = [np.empty((r - k + 1, c - k + 1)) for k in range(1, min(r, c) + 1)]
+    sent = 0
+    with np.errstate(all="ignore"):
+        for i, j in np.ndindex(r, c):
+            a = m[i:, j:].copy()
+            mant, expo = 1.0, 0
+            for k in range(1, min(a.shape) + 1):
+                if k > 1:
+                    s = k - 2
+                    a[s + 1:, s + 1:] -= (a[s + 1:, s] / a[s:-1, s])[:, None] * a[s:-1, s + 1:]
+                pivot_mant, pivot_expo = np.frexp(a[k - 1, k - 1])
+                mant, expo = pivot_mant * mant, expo + int(pivot_expo)
+                window = m[i:i + k, j:j + k]
+                det = np.ldexp(mant, expo)
+                if not np.isfinite(det):
+                    det = _det_stack(window[None])[0]
+                    sent += bool((window == 0.0).all(axis=1).any())
+                grids[k - 1][i, j] = det
+    return grids, sent
+
+
+def test_zero_row_windows_equal_the_lapack_routing():
+    # _tp_reports is == a reference whose non-finite windows all go to
+    # _det_stack, and each window with a row zero across its columns is 0,
+    # on stacks whose matrices have a unit first or last row, rows zero over
+    # a run of columns, or random rows; each as given and with its rows
+    # scaled by 2**600, and in one stack only one matrix has a row above 1
+    rng = np.random.default_rng(28)
+    stacks = []
+    for r, c in ((9, 9), (12, 12), (10, 13), (13, 10)):
+        mats = rng.uniform(0.0, 1.0, (5, r, c))
+        mats[0, 0], mats[1, -1] = np.eye(c)[0], np.eye(c)[-1]
+        mats[2, 0], mats[2, -1] = np.eye(c)[0], np.eye(c)[-1]
+        for q in rng.integers(r, size=3):
+            lo, hi = np.sort(rng.integers(c + 1, size=2))
+            mats[3, q, lo:hi] = 0.0
+        stacks += [mats, mats * 2.0**600]
+    mixed = stacks[2].copy()
+    mixed[4, 3] *= 3.0
+    stacks.append(mixed)
+    sent = 0
+    for stack in stacks:
+        reference = []
+        for m in stack:
+            scaled = _row_scaled(m)[0]
+            grids, count = _routed_window_dets(scaled)
+            sent += count
+            reference.append(_gathered_window_report(m, DEFAULT_REL_TOL, grids=grids))
+            kernel = _window_dets(scaled[None])
+            for k in range(1, min(m.shape) + 1):
+                rows = sliding_window_view(scaled == 0.0, (k, k)).all(axis=3).any(axis=2)
+                assert np.all(kernel[k - 1][0][rows] == 0.0)
+                assert np.all(grids[k - 1][rows] == 0.0)
+        assert _tp_reports(stack) == reference
+    assert sent > 0
 
 
 def test_window_dets_keep_a_zero_pivot_on_a_finite_chain(monkeypatch):
