@@ -22,7 +22,7 @@ from gtbezier import (
 from gtbezier import datasets
 from gtbezier.basis import _FLOAT_MAX
 from gtbezier.config import MAX_FIT_NODES
-from gtbezier.pia import _BLOCK, _MIN_BLOCK, _STACK_BUDGET, DIVERGENCE_FACTOR, _block_size
+from gtbezier.pia import _SPAN, _SPANS, _STACK_BUDGET, DIVERGENCE_FACTOR, _block_shape
 from bad_inputs import BAD_COUNTS, BAD_TOLERANCES
 from oracles import (CURVE_POINTS_ERROR, HELIX_FIT_STEP_LOOP_ERRORS, near_row_major, pia_errors,
                      pia_oracle, row_major_basis)
@@ -230,19 +230,23 @@ def test_divergence_guard(monkeypatch):
         pia_run(problem, max_iter=50)
 
 
+# steps in a full block: _SPANS spans of _SPAN steps
+BLOCK = _SPAN * _SPANS
+
+
 def _block_edges(max_iter):
-    """Steps done at each of pia_run's block edges on up to 64 nodes: its
-    blocks take 1, 1, 2, 4, ... steps, up to _BLOCK (1, 2, 4, ..., 64, 128,
-    192, ...)."""
+    """Steps done at each of pia_run's block edges on up to 106 nodes: its
+    blocks take 1, 1, 2, 4, ... steps, up to BLOCK (1, 2, 4, ..., 128, 256,
+    384, ...)."""
     done, edges = 0, []
     while done < max_iter:
-        done += min(_BLOCK, max_iter - done, max(1, done))
+        done += min(BLOCK, max_iter - done, max(1, done))
         edges.append(done)
     return edges
 
 
-# the first edge followed by a block of _BLOCK steps
-FULL_EDGE = next(edge for edge in _block_edges(4 * _BLOCK) if edge >= _BLOCK)
+# the first edge followed by a block of BLOCK steps
+FULL_EDGE = next(edge for edge in _block_edges(4 * BLOCK) if edge >= BLOCK)
 
 
 def _step_loop(problem, max_iter, tol=0.0):
@@ -283,13 +287,17 @@ def test_helix_run_to_tolerance_pinned():
 
 def test_run_equals_chained_steps():
     # the blocked loop against one step at a time, on both sides of block
-    # edges, and with tolerances first met on the last step of a block and
-    # on the first step of the next: the same step counts, then errors
-    # against the long-double oracle no larger than the step loop's (twice
-    # that for the controls), over all the runs on each problem
-    edges = _block_edges(2 * _BLOCK)
+    # edges and of the first span edges inside a full block, and with
+    # tolerances first met on the last step of a block or span and on the
+    # first step of the next: the same step counts, then errors against the
+    # long-double oracle no larger than the step loop's (twice that for the
+    # controls), over all the runs on each problem. The circle's errors reach
+    # their rounding floor near 1e-16 by step 200, where they no longer fall
+    # from step to step, so its edges end at BLOCK steps
+    helix_edges = sorted(_block_edges(2 * BLOCK) + [FULL_EDGE + _SPAN, FULL_EDGE + 2 * _SPAN])
     outcomes = []
-    for problem in (datasets.circle_problem(), datasets.helix_problem()):
+    for problem, edges in ((datasets.circle_problem(), _block_edges(BLOCK)),
+                           (datasets.helix_problem(), helix_edges)):
         errors = _step_loop(problem, edges[-1] + 2)[1]
         runs = [(m, 0.0, m) for m in {0} | {e + d for e in edges for d in (-1, 0, 1)}]
         # tol between two errors: the run stops on the step after the larger
@@ -322,7 +330,7 @@ def test_divergence_guard_trips_where_steps_do(monkeypatch, factor, scale, trip)
     # C = factor I scales each residual by 1 - factor per step, data scaled
     # by scale. At 1e100 the second error is 1e100 times the first, and the
     # dropped steps after it overflow, with no warning; the next factor
-    # passes the guard's 1e6 on the first step of a block of _BLOCK steps.
+    # passes the guard's 1e6 on the first step of a block of BLOCK steps.
     # A NaN C gives a NaN first error; at 1e3 on data near 1e300 the third
     # error overflows to inf while the guard's limit, 1e6 times the first,
     # is past the largest double: NaN > limit and inf > inf are both false,
@@ -337,7 +345,7 @@ def test_divergence_guard_trips_where_steps_do(monkeypatch, factor, scale, trip)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DivergenceError) as blocked:
-            pia_run(problem, max_iter=2 * _BLOCK + 1)
+            pia_run(problem, max_iter=2 * BLOCK + 1)
     assert str(blocked.value) == str(stepped.value)
 
 
@@ -388,19 +396,65 @@ def test_run_accuracy_against_oracle(make, steps, rise):
     assert blocked[0] <= stepped[0] and blocked[1] <= 2 * stepped[1]
 
 
+def test_short_run_accuracy_on_uniform_nodes():
+    # runs of 1-300 steps on 31 uniform nodes, while the error still rises:
+    # the rounding of the powers grows with the transient, so the blocked
+    # histories and controls are up to 4x and 7x farther from the long-double
+    # oracle than the float step loop's (whose largest errors over these runs
+    # are 1.6e-15 and 8.9e-16). Measured at most 4.4e-15 and 3.4e-15 over
+    # numpy's default and AVX2 loops and OpenBLAS's default and Haswell
+    # kernels; the bound is that with a margin
+    problem = _uniform_problem(31)
+    errors = [pia_errors(problem, run.control, run.error_history)
+              for run in (pia_run(problem, k) for k in range(1, 301))]
+    assert np.all(np.max(errors, axis=0) <= (6e-15, 5e-15))
+
+
 def test_power_stack_fits_the_budget():
-    # shapes only, no problem of that size: B n x n matrices fit the budget,
-    # so a run's stack of the powers M^1 .. M^(B - 1) does too; full blocks
-    # up to 64 nodes (the helix's 31 included), single steps and no stack
-    # where the budget leaves fewer than _MIN_BLOCK steps, from 182 nodes on,
-    # up to the largest fit the config accepts
-    for n in (2, 5, 31, 64, 65, 170, 181, 182, 200, 363, MAX_FIT_NODES):
-        b = _block_size(n, 10**6)
-        assert 1 <= b <= _BLOCK and (b - 1) * n * n < _STACK_BUDGET
-        assert b == 1 or b * n * n <= _STACK_BUDGET
-        assert (b == _BLOCK) == (n <= 64) and (b == 1) == (n > 181)
-        assert b == 1 or b >= _MIN_BLOCK
-    assert _block_size(31, 5) == 5 and _block_size(31, 0) == 1
+    # shapes only, no problem of that size: a run's two stacks of powers, the
+    # inner M^1 .. M^(s - 1) and the outer M^s, M^(2s) .. M^((q - 1) s) for
+    # blocks of q spans of s steps, hold s + q - 2 n x n matrices, and one
+    # more fits the budget; full blocks up to 106 nodes (the helix's 31
+    # included), blocks of fewer whole spans above, single steps and no
+    # stacks where not even one span's powers fit, from 182 nodes on, up to
+    # the largest fit the config accepts
+    for n in (2, 5, 31, 64, 65, 106, 107, 170, 181, 182, 200, 363, MAX_FIT_NODES):
+        span, spans = _block_shape(n, 10**6)
+        b = span * spans
+        assert 1 <= b <= BLOCK and (span + spans - 2) * n * n < _STACK_BUDGET
+        assert b == 1 or (span + spans - 1) * n * n <= _STACK_BUDGET
+        assert (b == BLOCK) == (n <= 106) and (b == 1) == (n > 181)
+        assert b == 1 or (span == _SPAN and 1 <= spans <= _SPANS)
+    assert _block_shape(31, 5) == (5, 1) and _block_shape(31, 0) == (1, 1)
+    assert _block_shape(31, 20) == (_SPAN, 3)
+
+
+def test_runs_form_only_the_powers_they_read(monkeypatch):
+    # powers are formed as the blocks first need them. 5 steps take blocks of
+    # 1, 1, 2 and 1 steps, which read M^1 only: the forming step is never
+    # called. Otherwise the slots of both stacks not yet formed at its first
+    # call are poisoned with NaN, so a block that read one would change the
+    # run: 9 steps end in a block of 4, which reads M^1 .. M^3 and no outer
+    # power; 30 steps end in a block of 14, two spans: M^1 .. M^7 and M^8
+    form, problem = gtbezier.pia._powers, datasets.helix_problem()
+    for steps, inner_formed, outer_formed in ((5, 1, 0), (9, 3, 0), (30, _SPAN - 1, 1)):
+        expected, stacks = pia_run(problem, steps), []
+
+        def poisoning(inner, outer, formed, need):
+            if not stacks:
+                inner[:, formed[0]:], outer[:, formed[1]:] = np.nan, np.nan
+                stacks.extend((inner, outer))
+            return form(inner, outer, formed, need)
+
+        monkeypatch.setattr(gtbezier.pia, "_powers", poisoning)
+        run = pia_run(problem, steps)
+        monkeypatch.undo()
+        assert np.array_equal(run.control, expected.control)
+        assert run.error_history == expected.error_history
+        assert bool(stacks) == (inner_formed > 1 or outer_formed > 0)
+        for stack, count in zip(stacks, (inner_formed, outer_formed)):
+            finite = np.isfinite(stack).all(axis=(0, 2))
+            assert finite.tolist() == [True] * count + [False] * (len(finite) - count)
 
 
 def test_single_steps_are_the_step_loop():
