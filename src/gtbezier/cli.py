@@ -11,6 +11,7 @@ error, 3 I/O error, 4 divergence.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -170,7 +171,10 @@ def cmd_example(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    does not change it."""
     p = argparse.ArgumentParser(
         prog="gtbezier",
         description="Toric Bernstein bases: basis tables, TP verification, PIA fitting.",
@@ -182,14 +186,12 @@ def _parser() -> argparse.ArgumentParser:
     be.add_argument("--grid", type=_flag(int, _index, "grid", 1), default=None,
                     help="grid size (overrides config)")
     be.add_argument("--out", default="out")
-    be.set_defaults(func=cmd_basis_eval)
 
     tp = sub.add_parser("tp-check", help="randomized total-positivity verification")
     tp.add_argument("--config", required=True)
     tp.add_argument("--trials", type=_flag(int, _index, "trials", 1, MAX_TRIALS), default=100)
     tp.add_argument("--seed", type=_flag(int, _index, "seed"), default=0)
     tp.add_argument("--out", default="out")
-    tp.set_defaults(func=cmd_tp_check)
 
     pf = sub.add_parser("pia-fit", help="progressive iterative fit of a configured problem")
     pf.add_argument("--config", required=True)
@@ -198,21 +200,22 @@ def _parser() -> argparse.ArgumentParser:
     pf.add_argument("--tol", type=_flag(float, _tolerance, "tol"), default=None,
                     help="overrides config tol")
     pf.add_argument("--out", default="out")
-    pf.set_defaults(func=cmd_pia_fit)
 
     ex = sub.add_parser("example", help="reproduce the circle or helix benchmark")
     ex.add_argument("which", choices=("circle", "helix"))
     ex.add_argument("--iterations", type=_flag(int, _index, "max_iter"), default=None,
                     help="iteration count (0 writes the initial curves only)")
     ex.add_argument("--out", default="out")
-    ex.set_defaults(func=cmd_example)
     return p
 
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # looked up at call time, so a cmd_* patched or wrapped after the parser
+    # was built is the one that runs
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
