@@ -34,8 +34,8 @@ print("det =", np.linalg.det(w))
 
 # ------------------------------------------------------------------
 # full verdicts via minor enumeration: every minor up to 8 x 8; above that,
-# consecutive windows, each a product of pivots of one Neville elimination
-# per column offset
+# the initial minors, pivot products of one Neville elimination of the matrix
+# and one of its transpose
 prob = datasets.circle_problem()
 params = np.linspace(0.3, 2.9, 5)
 c = rational_collocation_matrix(prob.nodeset, prob.weights, params)

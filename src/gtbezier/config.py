@@ -39,8 +39,8 @@ from .pia import FitProblem
 MAX_GRID = 10**6  # basis-eval rows; far above any table worth writing
 MAX_BASIS_VALUES = 32 * MAX_GRID  # basis-eval values: 32 functions at MAX_GRID rows
 MAX_FIT_NODES = math.isqrt(MAX_BASIS_VALUES)  # a collocation matrix of as many values
-# an NTP trial's verdict is one Neville elimination per column offset, about
-# n**4 / 8 multiply-adds: 21 ms at 64 nodes (2-core x86-64, one BLAS thread)
+# an NTP trial's verdict is two Neville eliminations, about 2 n**3 / 3
+# multiply-adds: about 3 ms at 64 nodes (2-core x86-64, one BLAS thread)
 MAX_TP_NODES = 64
 
 _DEFAULTS = {"mode": None, "nodes": None, "coefficients": None, "scale": 1.0,

@@ -2,10 +2,10 @@
 generalized Vandermonde matrices, its raw basis and the power matrix of its
 TP reduction, the classical Bernstein polynomials, the rational basis
 rebuilt from its formula in mpmath (with the curve points contracted from
-it there) and evaluated row-major in floats, determinants in mpmath, the
-NTP suite's parameter draws made one np.random.default_rng([seed, trial])
-at a time, and the PIA update taken one step at a time in extended
-precision.
+it there) and evaluated row-major in floats, determinants and initial
+minors in mpmath, the NTP suite's parameter draws made one
+np.random.default_rng([seed, trial]) at a time, and the PIA update taken
+one step at a time in extended precision.
 
 They serve only to check the library's basis values, curve points,
 total-positivity verdicts, parameter draws and fit histories. pytest puts
@@ -226,6 +226,30 @@ def mp_det(window, dps: int = 50):
                 for c in range(s + 1, len(a)):
                     row[c] -= factor * pivot[c]
         return +det
+
+
+def mp_initial_minors(matrix, dps: int = 120) -> list:
+    """The initial minors of a float matrix on rows d..d+k and columns 0..k,
+    as mpf at [d][k]: running products of the pivots of a Neville
+    elimination without row exchanges in dps-digit mpmath (each row less the
+    multiple of the row above that zeroes the column; 0 over a zero pivot).
+    Those of the transpose are the minors on rows 0..k and columns d..d+k."""
+    with mp.workdps(dps):
+        a = [[mp.mpf(x) for x in row] for row in np.asarray(matrix, dtype=float).tolist()]
+        rows, cols = len(a), len(a[0])
+        for s in range(min(rows, cols)):
+            for i in range(rows - 1, s, -1):
+                factor = a[i][s] / a[i - 1][s] if a[i - 1][s] else 0
+                for j in range(s + 1, cols):
+                    a[i][j] -= factor * a[i - 1][j]
+        minors = []
+        for d in range(rows):
+            product, run = mp.mpf(1), []
+            for k in range(min(rows - d, cols)):
+                product *= a[d + k][k]
+                run.append(product)
+            minors.append(run)
+        return minors
 
 
 def reference_draws(seed: int, trials, cases, a0: float, an: float, count: int) -> np.ndarray:

@@ -513,21 +513,37 @@ def test_basis_eval_example_grid(tmp_path):
 
 
 def test_tp_check_pass_and_report(tmp_path, capsys):
-    # the whole stdout and report, pinned on the circle and the helix; every
-    # boundary trial has a zero minor, so the worst witness is a left trial's
+    # the whole stdout and report, pinned on the circle and the helix. Every
+    # boundary trial of the circle has a zero minor, so its worst witness is
+    # a left trial's; the helix is judged without the unit rows, and its
+    # witness, in left trial 1, is that trial's own verdict's, whose
+    # determinant (its last bits follow the basis's SIMD exp) is 120-digit
+    # mpmath's to 1e-9
+    from oracles import mp_det, reference_draws
+
     circle = _circle_config(tmp_path, mode="tp-check")
-    helix = _problem_config(tmp_path / "helix.json", datasets.helix_problem(), "tp-check")
-    for path, args, trials in ((circle, ["--trials", "20", "--seed", "5"], 20),
-                               (helix, ["--trials", "3"], 3)):
+    prob = datasets.helix_problem()
+    helix = _problem_config(tmp_path / "helix.json", prob, "tp-check")
+    params = reference_draws(0, [1], ["left"], *prob.nodeset.domain, prob.nodeset.size)[0]
+    trial = gtbezier.rational_collocation_matrix(prob.nodeset, prob.weights, params)
+    witness = gtbezier.is_totally_positive(trial).witness
+    assert witness[:2] == (tuple(range(1, 8)), tuple(range(24, 31)))
+    assert witness[2] == pytest.approx(float(mp_det(trial[1:8, 24:], 120)), rel=1e-9)
+    assert witness[2] == pytest.approx(3.1029972447633977e-281, rel=1e-9)
+    helix_minor = format_float(witness[2])
+    for path, args, trials, minor, rows, cols in (
+            (circle, ["--trials", "20", "--seed", "5"], 20, "0", [0], [1]),
+            (helix, ["--trials", "3"], 3, helix_minor, range(1, 8), range(24, 31))):
         out = tmp_path / path.stem
+        rows, cols = ";".join(map(str, rows)), ";".join(map(str, cols))
         assert cli.main(["tp-check", "--config", str(path), *args, "--out", str(out)]) == 0
         assert capsys.readouterr().out == (
             f"PASS: {trials} trials, 0 failures\n"
-            "worst minor 0 (case left, rows [0], cols [1])\n"
+            f"worst minor {minor} (case left, rows [{rows}], cols [{cols}])\n"
             f"wrote {out / 'tp_report.csv'}\n")
         assert (out / "tp_report.csv").read_bytes() == (
             b"trials,failures,worst_minor,worst_case,worst_rows,worst_cols\n"
-            + f"{trials},0,0,left,0,1\n".encode())
+            + f"{trials},0,{minor},left,{rows},{cols}\n".encode())
 
 
 def test_tp_check_failure_exit_code(tmp_path, monkeypatch):

@@ -8,7 +8,6 @@ from math import comb
 
 import numpy as np
 import pytest
-from numpy.lib.stride_tricks import sliding_window_view
 
 from gtbezier import (
     NodeSet,
@@ -21,10 +20,10 @@ from gtbezier import (
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, EXHAUSTIVE_LIMIT, TpReport,
-                               _det_stack, _method, _tp_reports, _window_dets)
+                               _det_stack, _initial_minors, _tp_reports)
 from bad_inputs import BAD_COUNTS
 from oracles import (GenVandermondeSpec, draw_params, generalized_vandermonde, mp_det,
-                     power_matrix, raw_log_basis, reference_draws)
+                     mp_initial_minors, power_matrix, raw_log_basis, reference_draws)
 
 
 def _random_node_set(rng, max_n=5):
@@ -243,16 +242,21 @@ def test_is_tp_identity_and_antidiagonal():
     assert rep.witness[2] == pytest.approx(-1.0)
 
 
-def test_is_tp_selects_enumeration_by_size():
+def test_is_tp_selects_enumeration_by_size(monkeypatch):
+    # up to EXHAUSTIVE_LIMIT rows and columns every minor is gathered for
+    # _det_stack; above it, in either dimension, none is
     assert EXHAUSTIVE_LIMIT == 8
-    assert _method(8, 8) == _method(2, 8) == "exhaustive"
-    assert _method(9, 9) == _method(2, 9) == "contiguous"
-    assert is_totally_positive(np.ones((9, 9))).is_tp
+    sent, det_stack = [], totalpos._det_stack
+    monkeypatch.setattr(totalpos, "_det_stack", lambda subs: sent.append(subs.shape) or det_stack(subs))
+    for shape, gathered in (((8, 8), 8), ((2, 8), 2), ((9, 9), 0), ((2, 9), 0), ((9, 2), 0)):
+        sent.clear()
+        assert is_totally_positive(np.ones(shape)).is_tp
+        assert len(sent) == gathered
     # the helix collocation matrix is 31 x 31; the verdict never refuses a size
     prob = datasets.helix_problem()
     rep = is_totally_positive(
         rational_collocation_matrix(prob.nodeset, prob.weights, prob.params))
-    assert rep.is_tp
+    assert rep.is_tp and not sent
 
 
 def test_is_tp_large_entries_do_not_overflow():
@@ -276,8 +280,8 @@ def test_is_tp_large_entries_do_not_overflow():
 
 def test_is_tp_leaves_a_read_only_input_as_it_was():
     # a matrix with no row above 1 is judged as given, not on a scaled copy,
-    # so nothing may write to it: read-only float64 inputs, by windows (a
-    # left-endpoint helix trial, whose unit first row zeroes windows) and by
+    # so nothing may write to it: read-only float64 inputs, by initial minors
+    # (a left-endpoint helix trial, whose unit first row is dropped) and by
     # every minor, unscaled and with a row scaled, keep their bytes
     helix = _helix_trials(1, 2)[1]
     small = np.random.default_rng(3).uniform(0.0, 1.0, (6, 6))
@@ -316,8 +320,8 @@ def test_example_collocation_is_tp():
 
 
 def test_contiguous_stp_implies_exhaustive_tp(monkeypatch):
-    # above EXHAUSTIVE_LIMIT only windows are checked; a window verdict with
-    # no tolerance whose witness is positive (every window minor positive)
+    # above EXHAUSTIVE_LIMIT only initial minors are checked; a verdict with
+    # no tolerance whose witness is positive (every initial minor positive)
     # must hold up against all minors, enumerated by the oracle and accepted
     # as in the exhaustive verdict
     rng = np.random.default_rng(41)
@@ -335,7 +339,7 @@ def test_contiguous_stp_implies_exhaustive_tp(monkeypatch):
         dets, scales = _all_minors(mat)
         assert dets.size == count
         assert np.all(dets >= -1e-9 * scales)
-        # negative control: a column swap leaves a negative window minor
+        # negative control: a column swap leaves a negative initial minor
         swapped = mat[:, [1, 0] + list(range(2, n))]
         assert not is_totally_positive(swapped).is_tp
 
@@ -413,7 +417,10 @@ def test_ntp_suite_rejects_bad_seed(seed, error, message):
 
 def test_ntp_suite_reports_pinned():
     # pinned suite reports, witnesses included: the 5-node circle is judged
-    # on every minor, the 31-node helix on contiguous windows
+    # on every minor, the 31-node helix on initial minors without the unit
+    # rows of its boundary trials. Each helix witness is checked against
+    # 120-digit mpmath: that of the 8-trial suite, in its right-endpoint
+    # trial 2, is 3.47e-335, which underflows to 0.0 in doubles
     circle = datasets.circle_problem()
     report = verify_ntp_suite(circle.nodeset, circle.weights, trials=400, seed=20240809)
     assert report == NtpSuiteReport(
@@ -421,12 +428,18 @@ def test_ntp_suite_reports_pinned():
     assert (report.failures, report.worst_minor) == (0, 0.0)
     ns, w = datasets.helix_node_set(), datasets.helix_weights()
     assert verify_ntp_suite(ns, w, trials=8, seed=3) == NtpSuiteReport(
-        trials=8, worst_witness=((0,), (1,), 0.0), worst_case="left", failed_trials=())
+        trials=8, worst_witness=(tuple(range(7)), tuple(range(24, 31)), 0.0), worst_case="right",
+        failed_trials=())
+    mpmath = pytest.importorskip("mpmath")
+    trials = _helix_trials(3, 3)
+    exact = mp_det(trials[2][:7, 24:], 120)
+    assert abs(exact / mpmath.mpf("3.4697e-335") - 1) < 1e-4 and float(exact) == 0.0
     # a one-trial suite is interior only, so its witness is a nonzero minor
     interior = verify_ntp_suite(ns, w, trials=1, seed=3)
     assert interior.worst_case == "interior"
     assert interior.worst_witness[:2] == ((0, 1, 2, 3, 4, 5), (25, 26, 27, 28, 29, 30))
     assert interior.worst_minor == pytest.approx(6.678522287174328e-208, rel=1e-9)
+    assert interior.worst_minor == pytest.approx(float(mp_det(trials[0][:6, 25:], 120)), rel=1e-9)
 
 
 def _reference_suite(ns, w, trials, seed):
@@ -500,70 +513,6 @@ def _row_scaled(m):
     return np.ldexp(m, -shifts[..., None]), shifts
 
 
-def _gathered_window_report(m, tol, lapack=False, grids=None):
-    """Reference for the window verdict of one matrix: each order's k x k
-    windows gathered into a copy by index arrays, their row norms by
-    np.linalg.norm and np.prod; their determinants from grids, each order's
-    of the row-scaled matrix, by default from _window_dets, or, with lapack,
-    from _det_stack (closed form up to order 3, np.linalg.det above) on the
-    gathered copies."""
-    r, c = m.shape
-    m, shifts = _row_scaled(m)
-    if grids is None and not lapack:
-        grids = [grid[0] for grid in _window_dets(m[None])]
-    is_tp, worst, witness = True, np.inf, None
-    for k in range(1, min(r, c) + 1):
-        rset = np.arange(r - k + 1)[:, None] + np.arange(k)
-        cset = np.arange(c - k + 1)[:, None] + np.arange(k)
-        subs = m[None][:, rset[:, None, :, None], cset[None, :, None, :]]
-        dets = _det_stack(subs)[0] if lapack else grids[k - 1]
-        scales = np.prod(np.linalg.norm(subs, axis=4), axis=3)[0]
-        margins = dets + tol * scales
-        is_tp &= bool(np.all(margins >= 0.0))
-        unscale = shifts[rset].sum(axis=1)[:, None]
-        with np.errstate(over="ignore"):
-            margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
-        i, j = np.unravel_index(np.argmin(margins), margins.shape)
-        if margins[i, j] < worst:
-            worst = margins[i, j]
-            witness = (tuple(rset[i].tolist()), tuple(cset[j].tolist()), float(dets[i, j]))
-    return TpReport(is_tp, witness)
-
-
-def _window_test_stacks():
-    """Random, TP (generalized Vandermonde) and row-scaled stacks of every
-    window size; the first matrix of each of the first nine is TP, and so
-    is the first of the row-scaled stacks."""
-    rng = np.random.default_rng(2026)
-    stacks = []
-    for n in (*range(9, 31, 3), 31):
-        t = np.sort(rng.uniform(0.5, 2.0, n))
-        tp = generalized_vandermonde(GenVandermondeSpec(t, np.arange(n) * rng.uniform(0.2, 1.0)))
-        noise = rng.uniform(-0.1, 1.0, (2, n, n)) * np.exp(rng.uniform(-5.0, 5.0, (2, n, n)))
-        stacks.append(np.concatenate([tp[None], noise]))
-    # shapes with one dimension at or below EXHAUSTIVE_LIMIT take windows too
-    stacks += [rng.uniform(-0.1, 1.0, (3, r, c))
-               for r, c in ((2, 9), (9, 2), (1, 20), (5, 12), (12, 5))]
-    stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None] for s in stacks[-6:]]
-    return stacks
-
-
-@pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
-def test_window_views_equal_gathered_windows(monkeypatch, tol):
-    # the stacked verdict's row-norm scales, unscaling and witness choice
-    # are those of a reference that gathers every window into a copy:
-    # reports are ==, matrix by matrix, on random, TP (Vandermonde) and
-    # row-scaled matrices of every window size; both take each order's
-    # determinants from _window_dets
-    monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
-    verdicts = set()
-    for stack in _window_test_stacks():
-        reports = _tp_reports(stack)
-        assert reports == [_gathered_window_report(m, tol) for m in stack]
-        verdicts.update(rep.is_tp for rep in reports)
-    assert verdicts == {True, False}
-
-
 def _helix_trials(seed, trials):
     """The helix suite's first trials at seed, rebuilt from their draws."""
     ns, w = datasets.helix_node_set(), datasets.helix_weights()
@@ -572,244 +521,329 @@ def _helix_trials(seed, trials):
     return np.array([rational_collocation_matrix(ns, w, params) for params in draws])
 
 
-def test_window_dets_match_mpmath(monkeypatch):
-    # sampled windows of every order of the TP matrices, row-scaled as
-    # _tp_reports scales them: every order of helix suite trial 0 at seed 1,
-    # and one window an order of one of the Vandermonde matrices of the
-    # window test (the row-scaled 31-node one among them). Against 50-digit
-    # mpmath, each error is within a few ulps of the verdict's scale (the
-    # product of the row norms), far below its tolerance. On orders 4 and
-    # up, where _det_stack calls np.linalg.det, the errors' geometric mean
-    # is below LAPACK's on the same windows (their largest is not: one
-    # low-order window sets it, at about 1e-21 to 2e-19 of the scale, for
-    # either method)
-    mpmath = pytest.importorskip("mpmath")
-    stacks = _window_test_stacks()
-    helix = _helix_trials(1, 1)[0]
-    assert verify_ntp_suite(datasets.helix_node_set(), datasets.helix_weights(), 1,
-                            seed=1).worst_witness == is_totally_positive(helix).witness
-    rng = np.random.default_rng(7)
-    vander = [_row_scaled(s[0])[0] for s in stacks[:9] + stacks[-6:-5]]
-    samples = [(helix, k) for k in range(1, 32)]
-    samples += [(vander[rng.choice([q for q, m in enumerate(vander) if len(m) >= k])], k)
-                for k in range(1, 32)]
-    log_ratio = 0  # of the kernel's error to LAPACK's, summed over orders >= 4
-    for m, k in samples:
-        i, j = rng.integers(len(m) - k + 1, size=2)
-        window = m[i:i + k, j:j + k]
-        exact = mp_det(window)
-        err = abs(mpmath.mpf(_window_dets(m[None])[k - 1][0, i, j]) - exact)
-        assert err <= 4 * k * np.finfo(float).eps * np.prod(np.linalg.norm(window, axis=1))
-        if k >= 4:
-            ref = abs(mpmath.mpf(float(_det_stack(window[None])[0])) - exact)
-            log_ratio += mpmath.log(err) - mpmath.log(ref)
-    assert log_ratio < 0
-    # every matrix of the window test keeps the LAPACK reference's verdict,
-    # and its witness at the library's tolerance; with none, the witness of a
-    # TP Vandermonde matrix is its most negative rounding error and moves
-    for tol in (0.0, DEFAULT_REL_TOL):
-        monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
-        for stack in stacks:
-            for m, report in zip(stack, _tp_reports(stack)):
-                ref = _gathered_window_report(m, tol, lapack=True)
-                assert report.is_tp == ref.is_tp
-                if tol:
-                    assert report.witness[:2] == ref.witness[:2]
-
-
-@pytest.mark.parametrize("k, rows, cols, exact", [
-    (19, 4, 12, 7.383e-125), (18, 4, 13, 9.475e-129), (20, 2, 11, 2.738e-141)])
-def test_window_dets_give_helix_minors_their_sign(k, rows, cols, exact):
-    # helix suite trial 0 at seed 1 is TP; np.linalg.det has given these
-    # minors the wrong sign and is off by up to 480% on them, while the
-    # elimination agrees with 50-digit mpmath
-    m = _helix_trials(1, 1)[0]
-    window = m[rows:rows + k, cols:cols + k]
-    det = _window_dets(m[None])[k - 1][0, rows, cols]
-    reference = float(mp_det(window))
-    assert reference == pytest.approx(exact, rel=1e-3)
-    assert det == pytest.approx(reference, rel=1e-3)
+def _reduced(m, case):
+    """A helix trial of the given case without the unit rows of its endpoints."""
+    return m[case in ("left", "both"):len(m) - (case in ("right", "both"))]
 
 
 def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def test_window_dets_fall_back_to_det_stack(monkeypatch):
-    # a window's Neville steps divide by the pivots of the windows of its
-    # column offset inside its first k-1 rows; a division by a zero one
-    # leaves the row non-finite in every later column, so the window's own
-    # last pivot turns non-finite. A window with a row zero across its
-    # columns is then +0.0, bit for bit: the unit first row of the left and
-    # both-endpoint helix trials zeroes the first pivot of offsets j > 0,
-    # which the windows (0, j > 0, k > 1) divide by, and their row 0 is zero
-    # from column 1 on. A non-finite window with no zero row is _det_stack's,
-    # bit for bit: an antidiagonal matrix has a zero leading pivot with
-    # nonzero later minors off its antidiagonal and a zero second pivot on
-    # it. Each also with its rows scaled by 2**600, then down again as
-    # _tp_reports scales them
-    trials = _helix_trials(1, 4)
-    n = trials.shape[1]
-    left = [(0, j, k) for j in range(1, n) for k in range(2, n - j + 1)]
-    for m in (trials[1], trials[3]):
-        for scaled in (m, m * 2.0**600):
-            grids = _window_dets(_row_scaled(scaled)[0][None])
-            assert all(_bits(grids[k - 1][0, i, j]) == _bits(0.0) for i, j, k in left)
-    anti = [(i, j, k) for k in range(1, 10) for i in range(10 - k) for j in range(10 - k)
-            if k > 1 or i + j != 8]
-    # an exact zero at (3, 2), below the top row of the windows (i < 3, 2, k)
-    # that reach row 4: offset 2's first step divides row 4 by it, though
-    # these windows and their leading minors are nonzero and have no zero row
-    zeroed = np.random.default_rng(5).uniform(0.5, 1.5, (9, 9))
-    zeroed[3, 2] = 0.0
-    below = [(i, 2, k) for i in range(3) for k in range(5 - i, 8)]
-    assert all(_det_stack(zeroed[None, i:i + q, 2:2 + q])[0] != 0.0
-               for i, _, k in below for q in range(1, k + 1))
-    sent, det_stack = [], totalpos._det_stack
-    monkeypatch.setattr(totalpos, "_det_stack",
-                        lambda subs: sent.append(subs.copy()) or det_stack(subs))
-    for m, windows in ((np.eye(9)[::-1], anti), (zeroed, below)):
-        for scaled in (m, m * 2.0**600):
-            scaled = _row_scaled(scaled)[0]
-            sent.clear()
-            grids = _window_dets(scaled[None])
-            for i, j, k in windows:
-                expected = _det_stack(scaled[None, i:i + k, j:j + k])[0]
-                assert _bits(grids[k - 1][0, i, j]) == _bits(expected)
-            if m is zeroed:
-                # 17 windows go there, the 12 below among them
-                assert sum(map(len, sent)) == 17
-                assert all(any((subs == scaled[i:i + k, j:j + k]).all(axis=(1, 2)).any()
-                               for subs in sent if subs.shape[1:] == (k, k))
-                           for i, j, k in windows)
-    assert is_totally_positive(np.eye(9)[::-1]).witness[2] == -1.0
-    # no helix trial sends a window there: at seed 7, one trial per boundary
-    # case, the windows under a unit first row are zeros and those over a
-    # unit last row have finite chains
-    counts = []
-    for m in _helix_trials(7, 4):
-        sent.clear()
-        _tp_reports(m[None])
-        counts.append(sum(map(len, sent)))
-    assert counts == [0, 0, 0, 0]
+def _norm(line):
+    """The Euclidean norm, its squares added first to last."""
+    return np.sqrt(np.cumsum(np.square(line))[-1])
 
 
-def _routed_window_dets(m):
-    """Every order's window determinants of one row-scaled matrix, with each
-    window whose product of pivots is not finite sent to _det_stack, zero
-    row or not: eliminating m[i:, j:] without row exchanges, as
-    _window_dets' passes do, leaves window (i, j, k)'s k-th pivot on the
-    diagonal. Also the number of windows with a zero row sent there."""
+def _initial_reference(m, tol):
+    """Reference for the verdict of one matrix above EXHAUSTIVE_LIMIT, one
+    minor at a time: the exact reductions by their definition (a first row
+    c * e_0^T, c > 0, whose column 0 has another nonzero entry is dropped,
+    and the same of the last row and column), then each initial minor of
+    what is left, A's on rows d..d+k and columns 0..k and A^T's on rows 0..k
+    and columns d..d+k, gathered into a copy. Its scale is the product, row
+    after row, of each row's norm over its columns; its determinant and
+    pivots come from _initial_minors of the reduced matrix alone; the zero
+    rule is applied one pivot at a time, and the witness is the first of
+    least margin in the original scale in (d, k, A before A^T) order, a NaN
+    margin below every number, at its original rows."""
     r, c = m.shape
-    grids = [np.empty((r - k + 1, c - k + 1)) for k in range(1, min(r, c) + 1)]
-    sent = 0
-    with np.errstate(all="ignore"):
-        for i, j in np.ndindex(r, c):
-            a = m[i:, j:].copy()
-            mant, expo = 1.0, 0
-            for k in range(1, min(a.shape) + 1):
-                if k > 1:
-                    s = k - 2
-                    a[s + 1:, s + 1:] -= (a[s + 1:, s] / a[s:-1, s])[:, None] * a[s:-1, s + 1:]
-                pivot_mant, pivot_expo = np.frexp(a[k - 1, k - 1])
-                mant, expo = pivot_mant * mant, expo + int(pivot_expo)
-                window = m[i:i + k, j:j + k]
-                det = np.ldexp(mant, expo)
-                if not np.isfinite(det):
-                    det = _det_stack(window[None])[0]
-                    sent += bool((window == 0.0).all(axis=1).any())
-                grids[k - 1][i, j] = det
-    return grids, sent
+    m, shifts = _row_scaled(m)
+
+    def unit(i, j):
+        return int(m[i, j] > 0 and not np.delete(m[i], j).any()
+                   and np.delete(m[:, j], i).any())
+
+    rows = list(range(r))[unit(0, 0):r - unit(r - 1, c - 1)]
+    reduced = m[rows]
+    dets, _, pivots, _ = (x[..., 0] for x in _initial_minors(reduced[None]))
+    is_tp, best = True, None
+    for d in range(max(len(rows), c)):
+        for k in range(min(len(rows), c)):
+            for half in (0, 1):
+                rs, cs = (range(d, d + k + 1), range(k + 1)) if half == 0 else \
+                         (range(k + 1), range(d, d + k + 1))
+                if rs[-1] >= len(rows) or cs[-1] >= c:
+                    continue
+                sub = reduced[np.ix_(rs, cs)]
+                scale = np.cumprod([_norm(row) for row in sub])[-1]
+                det, pivot = dets[d, k, half], pivots[:, :, half]
+                margin = det + tol * scale
+                wrong = d > 0 and pivot[d - 1, k] == 0.0 and pivot[d, k] != 0.0
+                if (pivot[d, :k] == 0.0).any():
+                    line = reduced[d + k, :k + 1] if half == 0 else reduced[:k + 1, d + k]
+                    wrong |= pivot[d, k] < -tol * _norm(line)
+                is_tp &= bool(margin >= 0.0) and not wrong
+                unscale = int(sum(shifts[rows[q]] for q in rs))
+                with np.errstate(over="ignore"):
+                    margin, det = np.ldexp(margin, unscale), np.ldexp(det, unscale)
+                key = -np.inf if np.isnan(margin) else margin
+                if best is None or key < best[0]:
+                    best = (key, tuple(rows[q] for q in rs), tuple(cs), float(det))
+    return TpReport(is_tp, best[1:])
 
 
-def test_zero_row_windows_equal_the_lapack_routing():
-    # _tp_reports is == a reference whose non-finite windows all go to
-    # _det_stack, and each window with a row zero across its columns is 0,
-    # on stacks whose matrices have a unit first or last row, rows zero over
-    # a run of columns, or random rows; each as given and with its rows
-    # scaled by 2**600, and in one stack only one matrix has a row above 1
-    rng = np.random.default_rng(28)
+def _initial_test_stacks():
+    """Stacks above EXHAUSTIVE_LIMIT: random, TP (generalized Vandermonde)
+    and row-scaled ones of every size to 31, rectangular ones with a side at
+    or below the limit, and ones whose matrices have a unit first or last
+    row (a positive multiple of e_0^T or e_(c-1)^T), both, rows zero over a
+    run of columns, or random rows. The first matrix of each of the first
+    nine is TP, and so is the first of its row-scaled copy."""
+    rng = np.random.default_rng(2026)
     stacks = []
+    for n in (*range(9, 31, 3), 31):
+        t = np.sort(rng.uniform(0.5, 2.0, n))
+        tp = generalized_vandermonde(GenVandermondeSpec(t, np.arange(n) * rng.uniform(0.2, 1.0)))
+        noise = rng.uniform(-0.1, 1.0, (2, n, n)) * np.exp(rng.uniform(-5.0, 5.0, (2, n, n)))
+        stacks.append(np.concatenate([tp[None], noise]))
+    stacks += [rng.uniform(-0.1, 1.0, (3, r, c))
+               for r, c in ((2, 9), (9, 2), (1, 20), (5, 12), (12, 5))]
     for r, c in ((9, 9), (12, 12), (10, 13), (13, 10)):
         mats = rng.uniform(0.0, 1.0, (5, r, c))
-        mats[0, 0], mats[1, -1] = np.eye(c)[0], np.eye(c)[-1]
-        mats[2, 0], mats[2, -1] = np.eye(c)[0], np.eye(c)[-1]
+        mats[0, 0], mats[1, -1] = np.eye(c)[0], 3.0 * np.eye(c)[-1]
+        mats[2, 0], mats[2, -1] = 0.5 * np.eye(c)[0], np.eye(c)[-1]
         for q in rng.integers(r, size=3):
             lo, hi = np.sort(rng.integers(c + 1, size=2))
             mats[3, q, lo:hi] = 0.0
-        stacks += [mats, mats * 2.0**600]
-    mixed = stacks[2].copy()
+        stacks.append(mats)
+    stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None]
+               for s in stacks[8:9] + stacks[-9:]]
+    return stacks
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
+def test_initial_reports_equal_a_one_minor_reference(monkeypatch, tol):
+    # the stacked verdict's reductions, masks, row-norm scales, zero rule,
+    # unscaling and witness choice are those of a reference that takes one
+    # initial minor at a time from the matrix with its unit rows removed:
+    # reports are ==, matrix by matrix, on random, TP and row-scaled matrices
+    # and on matrices with unit rows and zero runs, each with its rows as
+    # given and scaled by up to 2**600; in one stack only one matrix has a
+    # row above 1
+    monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
+    stacks = _initial_test_stacks()
+    mixed = stacks[15].copy()
     mixed[4, 3] *= 3.0
-    stacks.append(mixed)
-    sent = 0
-    for stack in stacks:
-        reference = []
-        for m in stack:
-            scaled = _row_scaled(m)[0]
-            grids, count = _routed_window_dets(scaled)
-            sent += count
-            reference.append(_gathered_window_report(m, DEFAULT_REL_TOL, grids=grids))
-            kernel = _window_dets(scaled[None])
-            for k in range(1, min(m.shape) + 1):
-                rows = sliding_window_view(scaled == 0.0, (k, k)).all(axis=3).any(axis=2)
-                assert np.all(kernel[k - 1][0][rows] == 0.0)
-                assert np.all(grids[k - 1][rows] == 0.0)
-        assert _tp_reports(stack) == reference
-    assert sent > 0
+    verdicts = set()
+    for stack in stacks + [mixed]:
+        reports = _tp_reports(stack)
+        assert reports == [_initial_reference(m, tol) for m in stack]
+        verdicts.update(rep.is_tp for rep in reports)
+    assert verdicts == {True, False}
+    # a dropped first row is never a witness's
+    assert all(rep.witness[0][0] >= 1 for rep in _tp_reports(stacks[14][[0, 2]]))
 
 
-def test_window_dets_keep_a_zero_pivot_on_a_finite_chain(monkeypatch):
-    # a window whose own pivot is an exact zero, after finite pivots, has the
-    # computed determinant 0 and never reaches _det_stack (here made to give
-    # NaN): the unit last row of a right-endpoint helix trial is zero in the
-    # columns of the windows (i, j < i) that end on it, the unit first row
-    # of a left-endpoint one in those of the windows (0, j > 0, 1), and on a
-    # 9 x 9 matrix whose rows 4 and 5 are equal offset j's first step zeroes
-    # row 5 past column 0, the last row of the windows (6 - k, j, k > 1)
-    monkeypatch.setattr(totalpos, "_det_stack", lambda subs: np.full(subs.shape[:-2], np.nan))
-    trials = _helix_trials(1, 4)
-    n = trials.shape[1]
-    right = [(i, j, n - i) for i in range(1, n) for j in range(i)]
-    first = [(0, j, 1) for j in range(1, n)]
+def test_initial_minors_match_mpmath():
+    # every initial minor of four helix suite trials at seed 1, one per
+    # boundary case, without their unit rows, and of the 31-node Vandermonde
+    # matrix of the reference test, row-scaled, against a Neville
+    # elimination in 120-digit mpmath: each error is within (k + 1) ulps of
+    # the minor's scale (the product of its row norms, about 0.3 ulps at
+    # most), far below the tolerance. On orders 4 and up the errors'
+    # geometric mean is below np.linalg.det's on the same minors (about a
+    # third of it; their largest is not, at about 2e-17 of the scale for
+    # either)
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    mats = [_reduced(m, case) for m, case in zip(_helix_trials(1, 4), BOUNDARY_CASES)]
+    mats.append(_row_scaled(_initial_test_stacks()[8][0])[0])
+    checked = expected = 0
+    log_ratio = 0  # of the elimination's error to LAPACK's, summed over orders >= 4
+    for m in mats:
+        dets, scales, _, _ = _initial_minors(m[None])
+        for half, x in enumerate((m, m.T)):
+            for d, run in enumerate(mp_initial_minors(x)):
+                for k, exact in enumerate(run):
+                    err = abs(mpmath.mpf(float(dets[d, k, half, 0])) - exact)
+                    assert err <= (k + 1) * eps * scales[d, k, half, 0], (half, d, k)
+                    checked += 1
+                    if k >= 3:
+                        ref = abs(mpmath.mpf(float(np.linalg.det(x[d:d + k + 1, :k + 1]))) - exact)
+                        log_ratio += mpmath.log(err) - mpmath.log(ref)
+            expected += sum(min(len(x) - d, x.shape[1]) for d in range(len(x)))
+    assert checked == expected
+    assert log_ratio < 0
+    # the suite judges the trial the mpmath check rebuilds
+    helix = _helix_trials(1, 1)[0]
+    assert verify_ntp_suite(datasets.helix_node_set(), datasets.helix_weights(), 1,
+                            seed=1).worst_witness == is_totally_positive(helix).witness
+
+
+@pytest.mark.parametrize("seed, trial, half, d, k, exact", [
+    (2, 2, 1, 4, 23, 2.651e-118), (2, 3, 1, 5, 25, 2.324e-132), (3, 1, 1, 6, 24, 3.703e-166)])
+def test_helix_minors_of_uncertain_sign_pass_by_the_tolerance(seed, trial, half, d, k, exact):
+    # initial minors of helix trials carry no relative accuracy: on these
+    # positive ones, on rows 0..k and columns d..d+k of the reduced trial,
+    # the elimination and np.linalg.det have been off by 100% or more, the
+    # sign included. The elimination's error stays within (k + 1) ulps of
+    # the scale, so each is accepted by the tolerance, not certified
+    mpmath = pytest.importorskip("mpmath")
+    m = _reduced(_helix_trials(seed, trial + 1)[trial], BOUNDARY_CASES[trial % 4])
+    x = (m, m.T)[half]
+    reference = mp_initial_minors(x)[d][k]
+    assert float(reference) == pytest.approx(exact, rel=1e-3)
+    dets, scales, _, _ = _initial_minors(m[None])
+    det, scale = dets[d, k, half, 0], scales[d, k, half, 0]
+    assert abs(mpmath.mpf(float(det)) - reference) <= (k + 1) * np.finfo(float).eps * scale
+    assert det + DEFAULT_REL_TOL * scale >= 0.0
+    assert is_totally_positive(m).is_tp
+
+
+def test_initial_verdicts_never_reach_det_stack(monkeypatch):
+    # above EXHAUSTIVE_LIMIT no matrix goes to _det_stack, made here to
+    # raise: helix trials of every boundary case, the CI's 12-node configs
+    # with and without a repeated node and its 64-node one, matrices with
+    # zero pivots and zero rows, and one whose elimination overflows
+    def refuse(subs):
+        raise AssertionError("a minor reached _det_stack")
+
+    monkeypatch.setattr(totalpos, "_det_stack", refuse)
+    assert [rep.is_tp for rep in _tp_reports(_helix_trials(7, 4))] == [True] * 4
+    for nodes, scale, trials in ((np.arange(12.0), 1.0, 40),
+                                 (np.r_[0:5, 4:11].astype(float), 1.0, 40),
+                                 (np.arange(64) / 63, 63.0, 2)):
+        assert verify_ntp_suite(NodeSet(nodes, None, scale), None, trials).passed
+    zero_rows = np.random.default_rng(8).uniform(0.5, 1.5, (10, 10))
+    zero_rows[[2, 7]] = 0.0
+    assert not is_totally_positive(zero_rows).is_tp
+    assert not is_totally_positive(np.eye(9)[::-1]).is_tp
+
+
+def test_zero_rule_on_singular_and_structured_matrices():
+    # Gasca & Pena's rule for zero pivots: 0/0 multipliers are 0, a nonzero
+    # entry under a zero pivot fails, and a pivot after a zero one on its
+    # diagonal must be >= -tolerance * its row's norm. The identity and a
+    # matrix of ones are TP; the antidiagonal is not; I_6 + B, B = [[1, 0,
+    # 0], [0, 1, 0], [0, -1, 1]], has every initial minor >= 0 and an entry
+    # -1, so it fails by the rule alone and keeps a witness of margin >= 0
+    assert is_totally_positive(np.eye(12)).is_tp
+    assert is_totally_positive(np.ones((9, 9))).is_tp
+    anti = is_totally_positive(np.eye(12)[::-1])
+    assert not anti.is_tp
+    block = np.eye(9)
+    block[8, 7] = -1.0
+    dets, scales, _, _ = _initial_minors(block[None])
+    assert np.all(dets[:, :, 0][np.add.outer(np.arange(9), np.arange(9)) < 9] >= 0.0)
+    assert np.all(dets[:, :, 1][np.add.outer(np.arange(9), np.arange(9)) < 9] >= 0.0)
+    rep = is_totally_positive(block)
+    assert not rep.is_tp and rep.witness[2] >= 0.0
+    assert not is_totally_positive(block.T).is_tp
+    # the same at the exhaustive size: every minor says the same
+    assert not is_totally_positive(block[5:, 5:]).is_tp
+    # a minor that ends on a zero pivot after nonzero ones is exactly 0: the
+    # unit last row of a right-endpoint helix trial is zero in the columns of
+    # the minors (d, k < n - 1) of A that end on it, and on a 9 x 9 matrix
+    # whose rows 4 and 5 are equal the minors of A on rows d..5, d < 5
+    right = _helix_trials(1, 3)[2]
+    n = len(right)
+    dets = _initial_minors(right[None])[0][:, :, 0, 0]
+    assert all(dets[n - 1 - k, k] == 0.0 for k in range(n - 1))
     twin = np.random.default_rng(5).uniform(0.5, 1.5, (9, 9))
     twin[5] = twin[4]
-    pair = [(6 - k, j, k) for k in range(2, 7) for j in range(10 - k)]
-    for m, windows in ((trials[2], right), (trials[1], first), (twin, pair)):
-        for scaled in (m, m * 2.0**600):
-            grids = _window_dets(_row_scaled(scaled)[0][None])
-            assert all(grids[k - 1][0, i, j] == 0.0 for i, j, k in windows)
+    dets = _initial_minors(twin[None])[0][:, :, 0, 0]
+    assert all(dets[d, k] == 0.0 for d in range(5) for k in range(5 - d, 9 - d))
 
 
-def test_window_dets_do_not_depend_on_the_stack():
-    # a window's bits are its own: helix stacks of 1, 4 and 68 trials (a
-    # suite chunk holds 6) are judged exactly as each trial alone
+def test_initial_minors_do_not_depend_on_the_stack():
+    # a minor's bits are its own: helix stacks of 1, 4, 17 (a suite chunk)
+    # and 68 trials are judged exactly as each trial alone, and every
+    # determinant, scale, pivot and pivot norm of a stack entry has the bits
+    # of its one-matrix stack
     trials = _helix_trials(5, 68)
     alone = [_tp_reports(m[None])[0] for m in trials]
-    for count in (1, 4, 68):
+    for count in (1, 4, 17, 68):
         assert _tp_reports(trials[:count]) == alone[:count]
-    stacked = _window_dets(trials[:4])
+    stacked = _initial_minors(trials[:4])
     for t, m in enumerate(trials[:4]):
-        assert all(_bits(a[t]) == _bits(b[0]) for a, b in zip(stacked, _window_dets(m[None])))
+        assert all(_bits(a[..., t]) == _bits(b[..., 0])
+                   for a, b in zip(stacked, _initial_minors(m[None])))
+
+
+def _unit_rows(rng, r, c):
+    """A random positive r x c matrix whose first row is a positive multiple
+    of e_0^T or whose last is one of e_(c-1)^T, or both."""
+    m = rng.uniform(0.0, 1.0, (r, c))
+    which = rng.integers(1, 4)
+    if which & 1:
+        m[0] = rng.uniform(0.5, 2.0) * np.eye(c)[0]
+    if which & 2:
+        m[-1] = rng.uniform(0.5, 2.0) * np.eye(c)[-1]
+    return m
+
+
+def _summed(m, j):
+    """m with its columns j and j + 1 replaced by their sum."""
+    return np.column_stack([m[:, :j], m[:, j] + m[:, j + 1], m[:, j + 2:]])
+
+
+def test_reductions_equal_exhaustive_enumeration(monkeypatch):
+    # both exact reductions keep the verdict of every minor, checked against
+    # exhaustive enumeration on matrices of at most 8 rows judged by the
+    # initial minors (EXHAUSTIVE_LIMIT made 0):
+    # - unit rows: collocation matrices of boundary trials (TP) and random
+    #   positive matrices with unit rows and their column-swapped copies;
+    # - proportional adjacent columns: collocation matrices of node sets
+    #   with a repeated node (TP), whose merged node set (_merged) gives the
+    #   sum of the two columns, and random matrices with unit rows and a
+    #   column that is a multiple of its neighbour (not TP), with the two
+    #   columns summed
+    rng = np.random.default_rng(61)
+    pairs = []
+    for _ in range(60):
+        r = int(rng.integers(3, 9))
+        m = _unit_rows(rng, r, r)
+        j = int(rng.integers(r - 1))
+        twin = m.copy()
+        twin[:, j + 1] = rng.uniform(0.2, 5.0) * m[:, j]
+        pairs += [(m, m), (m[:, ::-1], m[:, ::-1]), (twin, _summed(twin, j))]
+    for _ in range(40):
+        n = int(rng.integers(4, 9))
+        nodes = np.sort(rng.uniform(0.0, 3.0, n))
+        ns = NodeSet(nodes, rng.uniform(0.2, 2.0, n), rng.uniform(0.3, 2.0))
+        w = rng.uniform(0.2, 3.0, n)
+        params = draw_params(rng, BOUNDARY_CASES[int(rng.integers(1, 4))], *ns.domain, 1e-6, n)
+        m = rational_collocation_matrix(ns, w, params)
+        pairs += [(m, m), (m[:, [1, 0, *range(2, n)]],) * 2]
+        j = int(rng.integers(1, n - 2))
+        nodes[j + 1] = nodes[j]
+        ns = NodeSet(nodes, ns.coefficients, ns.scale)
+        m = rational_collocation_matrix(ns, w, params)
+        merged, mw, firsts, factors = totalpos._merged(ns, w)
+        reduced = rational_collocation_matrix(merged, mw, params)
+        np.testing.assert_allclose(reduced, _summed(m, j), rtol=1e-12, atol=1e-300)
+        assert firsts.tolist() == [q for q in range(n) if q != j + 1]
+        np.testing.assert_allclose(reduced[:, j] * factors[j], m[:, j], rtol=1e-12)
+        pairs.append((m, reduced))
+    verdicts = []
+    for m, reduced in pairs:
+        expected = is_totally_positive(m).is_tp
+        with monkeypatch.context() as patch:
+            patch.setattr(totalpos, "EXHAUSTIVE_LIMIT", 0)
+            assert is_totally_positive(reduced).is_tp == expected
+        verdicts.append(expected)
+    assert verdicts.count(True) >= 80 and verdicts.count(False) >= 80
 
 
 def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
     # what a stack's verdict holds at once stays within the ceiling unless
-    # one trial alone exceeds it, as 8 nodes (every minor) and 64 nodes
-    # (windows) do: the gathered minors of one order (trials x minors x k x
-    # k elements) of exhaustive enumeration, the determinant grids of every
-    # order (trials x windows) of window views
+    # one trial alone exceeds it, as 8 nodes (every minor) do: the gathered
+    # minors of one order (trials x minors x k x k elements) of exhaustive
+    # enumeration, 4 * n * n elements a trial of n nodes above it (the
+    # traced peak is bounded in the test below)
     def held(trials, n):
         if n <= EXHAUSTIVE_LIMIT:
             return trials * max((comb(n, k) * k) ** 2 for k in range(1, n + 1))
-        return trials * sum((n - k + 1) ** 2 for k in range(1, n + 1))
+        return trials * 4 * n * n
 
     circle = datasets.circle_problem()
     helix = datasets.helix_node_set(), datasets.helix_weights()
-    for (ns, w), trials, stacked in (((circle.nodeset, circle.weights), 100, 40),
+    for (ns, w), trials, stacked in (((circle.nodeset, circle.weights), 100, 72),
                                      ((bernstein_equivalent_nodeset(7), None), 3, 1),
-                                     (helix, 4, 4), (helix, 14, 6),
-                                     ((NodeSet(np.arange(12.0)), None), 40, 40),
-                                     ((NodeSet(np.linspace(0, 1, 64), None, 63), None), 2, 1)):
+                                     (helix, 4, 4), (helix, 80, 17),
+                                     ((NodeSet(np.arange(12.0)), None), 500, 113),
+                                     ((NodeSet(np.linspace(0, 1, 64), None, 63), None), 20, 4)):
         shapes = _suite_stacks(monkeypatch, ns, w, trials)
         assert sum(t for t, _, _ in shapes) == trials
         assert all(shape[1:] == (ns.size, ns.size) for shape in shapes)
@@ -817,7 +851,56 @@ def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
         if stacked == 1:
             assert {t for t, _, _ in shapes} == {1}
         else:
-            assert shapes[0][0] >= stacked
+            assert shapes[0][0] == stacked
+    # equal nodes are merged before the stack is built: n rows, one column a run
+    ns = NodeSet(np.r_[0:5, 4:11].astype(float))
+    assert {shape[1:] for shape in _suite_stacks(monkeypatch, ns, None, 40)} == {(12, 11)}
+
+
+def test_ntp_suite_traced_peak_stays_near_the_ceiling():
+    # above EXHAUSTIVE_LIMIT a suite's traced heap peak stays within four
+    # doubles an element of the ceiling (about 3 measured on 31 and 64
+    # nodes), a bound that chunks of n * n elements a trial exceed twofold
+    import tracemalloc
+
+    helix = datasets.helix_node_set(), datasets.helix_weights()
+    for (ns, w), trials in ((helix, 40), ((NodeSet(np.linspace(0, 1, 64), None, 63), None), 8)):
+        verify_ntp_suite(ns, w, trials, 1)
+        tracemalloc.start()
+        try:
+            verify_ntp_suite(ns, w, trials, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 8 * totalpos._GATHER_LIMIT, (ns.size, peak)
+
+
+def test_verdict_sweep_over_helix_uniform_and_repeated_node_suites():
+    # every trial of 8-trial helix suites at seeds 0-39 passes, and each of
+    # those trials with its first two columns swapped is rejected; 8-trial
+    # suites on 12 to 64 uniform nodes pass at seeds 0 and 1; and the
+    # suite on the CI's node set with a repeated node passes, its witness
+    # in the original columns, where its determinant is the mpmath one
+    mpmath = pytest.importorskip("mpmath")
+    ns, w = datasets.helix_node_set(), datasets.helix_weights()
+    swap = [1, 0, *range(2, ns.size)]
+    for seed in range(40):
+        assert verify_ntp_suite(ns, w, 8, seed).passed
+        reports = _tp_reports(_helix_trials(seed, 8)[:, :, swap])
+        assert not any(rep.is_tp for rep in reports)
+    for n in (12, 16, 24, 32, 40, 48, 64):
+        uniform = NodeSet(np.linspace(0.0, 1.0, n), None, n - 1)
+        assert all(verify_ntp_suite(uniform, None, 8, seed).passed for seed in (0, 1))
+    repeated = NodeSet(np.r_[0:5, 4:11].astype(float))
+    report = verify_ntp_suite(repeated, None, 40)
+    assert report.passed
+    rows, cols, det = report.worst_witness
+    assert 5 not in cols  # the second of the equal nodes 4 and 5 is merged into the first
+    cases = [BOUNDARY_CASES[trial % 4] for trial in range(40)]
+    draws = reference_draws(0, range(40), cases, *repeated.domain, repeated.size)
+    exact = [mp_det(rational_collocation_matrix(repeated, None, params)[np.ix_(rows, cols)], 120)
+             for params, case in zip(draws, cases) if case == report.worst_case]
+    assert any(det == pytest.approx(float(x), rel=1e-9, abs=1e-300) for x in exact)
 
 
 def test_ntp_suite_rejects_span_too_narrow_to_draw_from():
