@@ -612,27 +612,61 @@ def _initial_test_stacks():
     return stacks
 
 
+# _initial_test_stacks' random, TP and rectangular stacks and their row-scaled
+# copies; the rest have unit rows or zero runs
+_PLAIN = [*range(14), *range(18, 24)]
+
+
 @pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
-def test_initial_reports_equal_a_one_minor_reference(monkeypatch, tol):
-    # the stacked verdict's reductions, masks, row-norm scales, zero rule,
-    # unscaling and witness choice are those of a reference that takes one
-    # initial minor at a time from the matrix with its unit rows removed:
-    # reports are ==, matrix by matrix, on random, TP and row-scaled matrices
-    # and on matrices with unit rows and zero runs, each with its rows as
-    # given and scaled by up to 2**600; in one stack only one matrix has a
-    # row above 1
+def test_window_views_equal_gathered_windows(monkeypatch, tol):
+    # the stacked verdict, which takes every initial minor in place from two
+    # eliminations of the whole stack, has the reductions, masks, row-norm
+    # scales, zero rule, unscaling and witness choice of a reference that
+    # gathers each initial minor's window into a copy: reports are ==,
+    # matrix by matrix, on random, TP (Vandermonde) and rectangular matrices,
+    # each with its rows as given and scaled by up to 2**600
     monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
     stacks = _initial_test_stacks()
-    mixed = stacks[15].copy()
-    mixed[4, 3] *= 3.0
     verdicts = set()
-    for stack in stacks + [mixed]:
-        reports = _tp_reports(stack)
-        assert reports == [_initial_reference(m, tol) for m in stack]
+    for q in _PLAIN:
+        reports = _tp_reports(stacks[q])
+        assert reports == [_initial_reference(m, tol) for m in stacks[q]]
         verdicts.update(rep.is_tp for rep in reports)
     assert verdicts == {True, False}
-    # a dropped first row is never a witness's
-    assert all(rep.witness[0][0] >= 1 for rep in _tp_reports(stacks[14][[0, 2]]))
+
+
+def test_zero_row_windows_equal_the_lapack_routing(monkeypatch):
+    # on matrices with a unit first or last row, both, rows zero over a run
+    # of columns, or random rows, each with its rows as given and scaled by
+    # up to 2**600, and a stack in which only one matrix has a row above 1:
+    # at either tolerance the reports are == the one-minor reference, and a
+    # dropped first row is never a witness's. Each initial minor whose window
+    # has a row zero across its columns is exactly 0 from the elimination,
+    # as it is from _det_stack (LAPACK above order 3) on the gathered window
+    stacks = [s for q, s in enumerate(_initial_test_stacks()) if q not in _PLAIN]
+    mixed = stacks[1].copy()
+    mixed[4, 3] *= 3.0
+    for tol in (0.0, DEFAULT_REL_TOL):
+        monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
+        for stack in stacks + [mixed]:
+            assert _tp_reports(stack) == [_initial_reference(m, tol) for m in stack]
+    assert all(rep.witness[0][0] >= 1 for rep in _tp_reports(stacks[0][[0, 2]]))
+    zero_windows = 0
+    for stack in stacks + [mixed]:
+        scaled = _row_scaled(stack)[0]
+        dets = _initial_minors(scaled)[0]
+        count, r, c = stack.shape
+        for d, k, t in np.ndindex(max(r, c), min(r, c), count):
+            for half, (rows, cols) in enumerate([(range(d, d + k + 1), range(k + 1)),
+                                                 (range(k + 1), range(d, d + k + 1))]):
+                if rows[-1] >= r or cols[-1] >= c:
+                    continue
+                window = scaled[t][np.ix_(rows, cols)]
+                if (window == 0.0).all(axis=1).any():
+                    zero_windows += 1
+                    assert dets[d, k, half, t] == 0.0
+                    assert _det_stack(window[None])[0] == 0.0
+    assert zero_windows > 0
 
 
 def test_initial_minors_match_mpmath():
