@@ -3,8 +3,9 @@
 A matrix is totally positive (TP) when every minor is non-negative. Here a
 minor counts as non-negative when it is >= -DEFAULT_REL_TOL * scale, scale the
 product of its rows' Euclidean norms (a Hadamard-style bound, which tracks the
-minors' wildly varying magnitude). Matrices are judged as (T, r, c) stacks:
-is_totally_positive judges a stack of one, verify_ntp_suite chunks.
+minors' wildly varying magnitude). Matrices are judged as (T, r, c) stacks, on
+every minor by Laplace expansion up to EXHAUSTIVE_LIMIT rows and columns, on
+initial minors by Neville elimination above: no verdict reaches LAPACK.
 """
 
 from dataclasses import dataclass
@@ -18,12 +19,12 @@ from ._draws import MAX_TRIALS, suite_params
 from .basis import (NodeSet, _index, _reals, rational_basis_matrix, validate_params,
                     validate_weights)
 
-# Exhaustive enumeration touches sum_k C(d,k)^2 minors; 8 keeps that instant.
+# Every minor, sum_k C(d,k)^2 of them, each from k of order k - 1; 8 keeps that instant.
 EXHAUSTIVE_LIMIT = 8
 DEFAULT_REL_TOL = 1e-9
 
-# Ceiling, in elements, on an NTP suite stack: one order's gathered minors, or 4 * n * n
-# a trial above EXHAUSTIVE_LIMIT, where the initial minors' verdict holds about 3x that
+# Ceiling, in elements, on an NTP suite stack: one order's 2k gathered values a k-minor, or
+# 4 * n * n a trial above EXHAUSTIVE_LIMIT, where the initial minors' verdict holds about 3x that
 _GATHER_LIMIT = 2**16
 
 BOUNDARY_CASES = ("interior", "left", "right", "both")
@@ -32,26 +33,6 @@ BOUNDARY_CASES = ("interior", "left", "right", "both")
 def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
     """Collocation matrix of the rational basis; every row sums to one."""
     return rational_basis_matrix(ns, weights, validate_params(ns, params))
-
-
-def _det_stack(subs: np.ndarray) -> np.ndarray:
-    """Determinants of an (..., k, k) stack of gathered minors: closed-form
-    expansion for k <= 3, LAPACK LU with partial pivoting above."""
-    k = subs.shape[-1]
-    if k == 1:
-        return subs[..., 0, 0].copy()
-    if k == 2:
-        return subs[..., 0, 0] * subs[..., 1, 1] - subs[..., 0, 1] * subs[..., 1, 0]
-    if k == 3:
-        return (
-            subs[..., 0, 0] * (subs[..., 1, 1] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 1])
-            - subs[..., 0, 1] * (subs[..., 1, 0] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 0])
-            + subs[..., 0, 2] * (subs[..., 1, 0] * subs[..., 2, 1] - subs[..., 1, 1] * subs[..., 2, 0])
-        )
-    # LU of a singular minor can divide by a zero pivot and warn, though
-    # the determinant it returns is the correct 0.0
-    with np.errstate(divide="ignore"):
-        return np.linalg.det(subs)
 
 
 def _initial_minors(stack: np.ndarray) -> tuple:
@@ -143,6 +124,27 @@ def _index_sets(n: int, k: int) -> np.ndarray:
     return sets
 
 
+@lru_cache(maxsize=None)
+def _subsets(n: int, k: int) -> np.ndarray:
+    """[s, j]: the index in _index_sets(n, k - 1) of set s of _index_sets(n, k) less its j-th."""
+    index = {s: i for i, s in enumerate(combinations(range(n), k - 1))}
+    drop = np.array([[index[s[:j] + s[j + 1:]] for j in range(k)]
+                     for s in combinations(range(n), k)], dtype=np.intp)
+    drop.setflags(write=False)
+    return drop
+
+
+def _laplace(stack: np.ndarray, minors: np.ndarray, k: int) -> np.ndarray:
+    """Order-k minors of a (T, r, c) stack from those of order k - 1, along each first row."""
+    r, c = stack.shape[1:]
+    terms = stack[:, _index_sets(r, k)[:, 0, None, None], _index_sets(c, k)]
+    terms *= minors[:, _subsets(r, k)[:, 0, None, None], _subsets(c, k)]
+    dets = terms[..., 0].copy()
+    for j in range(1, k):  # left to right from the first term (-0.0 stays): k <= 3's closed forms
+        (np.subtract if j % 2 else np.add)(dets, terms[..., j], out=dets)
+    return dets
+
+
 @dataclass(frozen=True)
 class TpReport:
     """Verdict of a total-positivity check: witness is the minor of least
@@ -157,10 +159,11 @@ def is_totally_positive(m) -> TpReport:
 
     A minor passes when det >= -DEFAULT_REL_TOL * scale, scale the product of
     its row norms. Up to EXHAUSTIVE_LIMIT rows and columns every minor is
-    judged. Above, a first row c * e_0^T (last row c * e_(c-1)^T), c > 0, whose
-    column has another nonzero entry is dropped, an exact reduction (a minor
-    through it is 0 or c times one without it), and the rest is judged on its
-    initial minors, on consecutive rows and columns with row 0 or column 0.
+    judged, by Laplace expansion, within 800 eps of its scale to first order.
+    Above, a first row c * e_0^T (last row c * e_(c-1)^T), c > 0, whose column
+    has another nonzero entry is dropped, an exact reduction (a minor through
+    it is 0 or c times one without it), and the rest is judged on its initial
+    minors, on consecutive rows and columns with row 0 or column 0.
     All positive make a matrix strictly TP (Gasca & Pena 1992): the verdict
     certifies that up to the rounding of two eliminations, backward stable on
     a TP matrix (Alonso, Gasca & Pena 1997); a minor within the tolerance is
@@ -206,18 +209,17 @@ def _tp_reports(stack: np.ndarray) -> list:
         # minor it enters, and multiplied down each row set
         norms = np.sqrt(np.add.reduce(sq[:, :, cset], -1))
         scales = np.multiply.reduce(norms[:, rset], axis=2)
-        dets = _det_stack(stack[:, rset[:, None, :, None], cset[None, :, None, :]])
+        dets = minors = _laplace(stack, minors, k) if k > 1 else stack
         margins = dets + DEFAULT_REL_TOL * scales
         all_ok &= np.all(margins >= 0.0, axis=(1, 2))
         if scaled:  # the witness is chosen and reported in the original scale
             unscale = shifts[:, rset].sum(axis=2)[:, :, None]
             with np.errstate(over="ignore"):
                 margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
-        width = dets.shape[2]
         margins, dets = margins.reshape(t, -1), dets.reshape(t, -1)
         least = np.argmin(margins, axis=1)
         for j in np.flatnonzero(~(margins[np.arange(t), least] >= worst_margin)):
-            i, (row, col) = least[j], divmod(int(least[j]), width)
+            i, (row, col) = least[j], divmod(int(least[j]), len(cset))
             worst_margin[j] = margins[j, i]
             witness[j] = (tuple(rset[row].tolist()), tuple(cset[col].tolist()), float(dets[j, i]))
     return [TpReport(bool(ok), w) for ok, w in zip(all_ok, witness)]
@@ -260,7 +262,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     Runs of equal nodes are merged first (_merged); witness columns keep
     their original indices. A stack of consecutive trials, built by one
     basis call, holds at most _GATHER_LIMIT elements (or one trial): 4 * n * n
-    a trial above EXHAUSTIVE_LIMIT, the largest order's gathered minors below.
+    a trial above EXHAUSTIVE_LIMIT, 2k a k-minor of its largest order below.
     A node span too narrow to draw a trial from raises ValueError. Of equal
     worst witnesses the report keeps the first.
     """
@@ -269,7 +271,7 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     seed = _index(seed, "seed")
     (a0, an), n = ns.domain, ns.size
     merged, w, firsts, factors = _merged(ns, w)
-    per_trial = (max(comb(n, k) * comb(merged.size, k) * k * k for k in range(1, merged.size + 1))
+    per_trial = (max(comb(n, k) * comb(merged.size, k) * 2 * k for k in range(1, merged.size + 1))
                  if n <= EXHAUSTIVE_LIMIT else 4 * n * n)
     chunk = max(1, _GATHER_LIMIT // per_trial)
     failed, worst = [], None  # worst: (witness, case), the first of least determinant

@@ -2,8 +2,9 @@
 generalized Vandermonde matrices, its raw basis and the power matrix of its
 TP reduction, the classical Bernstein polynomials, the rational basis
 rebuilt from its formula in mpmath (with the curve points contracted from
-it there) and evaluated row-major in floats, determinants and initial
-minors in mpmath, the NTP suite's parameter draws made one
+it there) and evaluated row-major in floats, determinants of gathered
+minors by closed forms and LAPACK, determinants and initial minors in
+mpmath, the NTP suite's parameter draws made one
 np.random.default_rng([seed, trial]) at a time, and the PIA update taken
 one step at a time in extended precision.
 
@@ -202,6 +203,26 @@ def draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) ->
                 return np.concatenate([[a0]] * fixed_low + [inner] + [[an]] * fixed_high)
     raise ValueError(f"no {free} distinct parameters drawn in [{low!r}, {high!r}]; "
                      "the node span is too narrow")
+
+
+def det_stack(subs: np.ndarray) -> np.ndarray:
+    """Determinants of an (..., k, k) stack of gathered minors: closed-form
+    expansion for k <= 3, LAPACK LU with partial pivoting above."""
+    k = subs.shape[-1]
+    if k == 1:
+        return subs[..., 0, 0].copy()
+    if k == 2:
+        return subs[..., 0, 0] * subs[..., 1, 1] - subs[..., 0, 1] * subs[..., 1, 0]
+    if k == 3:
+        return (
+            subs[..., 0, 0] * (subs[..., 1, 1] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 1])
+            - subs[..., 0, 1] * (subs[..., 1, 0] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 0])
+            + subs[..., 0, 2] * (subs[..., 1, 0] * subs[..., 2, 1] - subs[..., 1, 1] * subs[..., 2, 0])
+        )
+    # LU of a singular minor can divide by a zero pivot and warn, though
+    # the determinant it returns is the correct 0.0
+    with np.errstate(divide="ignore"):
+        return np.linalg.det(subs)
 
 
 def mp_det(window, dps: int = 50):

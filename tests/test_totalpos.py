@@ -20,10 +20,10 @@ from gtbezier import (
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, EXHAUSTIVE_LIMIT, TpReport,
-                               _det_stack, _initial_minors, _tp_reports)
+                               _index_sets, _initial_minors, _laplace, _tp_reports)
 from bad_inputs import BAD_COUNTS
-from oracles import (GenVandermondeSpec, draw_params, generalized_vandermonde, mp_det,
-                     mp_initial_minors, power_matrix, raw_log_basis, reference_draws)
+from oracles import (GenVandermondeSpec, det_stack, draw_params, generalized_vandermonde,
+                     mp_det, mp_initial_minors, power_matrix, raw_log_basis, reference_draws)
 
 
 def _random_node_set(rng, max_n=5):
@@ -243,20 +243,87 @@ def test_is_tp_identity_and_antidiagonal():
 
 
 def test_is_tp_selects_enumeration_by_size(monkeypatch):
-    # up to EXHAUSTIVE_LIMIT rows and columns every minor is gathered for
-    # _det_stack; above it, in either dimension, none is
+    # up to EXHAUSTIVE_LIMIT rows and columns every minor is judged, each
+    # order from 2 to min(r, c) expanded over the one below; above it, in
+    # either dimension, the expansion reaches no order
     assert EXHAUSTIVE_LIMIT == 8
-    sent, det_stack = [], totalpos._det_stack
-    monkeypatch.setattr(totalpos, "_det_stack", lambda subs: sent.append(subs.shape) or det_stack(subs))
-    for shape, gathered in (((8, 8), 8), ((2, 8), 2), ((9, 9), 0), ((2, 9), 0), ((9, 2), 0)):
-        sent.clear()
+    reached, laplace = [], totalpos._laplace
+    monkeypatch.setattr(totalpos, "_laplace",
+                        lambda stack, minors, k: reached.append(k) or laplace(stack, minors, k))
+    for shape, top in (((8, 8), 8), ((2, 8), 2), ((9, 9), 1), ((2, 9), 1), ((9, 2), 1)):
+        reached.clear()
         assert is_totally_positive(np.ones(shape)).is_tp
-        assert len(sent) == gathered
+        assert reached == list(range(2, top + 1))
     # the helix collocation matrix is 31 x 31; the verdict never refuses a size
     prob = datasets.helix_problem()
     rep = is_totally_positive(
         rational_collocation_matrix(prob.nodeset, prob.weights, prob.params))
-    assert rep.is_tp and not sent
+    assert rep.is_tp and not reached
+
+
+def _laplace_orders(stack):
+    """Every order's minors of a (T, r, c) stack from _laplace, order 1 first."""
+    orders = [stack]
+    for k in range(2, min(stack.shape[1:]) + 1):
+        orders.append(_laplace(stack, orders[-1], k))
+    return orders
+
+
+def _gathered(stack, minors, k):
+    """_laplace's order-k minors from det_stack on gathered copies."""
+    rset, cset = _index_sets(stack.shape[1], k), _index_sets(stack.shape[2], k)
+    return det_stack(stack[:, rset[:, None, :, None], cset[None, :, None, :]])
+
+
+def test_laplace_minors_match_lapack_and_mpmath(monkeypatch):
+    # orders 2 and 3 of the expansion are det_stack's closed forms bit for
+    # bit; each sampled minor of orders 4 to 8 is within 4 eps of its scale
+    # (the product of its row norms) of 60-digit mpmath, about 1 eps measured
+    # against a first-order bound of 800 eps at order 8; verdicts and witness
+    # positions equal those of _tp_reports on det_stack's gathered minors
+    # (LAPACK above order 3) on suites, random, zero-laden and row-scaled
+    # stacks; and the terms' left-to-right sum keeps an exact -0.0
+    mpmath = pytest.importorskip("mpmath")
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(32)
+    circle = datasets.circle_problem()
+    stacks = [_suite_trials(circle.nodeset, circle.weights, 3, 400)]
+    stacks += [_suite_trials(NodeSet(np.arange(n) / (n - 1), None, n - 1), None, 3, 40)
+               for n in (3, 6, 8)]
+    stacks += [rng.uniform(-0.1, 1.0, (30, r, c)) for r, c in ((6, 8), (8, 5), (3, 7), (8, 8))]
+    stacks += [rng.standard_normal((20, 7, 7)), rng.standard_normal((20, 8, 8))]
+    zeros = rng.uniform(0.0, 1.0, (40, 8, 8))
+    zeros[rng.uniform(size=zeros.shape) < 0.3] = 0.0
+    stacks.append(zeros)
+    stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None]
+               for s in (stacks[4], stacks[8])]
+    checked = 0
+    for stack in stacks:
+        scaled = _row_scaled(stack)[0]
+        orders = _laplace_orders(scaled)
+        r, c = stack.shape[1:]
+        for k, minors in enumerate(orders[1:3], 2):
+            assert _bits(minors) == _bits(_gathered(scaled, None, k))
+        for k, minors in enumerate(orders[3:], 4):
+            rset, cset = _index_sets(r, k), _index_sets(c, k)
+            for q, i, j in zip(*(rng.integers(n, size=8) for n in minors.shape)):
+                sub = scaled[q][np.ix_(rset[i], cset[j])]
+                scale = np.prod(np.sqrt(np.sum(sub * sub, axis=1)))
+                err = abs(mpmath.mpf(float(minors[q, i, j])) - mp_det(sub, 60))
+                assert err <= 4 * eps * scale, (stack.shape, k, float(err / (eps * scale)))
+                checked += 1
+        reports = _tp_reports(stack)
+        with monkeypatch.context() as patch:
+            patch.setattr(totalpos, "_laplace", _gathered)
+            reference = _tp_reports(stack)
+        assert [(rep.is_tp, rep.witness[:2]) for rep in reports] == \
+               [(rep.is_tp, rep.witness[:2]) for rep in reference]
+    assert checked == 8 * sum(max(min(s.shape[1:]) - 3, 0) for s in stacks)
+    for first in ([-1.0, 0.0], [-1.0, 1.0, -1.0, 1.0]):
+        m = np.zeros((len(first),) * 2)
+        m[0] = first
+        assert _bits(_laplace_orders(m[None])[-1]) == _bits(-0.0)
+    assert _bits(_gathered(np.array([[[-1.0, 0.0], [0.0, 0.0]]]), None, 2)) == _bits(-0.0)
 
 
 def test_is_tp_large_entries_do_not_overflow():
@@ -513,12 +580,16 @@ def _row_scaled(m):
     return np.ldexp(m, -shifts[..., None]), shifts
 
 
-def _helix_trials(seed, trials):
-    """The helix suite's first trials at seed, rebuilt from their draws."""
-    ns, w = datasets.helix_node_set(), datasets.helix_weights()
+def _suite_trials(ns, w, seed, trials):
+    """A suite's first trials at seed, rebuilt from their draws."""
     cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in range(trials)]
     draws = reference_draws(seed, range(trials), cases, *ns.domain, ns.size)
     return np.array([rational_collocation_matrix(ns, w, params) for params in draws])
+
+
+def _helix_trials(seed, trials):
+    """The helix suite's first trials at seed, rebuilt from their draws."""
+    return _suite_trials(datasets.helix_node_set(), datasets.helix_weights(), seed, trials)
 
 
 def _reduced(m, case):
@@ -642,7 +713,7 @@ def test_zero_row_windows_equal_the_lapack_routing(monkeypatch):
     # at either tolerance the reports are == the one-minor reference, and a
     # dropped first row is never a witness's. Each initial minor whose window
     # has a row zero across its columns is exactly 0 from the elimination,
-    # as it is from _det_stack (LAPACK above order 3) on the gathered window
+    # as it is from det_stack (LAPACK above order 3) on the gathered window
     stacks = [s for q, s in enumerate(_initial_test_stacks()) if q not in _PLAIN]
     mixed = stacks[1].copy()
     mixed[4, 3] *= 3.0
@@ -665,7 +736,7 @@ def test_zero_row_windows_equal_the_lapack_routing(monkeypatch):
                 if (window == 0.0).all(axis=1).any():
                     zero_windows += 1
                     assert dets[d, k, half, t] == 0.0
-                    assert _det_stack(window[None])[0] == 0.0
+                    assert det_stack(window[None])[0] == 0.0
     assert zero_windows > 0
 
 
@@ -726,14 +797,24 @@ def test_helix_minors_of_uncertain_sign_pass_by_the_tolerance(seed, trial, half,
 
 
 def test_initial_verdicts_never_reach_det_stack(monkeypatch):
-    # above EXHAUSTIVE_LIMIT no matrix goes to _det_stack, made here to
-    # raise: helix trials of every boundary case, the CI's 12-node configs
-    # with and without a repeated node and its 64-node one, matrices with
-    # zero pivots and zero rows, and one whose elimination overflows
-    def refuse(subs):
-        raise AssertionError("a minor reached _det_stack")
+    # no verdict at any size reaches LAPACK, np.linalg.det made here to
+    # raise: up to EXHAUSTIVE_LIMIT the circle suite, uniform suites of 3 to
+    # 8 nodes, random and singular 8 x 8 matrices; above it helix trials of
+    # every boundary case, the CI's 12-node configs with and without a
+    # repeated node and its 64-node one, matrices with zero pivots and zero
+    # rows, and one whose elimination overflows
+    def refuse(*args, **kwargs):
+        raise AssertionError("a minor reached np.linalg.det")
 
-    monkeypatch.setattr(totalpos, "_det_stack", refuse)
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    circle = datasets.circle_problem()
+    assert verify_ntp_suite(circle.nodeset, circle.weights, 40).passed
+    for n in range(3, EXHAUSTIVE_LIMIT + 1):
+        assert verify_ntp_suite(NodeSet(np.arange(n) / (n - 1), None, n - 1), None, 40).passed
+    singular = np.random.default_rng(8).uniform(0.5, 1.5, (8, 8))
+    singular[3] = singular[5]
+    assert not is_totally_positive(np.random.default_rng(8).uniform(-1.0, 1.0, (8, 8))).is_tp
+    assert not is_totally_positive(singular).is_tp
     assert [rep.is_tp for rep in _tp_reports(_helix_trials(7, 4))] == [True] * 4
     for nodes, scale, trials in ((np.arange(12.0), 1.0, 40),
                                  (np.r_[0:5, 4:11].astype(float), 1.0, 40),
@@ -862,18 +943,19 @@ def test_reductions_equal_exhaustive_enumeration(monkeypatch):
 
 def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
     # what a stack's verdict holds at once stays within the ceiling unless
-    # one trial alone exceeds it, as 8 nodes (every minor) do: the gathered
-    # minors of one order (trials x minors x k x k elements) of exhaustive
-    # enumeration, 4 * n * n elements a trial of n nodes above it (the
-    # traced peak is bounded in the test below)
+    # one trial alone exceeds it, as 8 nodes (every minor) do: the values
+    # one order of the Laplace expansion gathers (trials x minors x 2k
+    # elements: each minor's first-row entries and minors of order k - 1),
+    # 4 * n * n elements a trial of n nodes above it (the traced peak is
+    # bounded in the test below)
     def held(trials, n):
         if n <= EXHAUSTIVE_LIMIT:
-            return trials * max((comb(n, k) * k) ** 2 for k in range(1, n + 1))
+            return trials * max(comb(n, k) ** 2 * 2 * k for k in range(1, n + 1))
         return trials * 4 * n * n
 
     circle = datasets.circle_problem()
     helix = datasets.helix_node_set(), datasets.helix_weights()
-    for (ns, w), trials, stacked in (((circle.nodeset, circle.weights), 100, 72),
+    for (ns, w), trials, stacked in (((circle.nodeset, circle.weights), 200, 109),
                                      ((bernstein_equivalent_nodeset(7), None), 3, 1),
                                      (helix, 4, 4), (helix, 80, 17),
                                      ((NodeSet(np.arange(12.0)), None), 500, 113),
@@ -957,7 +1039,8 @@ def test_ntp_suite_draws_inside_a_domain_far_from_zero():
 
 def test_det_stack_singular_minor_is_zero_without_warning():
     # a minor of the suite above at seed 0: LAPACK's LU divides by zero on
-    # it, and the determinant is the exact 0.0
+    # it, and the determinant is the exact 0.0, as the Laplace expansion's
+    # over its zero first row is
     minor = np.array([
         [0.0, 0.0, 0.0, 0.0],
         [9.209994418286336e-29, 8.482399718478832e-57, 7.812285406079259e-85,
@@ -967,5 +1050,6 @@ def test_det_stack_singular_minor_is_zero_without_warning():
     ])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dets = _det_stack(minor[None])
-    assert dets.tolist() == [0.0]
+        dets = det_stack(minor[None])
+        expanded = _laplace_orders(minor[None])[-1]
+    assert dets.tolist() == [0.0] and expanded.ravel().tolist() == [0.0]
