@@ -14,7 +14,6 @@ from .pia import (
     FitProblem,
     PiaState,
     fitted_curve,
-    iteration_spectrum,
     pia_run,
 )
 from .totalpos import (

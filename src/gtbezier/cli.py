@@ -29,7 +29,7 @@ from .export import (
     write_points_csv,
     write_svg,
 )
-from .pia import DivergenceError, fitted_curve, iteration_spectrum, pia_run
+from .pia import DivergenceError, fitted_curve, pia_run
 from .totalpos import MAX_TRIALS, verify_ntp_suite
 
 EXIT_OK = 0
@@ -137,9 +137,12 @@ def cmd_pia_fit(args) -> int:
             markers=[problem.data],
             title="pia fit",
         )
-    print(f"ran {state.iteration} iterations, final error {format_float(state.error_history[-1])}")
-    print("spectral radius of iteration matrix, LAPACK estimate (not a certificate): "
-          + format_float(iteration_spectrum(problem)))
+    errors = state.error_history
+    print(f"ran {state.iteration} iterations, final error {format_float(errors[-1])}")
+    if len(errors) > 1:  # the geometric mean of the last k steps' error ratios
+        k = min(32, len(errors) - 1)
+        print(f"observed contraction over the last {k} steps: "
+              + format_float((errors[-1] / errors[-1 - k]) ** (1 / k)))
     print(f"wrote outputs under {out}")
     return EXIT_OK
 

@@ -189,11 +189,3 @@ def pia_run(problem: FitProblem, max_iter: int, tol: float = 0.0) -> PiaState:
             control += np.add.reduce(block[:, :k + 1], 1).T
     return PiaState(control, tuple(history))
 
-
-def iteration_spectrum(problem: FitProblem) -> float:
-    """LAPACK's estimate of the spectral radius of I - C, C the problem's
-    rational collocation matrix; not a certificate: on 64 uniform nodes (scale
-    63, unit weights, parameters at the nodes) it reads 1.0000002, where total
-    positivity of a nonsingular C puts the radius below one."""
-    c = problem.collocation
-    return float(np.max(np.abs(np.linalg.eigvals(np.eye(c.shape[0]) - c))))

@@ -683,6 +683,61 @@ def test_pia_fit_helix_outputs_pinned(tmp_path):
     assert control_error <= 2 * HELIX_FIT_STEP_LOOP_ERRORS[1]
 
 
+def _fit_stdout(state, out, k):
+    """pia-fit's whole stdout for a run's state, its contraction taken over
+    the last k steps (none for k = 0)."""
+    errors = state.error_history
+    lines = [f"ran {state.iteration} iterations, final error {format_float(errors[-1])}"]
+    if k:
+        ratio = format_float((errors[-1] / errors[-1 - k]) ** (1 / k))
+        lines.append(f"observed contraction over the last {k} steps: {ratio}")
+    return "\n".join([*lines, f"wrote outputs under {out}", ""])
+
+
+def test_pia_fit_prints_the_observed_contraction(tmp_path, capsys):
+    # (e_last / e_(last - k))^(1/k) over the last k = min(32, steps - 1)
+    # steps. The circle's 121 steps to 1e-10 have reached its asymptotic rate,
+    # 1 - lambda_min of the stored C by a test-side eigensolve, to 1e-7; the
+    # helix's 7938 steps to 1e-4 stop far from its 1 - 2.5e-12
+    circle = _circle_config(tmp_path, max_iter=1000, tol=1e-10)
+    helix = _problem_config(tmp_path / "helix.json", datasets.helix_problem(), "fit",
+                            max_iter=100000, tol=1e-4)
+    lam = float(np.linalg.eigvals(_PROBLEM.collocation).real.min())
+    for path, steps, shown, ratio, abs_tol in ((circle, 121, "0.8471672013", 1 - lam, 1e-7),
+                                               (helix, 7938, "0.99990554", 0.999905547, 1e-6)):
+        out = tmp_path / path.stem
+        code, stdout = _main(["pia-fit", "--config", str(path), "--out", str(out)], capsys)
+        cfg = load_config(path, "fit")
+        state = pia_run(cfg.problem, cfg.max_iter, cfg.tol)
+        assert code == 0 and state.iteration == steps
+        assert stdout == _fit_stdout(state, out, 32)
+        line = stdout.splitlines()[1]
+        assert line.startswith(f"observed contraction over the last 32 steps: {shown}")
+        assert float(line.rsplit(" ", 1)[1]) == pytest.approx(ratio, abs=abs_tol)
+    # shorter runs take every step they have, and one step gives no line
+    for iterations, k in ((5, 4), (2, 1), (1, 0)):
+        out = tmp_path / f"short{iterations}"
+        code, stdout = _main(["pia-fit", "--config", str(circle), "--iterations", str(iterations),
+                              "--out", str(out)], capsys)
+        assert code == 0
+        assert stdout == _fit_stdout(pia_run(_PROBLEM, iterations, 1e-10), out, k)
+    assert "contraction" not in stdout
+
+
+@pytest.mark.parametrize("mode, argv", [
+    ("eval", ["basis-eval", "--grid", "11"]),
+    ("tp-check", ["tp-check", "--trials", "4"]),
+    ("fit", ["pia-fit"]),
+    (None, ["example", "circle", "--iterations", "5"]),
+    (None, ["example", "helix", "--iterations", "5"]),
+], ids=["basis-eval", "tp-check", "pia-fit", "example-circle", "example-helix"])
+def test_no_command_prints_a_spectral_radius(tmp_path, capsys, mode, argv):
+    config = ["--config", str(_circle_config(tmp_path, mode=mode))] if mode else []
+    code, stdout = _main([*argv, *config, "--out", str(tmp_path / "out")], capsys)
+    assert code == 0
+    assert "spectral radius" not in stdout
+
+
 def test_pia_fit_divergence_exit_code(tmp_path, monkeypatch):
     path = _circle_config(tmp_path)
 

@@ -14,7 +14,6 @@ from gtbezier import (
     bernstein_equivalent_nodeset,
     curve_points,
     fitted_curve,
-    iteration_spectrum,
     pia_run,
     rational_basis_matrix,
     rational_collocation_matrix,
@@ -481,7 +480,6 @@ def test_collocation_built_once_and_read_only(monkeypatch):
     problem = FitProblem(reference.data, reference.params, reference.nodeset, reference.weights)
     data = problem.data.copy()
     pia_run(problem, max_iter=200)
-    iteration_spectrum(problem)
     assert len(calls) == 1
     assert problem.collocation.flags.writeable is False
     np.testing.assert_array_equal(problem.data, data)
@@ -527,41 +525,3 @@ def test_fitted_curve_wraps_state():
     state = pia_run(problem, max_iter=5)
     curve = fitted_curve(problem, state)
     np.testing.assert_array_equal(curve.control, state.control)
-
-
-def test_iteration_spectrum_identity_case():
-    problem = _line_problem()
-    assert iteration_spectrum(problem) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_iteration_spectrum_certifies_examples():
-    circle = iteration_spectrum(datasets.circle_problem())
-    helix = iteration_spectrum(datasets.helix_problem())
-    assert circle < 1.0
-    assert helix < 1.0
-
-
-def _power_iteration_radius(m, iters=3000, seed=1):
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=m.shape[0])
-    x /= np.linalg.norm(x)
-    est = 0.0
-    for _ in range(iters):
-        y = m @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x, est = y / norm, norm
-    return est
-
-
-def test_iteration_spectrum_matches_power_iteration():
-    problem = datasets.circle_problem()
-    c = problem.collocation
-    oracle = _power_iteration_radius(np.eye(5) - c)
-    assert iteration_spectrum(problem) == pytest.approx(oracle, abs=1e-9)
-    helix = datasets.helix_problem()
-    ch = helix.collocation
-    oracle_h = _power_iteration_radius(np.eye(31) - ch)
-    assert oracle_h < 1.0
-    assert iteration_spectrum(helix) == pytest.approx(oracle_h, abs=1e-3)
