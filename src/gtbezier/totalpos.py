@@ -5,7 +5,9 @@ minor counts as non-negative when it is >= -DEFAULT_REL_TOL * scale, scale the
 product of its rows' Euclidean norms (a Hadamard-style bound, which tracks the
 minors' wildly varying magnitude). Matrices are judged as (T, r, c) stacks, on
 every minor by Laplace expansion up to EXHAUSTIVE_LIMIT rows and columns, on
-initial minors by Neville elimination above: no verdict reaches LAPACK.
+initial minors by Neville elimination above: no verdict reaches LAPACK. A stack
+is judged as given; rows are scaled only in is_totally_positive, the one entry
+for outside matrices, since the NTP suite's rows sum to one.
 """
 
 from dataclasses import dataclass
@@ -36,7 +38,7 @@ def rational_collocation_matrix(ns: NodeSet, weights, params) -> np.ndarray:
 
 
 def _initial_minors(stack: np.ndarray) -> tuple:
-    """Initial minors of a row-scaled (T, r, c) stack as (m, o, 2, T) arrays,
+    """Initial minors of a (T, r, c) stack as (m, o, 2, T) arrays,
     m = max(r, c), o = min(r, c): determinants, scales, the pivots that end
     them and those pivots' row norms over their columns (of A or A^T);
     [d, k, 0] is the minor on rows d..d+k and columns 0..k, [d, k, 1] that on
@@ -79,8 +81,8 @@ def _initial_minors(stack: np.ndarray) -> tuple:
         return np.ldexp(mant, expo, out=mant), scales, pivots, lines
 
 
-def _initial_reports(stack: np.ndarray, shifts: np.ndarray) -> list:
-    """_tp_reports above EXHAUSTIVE_LIMIT of a stack row-scaled by 2**-shifts."""
+def _initial_reports(stack: np.ndarray) -> list:
+    """_tp_reports above EXHAUSTIVE_LIMIT."""
     t, r, c = stack.shape
     m, o = max(r, c), min(r, c)
     first = (stack[:, 0, 0] > 0.0) & ~stack[:, 0, 1:].any(axis=1) & stack[:, 1:, 0].any(axis=1)
@@ -88,7 +90,6 @@ def _initial_reports(stack: np.ndarray, shifts: np.ndarray) -> list:
     if first.any():  # a dropped first row moves last: the stack keeps its shape
         order = (np.arange(r) + first[:, None]) % r
         stack = np.take_along_axis(stack, order[:, :, None], 1)
-        shifts = np.take_along_axis(shifts, order, 1)
     dets, scales, pivots, pivot_norms = _initial_minors(stack)
     # minors on a dropped row or off the matrix are not judged
     dk, k, kept = np.add.outer(np.arange(m), np.arange(o)), np.arange(o), r - first - last
@@ -101,13 +102,6 @@ def _initial_reports(stack: np.ndarray, shifts: np.ndarray) -> list:
     margins = np.add(dets, np.multiply(DEFAULT_REL_TOL, scales, out=scales), out=scales)
     all_ok = np.all((margins >= 0.0) & ~wrong | masked, axis=(0, 1, 2))
     margins, dets = margins.reshape(-1, t), dets.reshape(-1, t)
-    if shifts.any():  # the witness is chosen and reported in the original scale
-        ends = np.pad(np.cumsum(shifts, axis=1), ((0, 0), (1, 0))).T
-        down = ends[np.minimum(dk + 1, r)] - ends[np.minimum(dk - k, r)]  # rows d..d+k
-        unscale = np.stack(np.broadcast_arrays(down, ends[k + 1]), 2).reshape(-1, t)
-        with np.errstate(over="ignore"):
-            np.ldexp(margins, unscale, out=margins)
-            np.ldexp(dets, unscale, out=dets)
     margins[masked.reshape(-1, t)] = np.inf  # above every judged one; the first is judged
     least = np.argmin(margins, axis=0)
     i, n, half = np.unravel_index(least, (m, o, 2))
@@ -171,35 +165,40 @@ def is_totally_positive(m) -> TpReport:
     multipliers count as 0, a nonzero entry under a zero pivot fails, and
     every multiplier must be >= 0, so a pivot after a zero one on its diagonal
     (past which the minors are 0) must be >= -DEFAULT_REL_TOL times its row's
-    norm over its columns. That decides a nonsingular square matrix; on a
-    singular or rectangular one with a zero initial minor it certifies
-    nothing and can reject a TP matrix (a zero row over a nonzero one, or the
-    rounding residue that equal columns leave under a zero pivot). A failure
-    by this rule alone has a witness of margin >= 0; an overflowing pivot, as
-    no TP matrix has, gives non-finite ones.
+    norm over its columns. On a singular or rectangular matrix with a zero
+    initial minor, the remainder of a dropped row included, it certifies
+    nothing and can reject a TP matrix (a zero row over a nonzero one, the
+    rounding residue that equal columns leave under a zero pivot, or the
+    nonsingular np.tril(np.ones((9, 9))), whose unit first row is dropped and
+    whose remainder fails on minor ((1,), (2,))). A failure by this rule alone
+    has a witness of margin >= 0; an overflowing pivot, as no TP matrix has,
+    gives non-finite ones.
 
     Rows whose largest entry exceeds one are first scaled down by an exact
-    power of two, so that minors do not overflow; that keeps their signs and
-    scales their tolerances alike. The witness is chosen and reported in the
-    original scale, where its determinant may be infinite, and indices.
+    power of two, here and nowhere else, so that minors do not overflow;
+    that keeps their signs and scales their tolerances alike. The verdict
+    and the witness, the minor of least margin, are those of the scaled
+    matrix; only the witness's determinant is mapped back to the original
+    scale, where it may be infinite.
     """
     m = _reals(m, "matrix", 2)
     if m.size == 0:
         raise ValueError("matrix must not be empty")
-    return _tp_reports(m[None])[0]
+    row_max = np.max(np.abs(m), axis=1)
+    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
+    report = _tp_reports(np.ldexp(m, -shifts[:, None])[None])[0]
+    rows, cols, det = report.witness
+    with np.errstate(over="ignore"):
+        return TpReport(report.is_tp, (rows, cols, float(np.ldexp(det, shifts[list(rows)].sum()))))
 
 
 def _tp_reports(stack: np.ndarray) -> list:
-    """One TpReport per matrix of a finite (T, r, c) stack; each matrix is
-    judged exactly as is_totally_positive judges it alone."""
+    """One TpReport per matrix of a finite (T, r, c) stack, judged as given;
+    a matrix with no entry above one in magnitude is judged exactly as
+    is_totally_positive judges it alone."""
     t, r, c = stack.shape
-    row_max = np.max(np.abs(stack), axis=2)
-    shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
-    scaled = shifts.any()  # if not, the stack is judged as given and never written
-    if scaled:
-        stack = np.ldexp(stack, -shifts[:, :, None])
     if max(r, c) > EXHAUSTIVE_LIMIT:
-        return _initial_reports(stack, shifts)
+        return _initial_reports(stack)
     sq = stack * stack
     all_ok, witness = np.ones(t, dtype=bool), [None] * t
     worst_margin = np.full(t, np.nan)  # so order 1 sets every witness, margins of inf too
@@ -212,10 +211,6 @@ def _tp_reports(stack: np.ndarray) -> list:
         dets = minors = _laplace(stack, minors, k) if k > 1 else stack
         margins = dets + DEFAULT_REL_TOL * scales
         all_ok &= np.all(margins >= 0.0, axis=(1, 2))
-        if scaled:  # the witness is chosen and reported in the original scale
-            unscale = shifts[:, rset].sum(axis=2)[:, :, None]
-            with np.errstate(over="ignore"):
-                margins, dets = np.ldexp(margins, unscale), np.ldexp(dets, unscale)
         margins, dets = margins.reshape(t, -1), dets.reshape(t, -1)
         least = np.argmin(margins, axis=1)
         for j in np.flatnonzero(~(margins[np.arange(t), least] >= worst_margin)):
