@@ -74,15 +74,15 @@ def _initial_minors(stack: np.ndarray) -> tuple:
     lines = np.empty_like(pivots)
     lines[:, :, 0] = norms[np.minimum(d + k, r - 1), k]
     lines[:, :, 1] = np.sqrt(np.add.accumulate(sq, axis=0))[k, np.minimum(d + k, c - 1)]
-    mant, expo = np.frexp(pivots)
-    np.multiply.accumulate(mant, axis=1, out=mant)
-    np.add.accumulate(expo, axis=1, out=expo)
-    with np.errstate(over="ignore"):  # only after a pivot overflowed
+    with np.errstate(over="ignore", invalid="ignore"):  # past an inf pivot: inf, NaN at a 0 one
+        mant, expo = np.frexp(pivots)
+        np.multiply.accumulate(mant, axis=1, out=mant)
+        np.add.accumulate(expo, axis=1, out=expo)
         return np.ldexp(mant, expo, out=mant), scales, pivots, lines
 
 
-def _initial_reports(stack: np.ndarray) -> list:
-    """_tp_reports above EXHAUSTIVE_LIMIT."""
+def _initial_verdicts(stack: np.ndarray) -> tuple:
+    """_tp_verdicts above EXHAUSTIVE_LIMIT."""
     t, r, c = stack.shape
     m, o = max(r, c), min(r, c)
     first = (stack[:, 0, 0] > 0.0) & ~stack[:, 0, 1:].any(axis=1) & stack[:, 1:, 0].any(axis=1)
@@ -105,9 +105,8 @@ def _initial_reports(stack: np.ndarray) -> list:
     margins[masked.reshape(-1, t)] = np.inf  # above every judged one; the first is judged
     least = np.argmin(margins, axis=0)
     i, n, half = np.unravel_index(least, (m, o, 2))
-    rows, cols, dets = first + i * (1 - half), i * half, dets[least, np.arange(t)]
-    return [TpReport(bool(ok), (tuple(range(row, row + q + 1)), tuple(range(col, col + q + 1)), det))
-            for ok, row, col, q, det in zip(all_ok, *(x.tolist() for x in (rows, cols, n, dets)))]
+    return all_ok, dets[least, np.arange(t)], lambda j: tuple(  # (rows, cols) from their firsts
+        tuple(range(x[j], x[j] + n[j] + 1)) for x in (first + i * (1 - half), i * half))
 
 
 @lru_cache(maxsize=None)
@@ -172,7 +171,7 @@ def is_totally_positive(m) -> TpReport:
     nonsingular np.tril(np.ones((9, 9))), whose unit first row is dropped and
     whose remainder fails on minor ((1,), (2,))). A failure by this rule alone
     has a witness of margin >= 0; an overflowing pivot, as no TP matrix has,
-    gives non-finite ones.
+    gives non-finite ones, of which a NaN one (with a zero pivot) ranks first.
 
     Rows whose largest entry exceeds one are first scaled down by an exact
     power of two, here and nowhere else, so that minors do not overflow;
@@ -186,38 +185,39 @@ def is_totally_positive(m) -> TpReport:
         raise ValueError("matrix must not be empty")
     row_max = np.max(np.abs(m), axis=1)
     shifts = np.where(row_max > 1.0, np.frexp(row_max)[1], 0)
-    report = _tp_reports(np.ldexp(m, -shifts[:, None])[None])[0]
-    rows, cols, det = report.witness
+    (ok,), (det,), name = _tp_verdicts(np.ldexp(m, -shifts[:, None])[None])
+    rows, cols = name(0)
     with np.errstate(over="ignore"):
-        return TpReport(report.is_tp, (rows, cols, float(np.ldexp(det, shifts[list(rows)].sum()))))
+        return TpReport(bool(ok), (rows, cols, float(np.ldexp(det, shifts[list(rows)].sum()))))
 
 
-def _tp_reports(stack: np.ndarray) -> list:
-    """One TpReport per matrix of a finite (T, r, c) stack, judged as given;
-    a matrix with no entry above one in magnitude is judged exactly as
-    is_totally_positive judges it alone."""
+def _tp_verdicts(stack: np.ndarray) -> tuple:
+    """(ok, dets, name) of a finite (T, r, c) stack, judged as given: (T,)
+    arrays of verdicts and of the determinants of witnesses, the first minor
+    of least margin, and name(j), matrix j's witness as (rows, cols). With no
+    entry above one in magnitude, each matrix is judged as is_totally_positive
+    judges it alone, on finite margins up to EXHAUSTIVE_LIMIT; above, a NaN
+    margin (past an overflowed and a zero pivot) ranks first, its det NaN."""
     t, r, c = stack.shape
     if max(r, c) > EXHAUSTIVE_LIMIT:
-        return _initial_reports(stack)
-    sq = stack * stack
-    all_ok, witness = np.ones(t, dtype=bool), [None] * t
-    worst_margin = np.full(t, np.nan)  # so order 1 sets every witness, margins of inf too
+        return _initial_verdicts(stack)
+    sq, margins, dets = stack * stack, [], []
     for k in range(1, min(r, c) + 1):
-        rset, cset = _index_sets(r, k), _index_sets(c, k)
-        # each row's norm over a column set is summed once, not once per
-        # minor it enters, and multiplied down each row set
-        norms = np.sqrt(np.add.reduce(sq[:, :, cset], -1))
-        scales = np.multiply.reduce(norms[:, rset], axis=2)
-        dets = minors = _laplace(stack, minors, k) if k > 1 else stack
-        margins = dets + DEFAULT_REL_TOL * scales
-        all_ok &= np.all(margins >= 0.0, axis=(1, 2))
-        margins, dets = margins.reshape(t, -1), dets.reshape(t, -1)
-        least = np.argmin(margins, axis=1)
-        for j in np.flatnonzero(~(margins[np.arange(t), least] >= worst_margin)):
-            i, (row, col) = least[j], divmod(int(least[j]), len(cset))
-            worst_margin[j] = margins[j, i]
-            witness[j] = (tuple(rset[row].tolist()), tuple(cset[col].tolist()), float(dets[j, i]))
-    return [TpReport(bool(ok), w) for ok, w in zip(all_ok, witness)]
+        # a row's norm over a column set is summed once and multiplied down each row set
+        norms = np.sqrt(np.add.reduce(sq[:, :, _index_sets(c, k)], -1))
+        scales = np.multiply.reduce(norms[:, _index_sets(r, k)], axis=2)
+        minors = _laplace(stack, minors, k) if k > 1 else stack
+        margins.append((minors + DEFAULT_REL_TOL * scales).reshape(t, -1))
+        dets.append(minors.reshape(t, -1))
+    starts = np.cumsum([0] + [x.shape[1] for x in margins])
+    margins = np.concatenate(margins, axis=1)  # by order, then row set, then column set
+    least = np.argmin(margins, axis=1)  # the first of least margin
+
+    def name(j):
+        k = int(np.searchsorted(starts, least[j], side="right"))
+        row, col = divmod(int(least[j] - starts[k - 1]), comb(c, k))
+        return tuple(_index_sets(r, k)[row].tolist()), tuple(_index_sets(c, k)[col].tolist())
+    return np.all(margins >= 0.0, axis=1), np.concatenate(dets, axis=1)[np.arange(t), least], name
 
 
 @dataclass(frozen=True)
@@ -258,8 +258,8 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     their original indices. A stack of consecutive trials, built by one
     basis call, holds at most _GATHER_LIMIT elements (or one trial): 4 * n * n
     a trial above EXHAUSTIVE_LIMIT, 2k a k-minor of its largest order below.
-    A node span too narrow to draw a trial from raises ValueError. Of equal
-    worst witnesses the report keeps the first.
+    A node span too narrow to draw a trial from raises ValueError. The worst
+    witness is the first of least determinant, a NaN one ranked last.
     """
     w = validate_weights(ns, weights)
     trials = _index(trials, "trials", 1, MAX_TRIALS)
@@ -269,18 +269,18 @@ def verify_ntp_suite(ns: NodeSet, weights, trials: int, seed: int = 0) -> NtpSui
     per_trial = (max(comb(n, k) * comb(merged.size, k) * 2 * k for k in range(1, merged.size + 1))
                  if n <= EXHAUSTIVE_LIMIT else 4 * n * n)
     chunk = max(1, _GATHER_LIMIT // per_trial)
-    failed, worst = [], None  # worst: (witness, case), the first of least determinant
+    failed, worst = [], []  # worst: each stack's (key, witness, case)
     for start in range(0, trials, chunk):
         chunk_trials = range(start, min(start + chunk, trials))
         cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in chunk_trials]
         params = suite_params(seed, chunk_trials, cases, a0, an, n)
         stack = rational_basis_matrix(merged, w, params.ravel()).reshape(-1, n, merged.size)
-        for trial, case, report in zip(chunk_trials, cases, _tp_reports(stack)):
-            if not report.is_tp:
-                failed.append((trial, case))
-            if worst is None or report.witness[2] < worst[0][2]:
-                worst = report.witness, case
-    (rows, cols, det), case = worst
+        ok, dets, name = _tp_verdicts(stack)
+        failed += [(start + j, cases[j]) for j in np.flatnonzero(~ok).tolist()]
+        keys = np.where(np.isnan(dets), np.inf, dets)  # NaN last: no witness determinant is inf
+        j = int(np.argmin(keys))
+        worst.append((keys[j], (*name(j), float(dets[j])), cases[j]))
+    _, (rows, cols, det), case = min(worst, key=lambda x: x[0])  # min keeps the first
     if firsts is not None:  # a merged column is a multiple of its first node's
         cols, det = tuple(firsts[list(cols)].tolist()), float(det * np.prod(factors[list(cols)]))
     return NtpSuiteReport(trials, (rows, cols, det), case, tuple(failed))

@@ -20,7 +20,7 @@ from gtbezier import (
 from gtbezier import datasets, totalpos
 from gtbezier.basis import bernstein_equivalent_nodeset
 from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, EXHAUSTIVE_LIMIT, TpReport,
-                               _index_sets, _initial_minors, _laplace, _tp_reports)
+                               _index_sets, _initial_minors, _laplace, _tp_verdicts)
 from bad_inputs import BAD_COUNTS
 from oracles import (GenVandermondeSpec, det_stack, draw_params, generalized_vandermonde,
                      mp_det, mp_initial_minors, power_matrix, raw_log_basis, reference_draws)
@@ -263,6 +263,13 @@ def test_is_tp_selects_enumeration_by_size(monkeypatch):
     assert rep.is_tp and not reached
 
 
+def _reports(stack):
+    """_tp_verdicts of a stack as one TpReport per matrix, as is_totally_positive
+    builds it for one matrix, without row scaling."""
+    ok, dets, name = _tp_verdicts(stack)
+    return [TpReport(bool(ok[j]), (*name(j), float(dets[j]))) for j in range(len(stack))]
+
+
 def _laplace_orders(stack):
     """Every order's minors of a (T, r, c) stack from _laplace, order 1 first."""
     orders = [stack]
@@ -282,7 +289,7 @@ def test_laplace_minors_match_lapack_and_mpmath(monkeypatch):
     # bit; each sampled minor of orders 4 to 8 is within 4 eps of its scale
     # (the product of its row norms) of 60-digit mpmath, about 1 eps measured
     # against a first-order bound of 800 eps at order 8; verdicts and witness
-    # positions equal those of _tp_reports on det_stack's gathered minors
+    # positions equal those of _tp_verdicts on det_stack's gathered minors
     # (LAPACK above order 3) on suites, random, zero-laden and row-scaled
     # stacks, each with its rows above one scaled as is_totally_positive
     # scales them; and the terms' left-to-right sum keeps an exact -0.0
@@ -315,10 +322,10 @@ def test_laplace_minors_match_lapack_and_mpmath(monkeypatch):
                 err = abs(mpmath.mpf(float(minors[q, i, j])) - mp_det(sub, 60))
                 assert err <= 4 * eps * scale, (stack.shape, k, float(err / (eps * scale)))
                 checked += 1
-        reports = _tp_reports(scaled)
+        reports = _reports(scaled)
         with monkeypatch.context() as patch:
             patch.setattr(totalpos, "_laplace", _gathered)
-            reference = _tp_reports(scaled)
+            reference = _reports(scaled)
         assert [(rep.is_tp, rep.witness[:2]) for rep in reports] == \
                [(rep.is_tp, rep.witness[:2]) for rep in reference]
     assert checked == 8 * sum(max(min(s.shape[1:]) - 3, 0) for s in stacks)
@@ -524,16 +531,16 @@ def _reference_suite(ns, w, trials, seed):
                for params in draws]
     failed = tuple((trial, case) for trial, case, report in zip(range(trials), cases, reports)
                    if not report.is_tp)
-    # min keeps the first of equal determinants
+    # min keeps the first of equal determinants; NaN ranks after every number
     witness, case = min(zip((report.witness for report in reports), cases),
-                        key=lambda pair: pair[0][2])
+                        key=lambda pair: (np.isnan(pair[0][2]), pair[0][2]))
     return NtpSuiteReport(trials, witness, case, failed)
 
 
 def _suite_stacks(monkeypatch, ns, w, trials, seed=0):
     """Shapes of the matrix stacks verify_ntp_suite judges, in call order."""
-    shapes, judge = [], totalpos._tp_reports
-    monkeypatch.setattr(totalpos, "_tp_reports",
+    shapes, judge = [], totalpos._tp_verdicts
+    monkeypatch.setattr(totalpos, "_tp_verdicts",
                         lambda stack: shapes.append(stack.shape) or judge(stack))
     verify_ntp_suite(ns, w, trials, seed)
     monkeypatch.undo()
@@ -541,16 +548,66 @@ def _suite_stacks(monkeypatch, ns, w, trials, seed=0):
 
 
 def test_ntp_suite_equals_trial_by_trial_reference(monkeypatch):
+    # the fold across stacks too: the helix's 18 trials are judged in stacks
+    # of 17 and 1, the 64 uniform nodes' 9 in stacks of 4, 4 and 1
     circle = datasets.circle_problem()
     ns, w = circle.nodeset, circle.weights
     chunk = _suite_stacks(monkeypatch, ns, w, 400)[0][0]
     helix = datasets.helix_node_set(), datasets.helix_weights()
+    uniform = NodeSet(np.linspace(0.0, 1.0, 64), None, 63), None
+    assert [t for t, _, _ in _suite_stacks(monkeypatch, *helix, 18)] == [17, 1]
+    assert [t for t, _, _ in _suite_stacks(monkeypatch, *uniform, 9)] == [4, 4, 1]
     for (ns, w), trials, seed in (((ns, w), 400, 20240809), ((ns, w), chunk + 1, 7),
-                                  (helix, 5, 3), (helix, 8, 3),
+                                  (helix, 5, 3), (helix, 8, 3), (helix, 18, 3), (uniform, 9, 0),
                                   ((bernstein_equivalent_nodeset(3), None), 100, 1),
                                   ((NodeSet([0, 1]), None), 8, 3),
                                   ((NodeSet(np.arange(12.0)), None), 40, 5)):
         assert verify_ntp_suite(ns, w, trials, seed) == _reference_suite(ns, w, trials, seed)
+
+
+def test_ntp_suite_builds_no_per_trial_report(monkeypatch):
+    # a suite folds each stack's verdict arrays and builds no TpReport, not
+    # one a trial; is_totally_positive builds one, so the count is live
+    built = []
+    monkeypatch.setattr(totalpos, "TpReport", lambda *args: built.append(args) or TpReport(*args))
+    circle = datasets.circle_problem()
+    assert verify_ntp_suite(circle.nodeset, circle.weights, 400).passed
+    assert verify_ntp_suite(datasets.helix_node_set(), datasets.helix_weights(), 40).passed
+    assert built == []
+    assert is_totally_positive(np.eye(9)).is_tp and len(built) == 1
+
+
+def _scale_1e4_suite(nodes, seed):
+    """The 8-trial suite at seed on nodes at scale 1e4, where every trial of
+    uniform nodes fails, and its trials rebuilt from their draws."""
+    ns = NodeSet(nodes, None, 1e4)
+    return ns, verify_ntp_suite(ns, None, 8, seed), _suite_trials(ns, None, seed, 8)
+
+
+def test_overflowed_pivots_judged_without_a_warning():
+    # at scale 1e4 the elimination of trial 4 of 20 uniform nodes overflows
+    # a pivot and meets a zero one past it: their product is NaN, made with
+    # no numpy warning (the tests turn warnings into errors), and the
+    # suite's report is pinned
+    _, report, trials = _scale_1e4_suite(np.arange(20) / 19, 0)
+    assert report == NtpSuiteReport(
+        trials=8, worst_witness=(tuple(range(1, 9)), tuple(range(8)), 0.0), worst_case="interior",
+        failed_trials=tuple((t, BOUNDARY_CASES[t % 4]) for t in range(8)))
+    rep = is_totally_positive(trials[4])
+    assert not rep.is_tp
+    assert rep.witness[:2] == (tuple(range(1, 19)), tuple(range(2, 20)))
+    assert np.isnan(rep.witness[2])
+
+
+def test_ntp_suite_worst_minor_is_a_number_where_a_trial_has_one():
+    # on 31 uniform nodes at scale 1e4, seed 36, the first trial's witness
+    # determinant is NaN and five trials have one of 0.0: the suite reports
+    # the least number, NaN only where no trial has one
+    ns, report, trials = _scale_1e4_suite(np.linspace(0.0, 1.0, 31), 36)
+    dets = [is_totally_positive(m).witness[2] for m in trials]
+    assert np.isnan(dets[0]) and dets.count(0.0) == 5
+    assert report.worst_minor == 0.0
+    assert report == _reference_suite(ns, None, 8, 36)
 
 
 def test_tp_reports_judge_each_matrix_of_a_stack_alone():
@@ -567,9 +624,9 @@ def test_tp_reports_judge_each_matrix_of_a_stack_alone():
     assert raw.max() > 1e40
     mats += [raw, np.eye(5), np.eye(5)[::-1]]
     stack = np.array(mats)
-    reports = _tp_reports(stack)
-    assert reports == [_tp_reports(m[None])[0] for m in stack]
-    assert _tp_reports(stack[::-1]) == reports[::-1]
+    reports = _reports(stack)
+    assert reports == [_reports(m[None])[0] for m in stack]
+    assert _reports(stack[::-1]) == reports[::-1]
     verdicts = []
     for m, report in zip(stack, reports):
         dets, scales = _all_minors(m)
@@ -700,7 +757,7 @@ def _equal_the_reference(stack, tol):
     is_totally_positive on each matrix as given where that differs, equal
     the one-minor reference; the stacked reports."""
     scaled = _row_scaled(stack)[0]
-    reports = _tp_reports(scaled)
+    reports = _reports(scaled)
     assert reports == [_initial_reference(m, tol) for m in scaled]
     if (scaled != stack).any():
         assert [is_totally_positive(m) for m in stack] == [_initial_reference(m, tol) for m in stack]
@@ -740,7 +797,7 @@ def test_zero_row_windows_equal_the_lapack_routing(monkeypatch):
         monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
         for stack in stacks + [mixed]:
             _equal_the_reference(stack, tol)
-    assert all(rep.witness[0][0] >= 1 for rep in _tp_reports(stacks[0][[0, 2]]))
+    assert all(rep.witness[0][0] >= 1 for rep in _reports(stacks[0][[0, 2]]))
     zero_windows = 0
     for stack in stacks + [mixed]:
         scaled = _row_scaled(stack)[0]
@@ -834,7 +891,7 @@ def test_initial_verdicts_never_reach_det_stack(monkeypatch):
     singular[3] = singular[5]
     assert not is_totally_positive(np.random.default_rng(8).uniform(-1.0, 1.0, (8, 8))).is_tp
     assert not is_totally_positive(singular).is_tp
-    assert [rep.is_tp for rep in _tp_reports(_helix_trials(7, 4))] == [True] * 4
+    assert _tp_verdicts(_helix_trials(7, 4))[0].tolist() == [True] * 4
     for nodes, scale, trials in ((np.arange(12.0), 1.0, 40),
                                  (np.r_[0:5, 4:11].astype(float), 1.0, 40),
                                  (np.arange(64) / 63, 63.0, 2)):
@@ -886,9 +943,9 @@ def test_initial_minors_do_not_depend_on_the_stack():
     # determinant, scale, pivot and pivot norm of a stack entry has the bits
     # of its one-matrix stack
     trials = _helix_trials(5, 68)
-    alone = [_tp_reports(m[None])[0] for m in trials]
+    alone = [_reports(m[None])[0] for m in trials]
     for count in (1, 4, 17, 68):
-        assert _tp_reports(trials[:count]) == alone[:count]
+        assert _reports(trials[:count]) == alone[:count]
     stacked = _initial_minors(trials[:4])
     for t, m in enumerate(trials[:4]):
         assert all(_bits(a[..., t]) == _bits(b[..., 0])
@@ -1021,8 +1078,7 @@ def test_verdict_sweep_over_helix_uniform_and_repeated_node_suites():
     swap = [1, 0, *range(2, ns.size)]
     for seed in range(40):
         assert verify_ntp_suite(ns, w, 8, seed).passed
-        reports = _tp_reports(_helix_trials(seed, 8)[:, :, swap])
-        assert not any(rep.is_tp for rep in reports)
+        assert not _tp_verdicts(_helix_trials(seed, 8)[:, :, swap])[0].any()
     for n in (12, 16, 24, 32, 40, 48, 64):
         uniform = NodeSet(np.linspace(0.0, 1.0, n), None, n - 1)
         assert all(verify_ntp_suite(uniform, None, 8, seed).passed for seed in (0, 1))
@@ -1066,8 +1122,8 @@ def test_ntp_suite_stacks_have_no_entry_above_one(monkeypatch):
     # the stacked verdict judges a stack as given, with no row scaling: rows
     # of the rational basis sum to one, and for 0 <= x <= s IEEE division
     # gives x / s <= 1, so no suite hands it an entry above one
-    highest, judge = [], totalpos._tp_reports
-    monkeypatch.setattr(totalpos, "_tp_reports",
+    highest, judge = [], totalpos._tp_verdicts
+    monkeypatch.setattr(totalpos, "_tp_verdicts",
                         lambda stack: highest.append(np.abs(stack).max()) or judge(stack))
     circle = datasets.circle_problem()
     for ns, w, trials, seed in ((circle.nodeset, circle.weights, 4000, 3),
