@@ -2,9 +2,10 @@
 generalized Vandermonde matrices, its raw basis and the power matrix of its
 TP reduction, the classical Bernstein polynomials, the rational basis
 rebuilt from its formula in mpmath (with the curve points contracted from
-it there) and evaluated row-major in floats, determinants of gathered
-minors by closed forms and LAPACK, determinants and initial minors in
-mpmath, the NTP suite's parameter draws made one
+it there) and evaluated row-major in floats, the one exact TP oracle
+(exact_tp: minors of the stored doubles in exact rationals, judged by the
+library's documented tolerance rule), determinants and initial minors in
+mpmath for accuracy checks, the NTP suite's parameter draws made one
 np.random.default_rng([seed, trial]) at a time, and the PIA update taken
 one step at a time in extended precision.
 
@@ -16,12 +17,16 @@ this directory on sys.path, so tests import them with `from oracles import ...`.
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate, combinations
+from operator import mul
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from gtbezier.basis import _grid, validate_weights
+from gtbezier.totalpos import DEFAULT_REL_TOL
 
 
 @dataclass(frozen=True)
@@ -205,24 +210,130 @@ def draw_params(rng, case: str, a0: float, an: float, eps: float, count: int) ->
                      "the node span is too narrow")
 
 
-def det_stack(subs: np.ndarray) -> np.ndarray:
-    """Determinants of an (..., k, k) stack of gathered minors: closed-form
-    expansion for k <= 3, LAPACK LU with partial pivoting above."""
-    k = subs.shape[-1]
-    if k == 1:
-        return subs[..., 0, 0].copy()
-    if k == 2:
-        return subs[..., 0, 0] * subs[..., 1, 1] - subs[..., 0, 1] * subs[..., 1, 0]
-    if k == 3:
-        return (
-            subs[..., 0, 0] * (subs[..., 1, 1] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 1])
-            - subs[..., 0, 1] * (subs[..., 1, 0] * subs[..., 2, 2] - subs[..., 1, 2] * subs[..., 2, 0])
-            + subs[..., 0, 2] * (subs[..., 1, 0] * subs[..., 2, 1] - subs[..., 1, 1] * subs[..., 2, 0])
-        )
-    # LU of a singular minor can divide by a zero pivot and warn, though
-    # the determinant it returns is the correct 0.0
-    with np.errstate(divide="ignore"):
-        return np.linalg.det(subs)
+# The exact TP oracle: a double is an integer times a power of two, so the
+# minors of a float matrix are exact rationals, judged by the documented rule
+# of gtbezier.totalpos: det >= -tol * (the product of its rows' norms).
+ORACLE_MINORS = math.comb(18, 9) - 1  # most minors enumerated: a 9 x 9 matrix's 48619
+
+
+def _squares(a, rows, cols):
+    """The product over rows of a's squared norms over cols."""
+    return math.prod(sum(a[i][j] ** 2 for j in cols) for i in rows)
+
+
+def _within(det, squares, tol) -> bool:
+    """det >= -tol * sqrt(squares()), exactly."""
+    return det >= 0 or det * det <= Fraction(tol) ** 2 * squares()
+
+
+def _laplace_minors(a, orders=None):
+    """(rows, cols, det) of every minor of a list of exact rows up to the
+    given order, order by order, each det expanded along its first row."""
+    r, c = len(a), len(a[0])
+    below = {(i,): {(j,): a[i][j] for j in range(c)} for i in range(r)}  # [rows][cols]: det
+    yield from ((rows, cols, det) for rows, dets in below.items() for cols, det in dets.items())
+    for k in range(2, min(r, c, orders or r) + 1):
+        expansions = [(cols, [(col, cols[:j] + cols[j + 1:]) for j, col in enumerate(cols)])
+                      for cols in combinations(range(c), k)]
+        order = {}
+        for rows in combinations(range(r), k):
+            top, minors, dets = a[rows[0]], below[rows[1:]], order.setdefault(rows, {})
+            for cols, terms in expansions:
+                det = 0
+                for j, (col, rest) in enumerate(terms):
+                    if top[col]:
+                        det += -top[col] * minors[rest] if j % 2 else top[col] * minors[rest]
+                dets[cols] = det
+                yield rows, cols, det
+        below = order
+
+
+def exact_det(matrix) -> Fraction:
+    """The determinant of a square float matrix, exactly."""
+    *_, (_, _, det) = _laplace_minors([[Fraction(x) for x in row] for row in matrix.tolist()])
+    return det
+
+
+def every_minor_passes(matrix, tol=DEFAULT_REL_TOL, orders=None) -> bool:
+    """Whether every minor of a float matrix up to the given order passes
+    the rule, exactly: on its rows times powers of two that make them
+    integers, which scale a minor and its tolerance alike."""
+    a = []
+    for row in np.asarray(matrix, dtype=float).tolist():
+        power = max(Fraction(x).denominator for x in row)
+        a.append([int(Fraction(x) * power) for x in row])
+    return all(det >= 0 or _within(det, lambda: _squares(a, rows, cols), tol)
+               for rows, cols, det in _laplace_minors(a, orders))
+
+
+def _reduced(m) -> np.ndarray:
+    """m less every zero row and column, every row a positive multiple of the
+    row above and every column equal to the one before: exact reductions, as
+    a minor through such a line is 0 or one through its neighbour, its rows'
+    norms multiplied alike."""
+    def multiple(u, v):
+        if ((u == 0) != (v == 0)).any() or (np.sign(u) != np.sign(v)).any():
+            return False
+        return len({Fraction(y) / Fraction(x) for x, y in zip(u, v) if x}) == 1
+
+    while True:
+        rows = [i for i in range(len(m)) if m[i].any() and not (i and multiple(m[i - 1], m[i]))]
+        cols = [j for j in range(m.shape[1])
+                if m[:, j].any() and not (j and (m[:, j] == m[:, j - 1]).all())]
+        if (len(rows), len(cols)) == m.shape:
+            return m
+        m = m[np.ix_(rows, cols)]
+
+
+def _initial_rule(m, tol):
+    """The documented rule above EXHAUSTIVE_LIMIT, exactly: a first row c *
+    e_0^T (last row c * e_(c-1)^T), c > 0, over another nonzero entry of its
+    column is dropped; A and A^T take a Neville elimination (0 multipliers
+    over a zero pivot), and where it meets the zero rule each initial minor,
+    the product of its diagonal's pivots, must pass. False on a minor that
+    fails, a refutation; else None if the zero rule fails; else True."""
+    def unit(i, j):
+        return m[i, j] > 0 and np.count_nonzero(m[i]) == 1 and np.count_nonzero(m[:, j]) > 1
+
+    m = m[int(unit(0, 0)):len(m) - int(unit(-1, -1))]
+    exact, verdict = [[Fraction(x) for x in row] for row in m.tolist()], True
+    for x, half in ((exact, 0), ([list(col) for col in zip(*exact)], 1)):
+        a, r = [row[:] for row in x], len(x)
+        c = len(x[0]) if r else 0
+        for s in range(min(r, c) - 1):
+            for i in range(r - 1, s, -1):  # bottom up: each row less a multiple of the one above
+                if a[i - 1][s]:
+                    f = a[i][s] / a[i - 1][s]
+                    a[i] = [p - f * q for p, q in zip(a[i], a[i - 1])]
+        pivots = [[a[d + k][k] for k in range(min(r - d, c))] for d in range(r)]
+
+        def ruled(d, k, pivot):  # no nonzero pivot under a zero one, and the floor after one
+            if d and pivot and not pivots[d - 1][k]:
+                return False
+            return 0 not in pivots[d][:k] or _within(
+                pivot, lambda: _squares(x, [d + k], range(k + 1)), tol)
+
+        if not all(ruled(d, k, p) for d, run in enumerate(pivots) for k, p in enumerate(run)):
+            verdict = None
+            continue
+        for d, run in enumerate(pivots):
+            for k, det in enumerate(accumulate(run, mul)):
+                rows, cols = (range(d, d + k + 1), range(k + 1))[::-1 if half else 1]
+                if not _within(det, lambda: _squares(exact, rows, cols), tol):
+                    return False
+    return verdict
+
+
+def exact_tp(matrix, tol=DEFAULT_REL_TOL):
+    """The oracle's verdict on a float matrix: whether every minor of its
+    exact reduction passes the rule, or, where that has more than
+    ORACLE_MINORS, the documented initial-minor rule on it; where that is
+    undecided, False on a failing minor of order 1 or 2, else None."""
+    m = _reduced(np.asarray(matrix, dtype=float))
+    if math.comb(sum(m.shape), len(m)) - 1 <= ORACLE_MINORS:
+        return not m.size or every_minor_passes(m, tol)
+    verdict = _initial_rule(m, tol)
+    return False if verdict is None and not every_minor_passes(m, tol, 2) else verdict
 
 
 def mp_det(window, dps: int = 50):

@@ -1,6 +1,7 @@
 """Tests for collocation matrices, the power reduction (against the oracles'
 power matrix), generalized Vandermonde matrices, and the total-positivity
-checks."""
+checks: their public results against the corpus in tp_corpus.py and its
+exact oracle, and their kernels, through verdict_internals, against mpmath."""
 
 import warnings
 from itertools import combinations
@@ -18,12 +19,15 @@ from gtbezier import (
     verify_ntp_suite,
 )
 from gtbezier import datasets, totalpos
-from gtbezier.basis import bernstein_equivalent_nodeset
-from gtbezier.totalpos import (BOUNDARY_CASES, DEFAULT_REL_TOL, EXHAUSTIVE_LIMIT, TpReport,
-                               _index_sets, _initial_minors, _laplace, _tp_verdicts)
+from gtbezier.basis import MAX_EXPONENT_SPAN, bernstein_equivalent_nodeset
+from gtbezier.totalpos import BOUNDARY_CASES, DEFAULT_REL_TOL, EXHAUSTIVE_LIMIT, TpReport
+import verdict_internals as internals
 from bad_inputs import BAD_COUNTS
-from oracles import (GenVandermondeSpec, det_stack, draw_params, generalized_vandermonde,
-                     mp_det, mp_initial_minors, power_matrix, raw_log_basis, reference_draws)
+from oracles import (GenVandermondeSpec, draw_params, every_minor_passes, exact_det, exact_tp,
+                     generalized_vandermonde, mp_det, mp_initial_minors, power_matrix,
+                     raw_log_basis)
+from tp_corpus import (CORPUS, FAR_FROM_ZERO, ROWS, library_verdict, oracle_verdict,
+                       suite_trials, twin, vandermonde)
 
 
 def _random_node_set(rng, max_n=5):
@@ -48,18 +52,6 @@ def _interior_params(rng, ns, count=None):
 def _raw_collocation_matrix(ns, params):
     """Collocation matrix of the raw basis, entry (i, j) = beta_j(t_i)."""
     return np.exp(raw_log_basis(ns, validate_params(ns, params)))
-
-
-def _all_minors(m):
-    """Test oracle: determinants and row-norm scales of every minor of a
-    square matrix, by itertools enumeration and np.linalg.det."""
-    dets, scales = [], []
-    for k in range(1, m.shape[0] + 1):
-        sets = np.array(list(combinations(range(m.shape[0]), k)))
-        subs = m[sets[:, None, :, None], sets[None, :, None, :]].reshape(-1, k, k)
-        dets.append(np.linalg.det(subs))
-        scales.append(np.prod(np.linalg.norm(subs, axis=2), axis=1))
-    return np.concatenate(dets), np.concatenate(scales)
 
 
 def test_collocation_hand_values():
@@ -207,29 +199,19 @@ def test_vandermonde_spec_validation():
         GenVandermondeSpec([1.0, 2.0], [0.0, 1.0], [2.0])
 
 
-def _cofactor_det(m):
-    m = np.asarray(m, dtype=float)
-    if m.shape[0] == 1:
-        return m[0, 0]
-    total = 0.0
-    for j in range(m.shape[1]):
-        sub = np.delete(np.delete(m, 0, axis=0), j, axis=1)
-        total += (-1.0) ** j * m[0, j] * _cofactor_det(sub)
-    return total
-
-
 def test_witness_det_matches_cofactor_oracle():
     # random matrices are far from TP, so the witness is a negative minor of
-    # any order; its determinant must be the minor its indices name, also
-    # where rows above one are scaled and the determinant mapped back. Every
-    # order is a witness on entries in [-1, 1], which are judged unscaled
+    # any order; its determinant must be the minor its indices name, expanded
+    # by cofactors in exact arithmetic, also where rows above one are scaled
+    # and the determinant mapped back. Every order is a witness on entries
+    # in [-1, 1], which are judged unscaled
     normal, bounded = np.random.default_rng(31), np.random.default_rng(31)
     orders = set()
     for n in (1, 2, 3, 4, 5, 6):
         for _ in range(20):
             for m in (normal.normal(size=(n, n)), bounded.uniform(-1.0, 1.0, (n, n))):
                 rows, cols, det = is_totally_positive(m).witness
-                expected = _cofactor_det(m[np.ix_(rows, cols)])
+                expected = float(exact_det(m[np.ix_(rows, cols)]))
                 assert det == pytest.approx(expected, rel=1e-10)
             orders.add(len(rows))  # the bounded matrix's
     assert orders == {1, 2, 3, 4, 5, 6}
@@ -244,61 +226,35 @@ def test_is_tp_identity_and_antidiagonal():
     assert rep.witness[2] == pytest.approx(-1.0)
 
 
-def test_is_tp_selects_enumeration_by_size(monkeypatch):
+def test_is_tp_selects_enumeration_by_size():
     # up to EXHAUSTIVE_LIMIT rows and columns every minor is judged, each
     # order from 2 to min(r, c) expanded over the one below; above it, in
     # either dimension, the expansion reaches no order
     assert EXHAUSTIVE_LIMIT == 8
-    reached, laplace = [], totalpos._laplace
-    monkeypatch.setattr(totalpos, "_laplace",
-                        lambda stack, minors, k: reached.append(k) or laplace(stack, minors, k))
     for shape, top in (((8, 8), 8), ((2, 8), 2), ((9, 9), 1), ((2, 9), 1), ((9, 2), 1)):
-        reached.clear()
         assert is_totally_positive(np.ones(shape)).is_tp
-        assert reached == list(range(2, top + 1))
+        assert internals.expanded_orders(np.ones(shape)) == list(range(2, top + 1))
     # the helix collocation matrix is 31 x 31; the verdict never refuses a size
     prob = datasets.helix_problem()
-    rep = is_totally_positive(
-        rational_collocation_matrix(prob.nodeset, prob.weights, prob.params))
-    assert rep.is_tp and not reached
+    m = rational_collocation_matrix(prob.nodeset, prob.weights, prob.params)
+    assert is_totally_positive(m).is_tp and internals.expanded_orders(m) == []
 
 
-def _reports(stack):
-    """_tp_verdicts of a stack as one TpReport per matrix, as is_totally_positive
-    builds it for one matrix, without row scaling."""
-    ok, dets, name = _tp_verdicts(stack)
-    return [TpReport(bool(ok[j]), (*name(j), float(dets[j]))) for j in range(len(stack))]
-
-
-def _laplace_orders(stack):
-    """Every order's minors of a (T, r, c) stack from _laplace, order 1 first."""
-    orders = [stack]
-    for k in range(2, min(stack.shape[1:]) + 1):
-        orders.append(_laplace(stack, orders[-1], k))
-    return orders
-
-
-def _gathered(stack, minors, k):
-    """_laplace's order-k minors from det_stack on gathered copies."""
-    rset, cset = _index_sets(stack.shape[1], k), _index_sets(stack.shape[2], k)
-    return det_stack(stack[:, rset[:, None, :, None], cset[None, :, None, :]])
-
-
-def test_laplace_minors_match_lapack_and_mpmath(monkeypatch):
-    # orders 2 and 3 of the expansion are det_stack's closed forms bit for
-    # bit; each sampled minor of orders 4 to 8 is within 4 eps of its scale
-    # (the product of its row norms) of 60-digit mpmath, about 1 eps measured
-    # against a first-order bound of 800 eps at order 8; verdicts and witness
-    # positions equal those of _tp_verdicts on det_stack's gathered minors
-    # (LAPACK above order 3) on suites, random, zero-laden and row-scaled
-    # stacks, each with its rows above one scaled as is_totally_positive
-    # scales them; and the terms' left-to-right sum keeps an exact -0.0
+def test_laplace_minors_match_lapack_and_mpmath():
+    # each sampled minor of orders 2 to 8 of the expansion is within 4 eps
+    # of its scale (the product of its row norms) of 60-digit mpmath, about
+    # 1 eps measured against a first-order bound of 800 eps at order 8, on
+    # suites, random, zero-laden and row-scaled stacks, each with its rows
+    # above one scaled as is_totally_positive scales them; on orders 4 and
+    # up the errors' geometric mean is below np.linalg.det's on the same
+    # minors (about 0.8 of it). The terms' left-to-right sum keeps an exact
+    # -0.0, and a minor with a zero first row is an exact 0.0
     mpmath = pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
     rng = np.random.default_rng(32)
     circle = datasets.circle_problem()
-    stacks = [_suite_trials(circle.nodeset, circle.weights, 3, 400)]
-    stacks += [_suite_trials(NodeSet(np.arange(n) / (n - 1), None, n - 1), None, 3, 40)
+    stacks = [np.array(suite_trials(circle.nodeset, circle.weights, 400, 3))]
+    stacks += [np.array(suite_trials(NodeSet(np.arange(n) / (n - 1), None, n - 1), None, 40, 3))
                for n in (3, 6, 8)]
     stacks += [rng.uniform(-0.1, 1.0, (30, r, c)) for r, c in ((6, 8), (8, 5), (3, 7), (8, 8))]
     stacks += [rng.standard_normal((20, 7, 7)), rng.standard_normal((20, 8, 8))]
@@ -308,32 +264,30 @@ def test_laplace_minors_match_lapack_and_mpmath(monkeypatch):
     stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None]
                for s in (stacks[4], stacks[8])]
     checked = 0
+    log_ratio = 0  # of the expansion's error to LAPACK's, summed over orders >= 4
     for stack in stacks:
         scaled = _row_scaled(stack)[0]
-        orders = _laplace_orders(scaled)
         r, c = stack.shape[1:]
-        for k, minors in enumerate(orders[1:3], 2):
-            assert _bits(minors) == _bits(_gathered(scaled, None, k))
-        for k, minors in enumerate(orders[3:], 4):
-            rset, cset = _index_sets(r, k), _index_sets(c, k)
+        for k, minors in enumerate(internals.laplace_minors(scaled)[1:], 2):
+            rset, cset = list(combinations(range(r), k)), list(combinations(range(c), k))
             for q, i, j in zip(*(rng.integers(n, size=8) for n in minors.shape)):
                 sub = scaled[q][np.ix_(rset[i], cset[j])]
                 scale = np.prod(np.sqrt(np.sum(sub * sub, axis=1)))
-                err = abs(mpmath.mpf(float(minors[q, i, j])) - mp_det(sub, 60))
+                exact = mp_det(sub, 60)
+                err = abs(mpmath.mpf(float(minors[q, i, j])) - exact)
                 assert err <= 4 * eps * scale, (stack.shape, k, float(err / (eps * scale)))
                 checked += 1
-        reports = _reports(scaled)
-        with monkeypatch.context() as patch:
-            patch.setattr(totalpos, "_laplace", _gathered)
-            reference = _reports(scaled)
-        assert [(rep.is_tp, rep.witness[:2]) for rep in reports] == \
-               [(rep.is_tp, rep.witness[:2]) for rep in reference]
-    assert checked == 8 * sum(max(min(s.shape[1:]) - 3, 0) for s in stacks)
+                ref = abs(mpmath.mpf(float(np.linalg.det(sub))) - exact)
+                if k >= 4 and err and ref:
+                    log_ratio += mpmath.log(err) - mpmath.log(ref)
+    assert checked == 8 * sum(max(min(s.shape[1:]) - 1, 0) for s in stacks)
+    assert log_ratio < 0
     for first in ([-1.0, 0.0], [-1.0, 1.0, -1.0, 1.0]):
         m = np.zeros((len(first),) * 2)
         m[0] = first
-        assert _bits(_laplace_orders(m[None])[-1]) == _bits(-0.0)
-    assert _bits(_gathered(np.array([[[-1.0, 0.0], [0.0, 0.0]]]), None, 2)) == _bits(-0.0)
+        assert _bits(internals.laplace_minors(m[None])[-1]) == _bits(-0.0)
+    zero_first_row = CORPUS["zero-first-row-4"].build()
+    assert _bits(internals.laplace_minors(zero_first_row[None])[-1]) == _bits(0.0)
 
 
 def test_is_tp_large_entries_do_not_overflow():
@@ -402,10 +356,10 @@ def test_example_collocation_is_tp():
 def test_contiguous_stp_implies_exhaustive_tp(monkeypatch):
     # above EXHAUSTIVE_LIMIT only initial minors are checked; a verdict with
     # no tolerance whose witness is positive (every initial minor positive)
-    # must hold up against all minors, enumerated by the oracle and accepted
-    # as in the exhaustive verdict
+    # must hold up against every minor, all 48619 of a 9 x 9 matrix and
+    # 184755 of a 10 x 10 one, each >= 0 in exact arithmetic
     rng = np.random.default_rng(41)
-    for n, count in ((9, 48619), (9, 48619), (10, 184755)):
+    for n in (9, 9, 10):
         while True:
             nodes = np.sort(rng.uniform(0.0, 3.0, n))
             if np.all(np.diff(nodes) > 0.05):
@@ -416,9 +370,7 @@ def test_contiguous_stp_implies_exhaustive_tp(monkeypatch):
             patch.setattr(totalpos, "DEFAULT_REL_TOL", 0.0)
             report = is_totally_positive(mat)
         assert report.is_tp and report.witness[2] > 0
-        dets, scales = _all_minors(mat)
-        assert dets.size == count
-        assert np.all(dets >= -1e-9 * scales)
+        assert every_minor_passes(mat, 0.0)
         # negative control: a column swap leaves a negative initial minor
         swapped = mat[:, [1, 0] + list(range(2, n))]
         assert not is_totally_positive(swapped).is_tp
@@ -496,39 +448,30 @@ def test_ntp_suite_rejects_bad_seed(seed, error, message):
 
 
 def test_ntp_suite_reports_pinned():
-    # pinned suite reports, witnesses included: the 5-node circle is judged
-    # on every minor, the 31-node helix on initial minors without the unit
-    # rows of its boundary trials. Each helix witness is checked against
-    # 120-digit mpmath: that of the 8-trial suite, in its right-endpoint
-    # trial 2, is 3.47e-335, which underflows to 0.0 in doubles
-    circle = datasets.circle_problem()
-    report = verify_ntp_suite(circle.nodeset, circle.weights, trials=400, seed=20240809)
-    assert report == NtpSuiteReport(
-        trials=400, worst_witness=((0,), (1,), 0.0), worst_case="left", failed_trials=())
-    assert (report.failures, report.worst_minor) == (0, 0.0)
-    ns, w = datasets.helix_node_set(), datasets.helix_weights()
-    assert verify_ntp_suite(ns, w, trials=8, seed=3) == NtpSuiteReport(
-        trials=8, worst_witness=(tuple(range(7)), tuple(range(24, 31)), 0.0), worst_case="right",
-        failed_trials=())
+    # the corpus pins the suite reports, witnesses included: the 5-node
+    # circle is judged on every minor, the 31-node helix on initial minors
+    # without the unit rows of its boundary trials. Each helix witness is
+    # checked against 120-digit mpmath: that of the 8-trial suite, in its
+    # right-endpoint trial 2, is 3.47e-335, which underflows to 0.0 in
+    # doubles; a one-trial suite is interior only, so its witness is a
+    # nonzero minor
+    report = verify_ntp_suite(*CORPUS["circle-400"].build())
+    assert (report.failures, report.worst_minor, report.passed) == (0, 0.0, True)
     mpmath = pytest.importorskip("mpmath")
     trials = _helix_trials(3, 3)
-    exact = mp_det(trials[2][:7, 24:], 120)
-    assert abs(exact / mpmath.mpf("3.4697e-335") - 1) < 1e-4 and float(exact) == 0.0
-    # a one-trial suite is interior only, so its witness is a nonzero minor
-    interior = verify_ntp_suite(ns, w, trials=1, seed=3)
-    assert interior.worst_case == "interior"
-    assert interior.worst_witness[:2] == ((0, 1, 2, 3, 4, 5), (25, 26, 27, 28, 29, 30))
-    assert interior.worst_minor == pytest.approx(6.678522287174328e-208, rel=1e-9)
-    assert interior.worst_minor == pytest.approx(float(mp_det(trials[0][:6, 25:], 120)), rel=1e-9)
+    for name, trial, value in (("helix-8-seed3", 2, "3.4697e-335"),
+                               ("helix-1-seed3", 0, "6.6785e-208")):
+        rows, cols, det = verify_ntp_suite(*CORPUS[name].build()).worst_witness
+        exact = mp_det(trials[trial][np.ix_(rows, cols)], 120)
+        assert abs(exact / mpmath.mpf(value) - 1) < 1e-4
+        assert det == pytest.approx(float(exact), rel=1e-9, abs=0.0)
 
 
 def _reference_suite(ns, w, trials, seed):
-    """The NTP suite one trial at a time: draw the trial's parameters, build
-    its collocation matrix, judge it alone, and fold the reports in order."""
+    """The NTP suite one trial at a time: each trial's collocation matrix
+    rebuilt from its draws and judged alone, and the reports folded in order."""
     cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in range(trials)]
-    draws = reference_draws(seed, range(trials), cases, *ns.domain, ns.size)
-    reports = [is_totally_positive(rational_collocation_matrix(ns, w, params))
-               for params in draws]
+    reports = [is_totally_positive(m) for m in suite_trials(ns, w, trials, seed)]
     failed = tuple((trial, case) for trial, case, report in zip(range(trials), cases, reports)
                    if not report.is_tp)
     # min keeps the first of equal determinants; NaN ranks after every number
@@ -537,26 +480,16 @@ def _reference_suite(ns, w, trials, seed):
     return NtpSuiteReport(trials, witness, case, failed)
 
 
-def _suite_stacks(monkeypatch, ns, w, trials, seed=0):
-    """Shapes of the matrix stacks verify_ntp_suite judges, in call order."""
-    shapes, judge = [], totalpos._tp_verdicts
-    monkeypatch.setattr(totalpos, "_tp_verdicts",
-                        lambda stack: shapes.append(stack.shape) or judge(stack))
-    verify_ntp_suite(ns, w, trials, seed)
-    monkeypatch.undo()
-    return shapes
-
-
-def test_ntp_suite_equals_trial_by_trial_reference(monkeypatch):
+def test_ntp_suite_equals_trial_by_trial_reference():
     # the fold across stacks too: the helix's 18 trials are judged in stacks
     # of 17 and 1, the 64 uniform nodes' 9 in stacks of 4, 4 and 1
     circle = datasets.circle_problem()
     ns, w = circle.nodeset, circle.weights
-    chunk = _suite_stacks(monkeypatch, ns, w, 400)[0][0]
+    chunk = len(internals.suite_stacks(ns, w, 400)[0])
     helix = datasets.helix_node_set(), datasets.helix_weights()
     uniform = NodeSet(np.linspace(0.0, 1.0, 64), None, 63), None
-    assert [t for t, _, _ in _suite_stacks(monkeypatch, *helix, 18)] == [17, 1]
-    assert [t for t, _, _ in _suite_stacks(monkeypatch, *uniform, 9)] == [4, 4, 1]
+    assert [len(s) for s in internals.suite_stacks(*helix, 18)] == [17, 1]
+    assert [len(s) for s in internals.suite_stacks(*uniform, 9)] == [4, 4, 1]
     for (ns, w), trials, seed in (((ns, w), 400, 20240809), ((ns, w), chunk + 1, 7),
                                   (helix, 5, 3), (helix, 8, 3), (helix, 18, 3), (uniform, 9, 0),
                                   ((bernstein_equivalent_nodeset(3), None), 100, 1),
@@ -581,7 +514,7 @@ def _scale_1e4_suite(nodes, seed):
     """The 8-trial suite at seed on nodes at scale 1e4, where every trial of
     uniform nodes fails, and its trials rebuilt from their draws."""
     ns = NodeSet(nodes, None, 1e4)
-    return ns, verify_ntp_suite(ns, None, 8, seed), _suite_trials(ns, None, seed, 8)
+    return ns, verify_ntp_suite(ns, None, 8, seed), suite_trials(ns, None, 8, seed)
 
 
 def test_overflowed_pivots_judged_without_a_warning():
@@ -612,7 +545,8 @@ def test_ntp_suite_worst_minor_is_a_number_where_a_trial_has_one():
 
 def test_tp_reports_judge_each_matrix_of_a_stack_alone():
     # a same-shape stack of TP and non-TP matrices, one with entries above
-    # 1e40, judged as given: no witness may leak from one matrix to another
+    # 1e40, judged as given: no witness may leak from one matrix to another,
+    # and each verdict is the exact oracle's
     ns, w = datasets.circle_node_set(), np.array(datasets.CIRCLE_WEIGHTS)
     a0, an = ns.domain
     rng = np.random.default_rng(47)
@@ -624,14 +558,11 @@ def test_tp_reports_judge_each_matrix_of_a_stack_alone():
     assert raw.max() > 1e40
     mats += [raw, np.eye(5), np.eye(5)[::-1]]
     stack = np.array(mats)
-    reports = _reports(stack)
-    assert reports == [_reports(m[None])[0] for m in stack]
-    assert _reports(stack[::-1]) == reports[::-1]
-    verdicts = []
-    for m, report in zip(stack, reports):
-        dets, scales = _all_minors(m)
-        assert report.is_tp == bool(np.all(dets >= -DEFAULT_REL_TOL * scales))
-        verdicts.append(report.is_tp)
+    reports = internals.stacked(stack)
+    assert reports == [internals.stacked(m[None])[0] for m in stack]
+    assert internals.stacked(stack[::-1]) == reports[::-1]
+    verdicts = [report[0] for report in reports]
+    assert verdicts == [exact_tp(m) for m in stack]
     assert verdicts == [True] * 4 + [False] * 4 + [True, True, False]
 
 
@@ -643,16 +574,9 @@ def _row_scaled(m):
     return np.ldexp(m, -shifts[..., None]), shifts
 
 
-def _suite_trials(ns, w, seed, trials):
-    """A suite's first trials at seed, rebuilt from their draws."""
-    cases = [BOUNDARY_CASES[trial % len(BOUNDARY_CASES)] for trial in range(trials)]
-    draws = reference_draws(seed, range(trials), cases, *ns.domain, ns.size)
-    return np.array([rational_collocation_matrix(ns, w, params) for params in draws])
-
-
 def _helix_trials(seed, trials):
     """The helix suite's first trials at seed, rebuilt from their draws."""
-    return _suite_trials(datasets.helix_node_set(), datasets.helix_weights(), seed, trials)
+    return np.array(suite_trials(datasets.helix_node_set(), datasets.helix_weights(), trials, seed))
 
 
 def _reduced(m, case):
@@ -664,176 +588,23 @@ def _bits(x):
     return np.asarray(x, dtype=float).tobytes()
 
 
-def _norm(line):
-    """The Euclidean norm, its squares added first to last."""
-    return np.sqrt(np.cumsum(np.square(line))[-1])
-
-
-def _initial_reference(m, tol):
-    """Reference for the verdict of one matrix above EXHAUSTIVE_LIMIT, one
-    minor at a time: the exact reductions by their definition (a first row
-    c * e_0^T, c > 0, whose column 0 has another nonzero entry is dropped,
-    and the same of the last row and column), then each initial minor of
-    what is left, A's on rows d..d+k and columns 0..k and A^T's on rows 0..k
-    and columns d..d+k, gathered into a copy. Its scale is the product, row
-    after row, of each row's norm over its columns; its determinant and
-    pivots come from _initial_minors of the reduced matrix alone; the zero
-    rule is applied one pivot at a time, and the witness is the first of
-    least margin in (d, k, A before A^T) order, a NaN margin below every
-    number, at its original rows. Rows above one are scaled first, as
-    is_totally_positive scales them; the witness is chosen on the scaled
-    matrix and only its determinant is mapped back."""
-    r, c = m.shape
-    m, shifts = _row_scaled(m)
-
-    def unit(i, j):
-        return int(m[i, j] > 0 and not np.delete(m[i], j).any()
-                   and np.delete(m[:, j], i).any())
-
-    rows = list(range(r))[unit(0, 0):r - unit(r - 1, c - 1)]
-    reduced = m[rows]
-    dets, _, pivots, _ = (x[..., 0] for x in _initial_minors(reduced[None]))
-    is_tp, best = True, None
-    for d in range(max(len(rows), c)):
-        for k in range(min(len(rows), c)):
-            for half in (0, 1):
-                rs, cs = (range(d, d + k + 1), range(k + 1)) if half == 0 else \
-                         (range(k + 1), range(d, d + k + 1))
-                if rs[-1] >= len(rows) or cs[-1] >= c:
-                    continue
-                sub = reduced[np.ix_(rs, cs)]
-                scale = np.cumprod([_norm(row) for row in sub])[-1]
-                det, pivot = dets[d, k, half], pivots[:, :, half]
-                margin = det + tol * scale
-                wrong = d > 0 and pivot[d - 1, k] == 0.0 and pivot[d, k] != 0.0
-                if (pivot[d, :k] == 0.0).any():
-                    line = reduced[d + k, :k + 1] if half == 0 else reduced[:k + 1, d + k]
-                    wrong |= pivot[d, k] < -tol * _norm(line)
-                is_tp &= bool(margin >= 0.0) and not wrong
-                key = -np.inf if np.isnan(margin) else margin
-                if best is None or key < best[0]:
-                    best = (key, tuple(rows[q] for q in rs), tuple(cs), det)
-    _, rs, cs, det = best
-    with np.errstate(over="ignore"):
-        return TpReport(is_tp, (rs, cs, float(np.ldexp(det, int(shifts[list(rs)].sum())))))
-
-
-def _initial_test_stacks():
-    """Stacks above EXHAUSTIVE_LIMIT: random, TP (generalized Vandermonde)
-    and row-scaled ones of every size to 31, rectangular ones with a side at
-    or below the limit, and ones whose matrices have a unit first or last
-    row (a positive multiple of e_0^T or e_(c-1)^T), both, rows zero over a
-    run of columns, or random rows. The first matrix of each of the first
-    nine is TP, and so is the first of its row-scaled copy."""
-    rng = np.random.default_rng(2026)
-    stacks = []
-    for n in (*range(9, 31, 3), 31):
-        t = np.sort(rng.uniform(0.5, 2.0, n))
-        tp = generalized_vandermonde(GenVandermondeSpec(t, np.arange(n) * rng.uniform(0.2, 1.0)))
-        noise = rng.uniform(-0.1, 1.0, (2, n, n)) * np.exp(rng.uniform(-5.0, 5.0, (2, n, n)))
-        stacks.append(np.concatenate([tp[None], noise]))
-    stacks += [rng.uniform(-0.1, 1.0, (3, r, c))
-               for r, c in ((2, 9), (9, 2), (1, 20), (5, 12), (12, 5))]
-    for r, c in ((9, 9), (12, 12), (10, 13), (13, 10)):
-        mats = rng.uniform(0.0, 1.0, (5, r, c))
-        mats[0, 0], mats[1, -1] = np.eye(c)[0], 3.0 * np.eye(c)[-1]
-        mats[2, 0], mats[2, -1] = 0.5 * np.eye(c)[0], np.eye(c)[-1]
-        for q in rng.integers(r, size=3):
-            lo, hi = np.sort(rng.integers(c + 1, size=2))
-            mats[3, q, lo:hi] = 0.0
-        stacks.append(mats)
-    stacks += [s * 2.0 ** rng.uniform(0.0, 600.0, s.shape[:2])[:, :, None]
-               for s in stacks[8:9] + stacks[-9:]]
-    return stacks
-
-
-# _initial_test_stacks' random, TP and rectangular stacks and their row-scaled
-# copies; the rest have unit rows or zero runs
-_PLAIN = [*range(14), *range(18, 24)]
-
-
-def _equal_the_reference(stack, tol):
-    """The stacked verdict on the stack with its rows above one scaled, and
-    is_totally_positive on each matrix as given where that differs, equal
-    the one-minor reference; the stacked reports."""
-    scaled = _row_scaled(stack)[0]
-    reports = _reports(scaled)
-    assert reports == [_initial_reference(m, tol) for m in scaled]
-    if (scaled != stack).any():
-        assert [is_totally_positive(m) for m in stack] == [_initial_reference(m, tol) for m in stack]
-    return reports
-
-
-@pytest.mark.parametrize("tol", [0.0, DEFAULT_REL_TOL])
-def test_window_views_equal_gathered_windows(monkeypatch, tol):
-    # the stacked verdict, which takes every initial minor in place from two
-    # eliminations of the whole stack, has the reductions, masks, row-norm
-    # scales, zero rule and witness choice of a reference that gathers each
-    # initial minor's window into a copy, and is_totally_positive its row
-    # scaling too: reports are ==, matrix by matrix, on random, TP
-    # (Vandermonde) and rectangular matrices, each with its rows as given
-    # and scaled by up to 2**600
-    monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
-    stacks = _initial_test_stacks()
-    verdicts = set()
-    for q in _PLAIN:
-        verdicts.update(rep.is_tp for rep in _equal_the_reference(stacks[q], tol))
-    assert verdicts == {True, False}
-
-
-def test_zero_row_windows_equal_the_lapack_routing(monkeypatch):
-    # on matrices with a unit first or last row, both, rows zero over a run
-    # of columns, or random rows, each with its rows as given and scaled by
-    # up to 2**600, and a stack in which only one matrix has a row above 1:
-    # at either tolerance the reports, stacked on the row-scaled stack and
-    # one matrix at a time as given, are == the one-minor reference, and a
-    # dropped first row is never a witness's. Each initial minor whose window
-    # has a row zero across its columns is exactly 0 from the elimination,
-    # as it is from det_stack (LAPACK above order 3) on the gathered window
-    stacks = [s for q, s in enumerate(_initial_test_stacks()) if q not in _PLAIN]
-    mixed = stacks[1].copy()
-    mixed[4, 3] *= 3.0
-    for tol in (0.0, DEFAULT_REL_TOL):
-        monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", tol)
-        for stack in stacks + [mixed]:
-            _equal_the_reference(stack, tol)
-    assert all(rep.witness[0][0] >= 1 for rep in _reports(stacks[0][[0, 2]]))
-    zero_windows = 0
-    for stack in stacks + [mixed]:
-        scaled = _row_scaled(stack)[0]
-        dets = _initial_minors(scaled)[0]
-        count, r, c = stack.shape
-        for d, k, t in np.ndindex(max(r, c), min(r, c), count):
-            for half, (rows, cols) in enumerate([(range(d, d + k + 1), range(k + 1)),
-                                                 (range(k + 1), range(d, d + k + 1))]):
-                if rows[-1] >= r or cols[-1] >= c:
-                    continue
-                window = scaled[t][np.ix_(rows, cols)]
-                if (window == 0.0).all(axis=1).any():
-                    zero_windows += 1
-                    assert dets[d, k, half, t] == 0.0
-                    assert det_stack(window[None])[0] == 0.0
-    assert zero_windows > 0
-
-
 def test_initial_minors_match_mpmath():
     # every initial minor of four helix suite trials at seed 1, one per
-    # boundary case, without their unit rows, and of the 31-node Vandermonde
-    # matrix of the reference test, row-scaled, against a Neville
-    # elimination in 120-digit mpmath: each error is within (k + 1) ulps of
-    # the minor's scale (the product of its row norms, about 0.3 ulps at
-    # most), far below the tolerance. On orders 4 and up the errors'
-    # geometric mean is below np.linalg.det's on the same minors (about a
-    # third of it; their largest is not, at about 2e-17 of the scale for
-    # either)
+    # boundary case, without their unit rows, and of the corpus's 31-node
+    # Vandermonde matrix, row-scaled, against a Neville elimination in
+    # 120-digit mpmath: each error is within (k + 1) ulps of the minor's
+    # scale (the product of its row norms, about 0.3 ulps at most), far
+    # below the tolerance. On orders 4 and up the errors' geometric mean is
+    # below np.linalg.det's on the same minors (about a third of it; their
+    # largest is not, at about 2e-17 of the scale for either)
     mpmath = pytest.importorskip("mpmath")
     eps = np.finfo(float).eps
     mats = [_reduced(m, case) for m, case in zip(_helix_trials(1, 4), BOUNDARY_CASES)]
-    mats.append(_row_scaled(_initial_test_stacks()[8][0])[0])
+    mats.append(_row_scaled(CORPUS["vandermonde-31"].build())[0])
     checked = expected = 0
     log_ratio = 0  # of the elimination's error to LAPACK's, summed over orders >= 4
     for m in mats:
-        dets, scales, _, _ = _initial_minors(m[None])
+        dets, scales = internals.initial_minors(m[None])
         for half, x in enumerate((m, m.T)):
             for d, run in enumerate(mp_initial_minors(x)):
                 for k, exact in enumerate(run):
@@ -865,91 +636,67 @@ def test_helix_minors_of_uncertain_sign_pass_by_the_tolerance(seed, trial, half,
     x = (m, m.T)[half]
     reference = mp_initial_minors(x)[d][k]
     assert float(reference) == pytest.approx(exact, rel=1e-3)
-    dets, scales, _, _ = _initial_minors(m[None])
+    dets, scales = internals.initial_minors(m[None])
     det, scale = dets[d, k, half, 0], scales[d, k, half, 0]
     assert abs(mpmath.mpf(float(det)) - reference) <= (k + 1) * np.finfo(float).eps * scale
     assert det + DEFAULT_REL_TOL * scale >= 0.0
     assert is_totally_positive(m).is_tp
 
 
-def test_initial_verdicts_never_reach_det_stack(monkeypatch):
-    # no verdict at any size reaches LAPACK, np.linalg.det made here to
-    # raise: up to EXHAUSTIVE_LIMIT the circle suite, uniform suites of 3 to
-    # 8 nodes, random and singular 8 x 8 matrices; above it helix trials of
-    # every boundary case, the CI's 12-node configs with and without a
-    # repeated node and its 64-node one, matrices with zero pivots and zero
-    # rows, and one whose elimination overflows
-    def refuse(*args, **kwargs):
-        raise AssertionError("a minor reached np.linalg.det")
-
-    monkeypatch.setattr(np.linalg, "det", refuse)
-    circle = datasets.circle_problem()
-    assert verify_ntp_suite(circle.nodeset, circle.weights, 40).passed
-    for n in range(3, EXHAUSTIVE_LIMIT + 1):
-        assert verify_ntp_suite(NodeSet(np.arange(n) / (n - 1), None, n - 1), None, 40).passed
-    singular = np.random.default_rng(8).uniform(0.5, 1.5, (8, 8))
-    singular[3] = singular[5]
-    assert not is_totally_positive(np.random.default_rng(8).uniform(-1.0, 1.0, (8, 8))).is_tp
-    assert not is_totally_positive(singular).is_tp
-    assert _tp_verdicts(_helix_trials(7, 4))[0].tolist() == [True] * 4
-    for nodes, scale, trials in ((np.arange(12.0), 1.0, 40),
-                                 (np.r_[0:5, 4:11].astype(float), 1.0, 40),
-                                 (np.arange(64) / 63, 63.0, 2)):
-        assert verify_ntp_suite(NodeSet(nodes, None, scale), None, trials).passed
-    zero_rows = np.random.default_rng(8).uniform(0.5, 1.5, (10, 10))
-    zero_rows[[2, 7]] = 0.0
-    assert not is_totally_positive(zero_rows).is_tp
-    assert not is_totally_positive(np.eye(9)[::-1]).is_tp
-
-
 def test_zero_rule_on_singular_and_structured_matrices():
     # Gasca & Pena's rule for zero pivots: 0/0 multipliers are 0, a nonzero
     # entry under a zero pivot fails, and a pivot after a zero one on its
-    # diagonal must be >= -tolerance * its row's norm. The identity and a
-    # matrix of ones are TP; the antidiagonal is not; I_6 + B, B = [[1, 0,
-    # 0], [0, 1, 0], [0, -1, 1]], has every initial minor >= 0 and an entry
-    # -1, so it fails by the rule alone and keeps a witness of margin >= 0
-    assert is_totally_positive(np.eye(12)).is_tp
-    assert is_totally_positive(np.ones((9, 9))).is_tp
-    anti = is_totally_positive(np.eye(12)[::-1])
-    assert not anti.is_tp
-    block = np.eye(9)
-    block[8, 7] = -1.0
-    dets, scales, _, _ = _initial_minors(block[None])
-    assert np.all(dets[:, :, 0][np.add.outer(np.arange(9), np.arange(9)) < 9] >= 0.0)
-    assert np.all(dets[:, :, 1][np.add.outer(np.arange(9), np.arange(9)) < 9] >= 0.0)
+    # diagonal must be >= -tolerance * its row's norm. I_9 + B (the corpus's
+    # zero-rule-block-9), B = [[1, 0, 0], [0, 1, 0], [0, -1, 1]] in its last
+    # block, has every initial minor >= 0 and an entry -1, so it fails by
+    # the rule alone and keeps a witness of margin >= 0, as its transpose fails
+    block = CORPUS["zero-rule-block-9"].build()
+    dets = internals.initial_minors(block[None])[0]
+    inside = np.add.outer(np.arange(9), np.arange(9)) < 9
+    assert np.all(dets[:, :, 0][inside] >= 0.0) and np.all(dets[:, :, 1][inside] >= 0.0)
     rep = is_totally_positive(block)
     assert not rep.is_tp and rep.witness[2] >= 0.0
     assert not is_totally_positive(block.T).is_tp
-    # the same at the exhaustive size: every minor says the same
-    assert not is_totally_positive(block[5:, 5:]).is_tp
     # a minor that ends on a zero pivot after nonzero ones is exactly 0: the
     # unit last row of a right-endpoint helix trial is zero in the columns of
     # the minors (d, k < n - 1) of A that end on it, and on a 9 x 9 matrix
     # whose rows 4 and 5 are equal the minors of A on rows d..5, d < 5
     right = _helix_trials(1, 3)[2]
     n = len(right)
-    dets = _initial_minors(right[None])[0][:, :, 0, 0]
+    dets = internals.initial_minors(right[None])[0][:, :, 0, 0]
     assert all(dets[n - 1 - k, k] == 0.0 for k in range(n - 1))
     twin = np.random.default_rng(5).uniform(0.5, 1.5, (9, 9))
     twin[5] = twin[4]
-    dets = _initial_minors(twin[None])[0][:, :, 0, 0]
+    dets = internals.initial_minors(twin[None])[0][:, :, 0, 0]
     assert all(dets[d, k] == 0.0 for d in range(5) for k in range(5 - d, 9 - d))
+    # an initial minor whose window has a row zero across its columns is
+    # exactly 0, on the corpus's matrices with a unit last row, zero rows and
+    # zero runs, each with its rows above one scaled
+    zero_windows = 0
+    for name in ("unit-last-12", "zero-runs-13x10", "zero-rows-10"):
+        m = _row_scaled(CORPUS[name].build())[0]
+        for (d, k, half), det in np.ndenumerate(internals.initial_minors(m[None])[0][..., 0]):
+            rows, cols = (range(d, d + k + 1), range(k + 1))[::-1 if half else 1]
+            if rows[-1] < len(m) and cols[-1] < m.shape[1] \
+                    and not m[np.ix_(rows, cols)].any(axis=1).all():
+                zero_windows += 1
+                assert det == 0.0, (name, d, k, half)
+    assert zero_windows > 0
 
 
 def test_initial_minors_do_not_depend_on_the_stack():
     # a minor's bits are its own: helix stacks of 1, 4, 17 (a suite chunk)
     # and 68 trials are judged exactly as each trial alone, and every
-    # determinant, scale, pivot and pivot norm of a stack entry has the bits
-    # of its one-matrix stack
+    # initial minor's determinant and scale in a stack has the bits of its
+    # one-matrix stack
     trials = _helix_trials(5, 68)
-    alone = [_reports(m[None])[0] for m in trials]
+    alone = [internals.stacked(m[None])[0] for m in trials]
     for count in (1, 4, 17, 68):
-        assert _reports(trials[:count]) == alone[:count]
-    stacked = _initial_minors(trials[:4])
+        assert internals.stacked(trials[:count]) == alone[:count]
+    stacked = internals.initial_minors(trials[:4])
     for t, m in enumerate(trials[:4]):
         assert all(_bits(a[..., t]) == _bits(b[..., 0])
-                   for a, b in zip(stacked, _initial_minors(m[None])))
+                   for a, b in zip(stacked, internals.initial_minors(m[None])))
 
 
 def _unit_rows(rng, r, c):
@@ -1001,7 +748,7 @@ def test_reductions_equal_exhaustive_enumeration(monkeypatch):
         nodes[j + 1] = nodes[j]
         ns = NodeSet(nodes, ns.coefficients, ns.scale)
         m = rational_collocation_matrix(ns, w, params)
-        merged, mw, firsts, factors = totalpos._merged(ns, w)
+        merged, mw, firsts, factors = internals.merged(ns, w)
         reduced = rational_collocation_matrix(merged, mw, params)
         np.testing.assert_allclose(reduced, _summed(m, j), rtol=1e-12, atol=1e-300)
         assert firsts.tolist() == [q for q in range(n) if q != j + 1]
@@ -1017,7 +764,7 @@ def test_reductions_equal_exhaustive_enumeration(monkeypatch):
     assert verdicts.count(True) >= 80 and verdicts.count(False) >= 80
 
 
-def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
+def test_ntp_suite_stacks_stay_within_gather_limit():
     # what a stack's verdict holds at once stays within the ceiling unless
     # one trial alone exceeds it, as 8 nodes (every minor) do: the values
     # one order of the Laplace expansion gathers (trials x minors x 2k
@@ -1036,17 +783,17 @@ def test_ntp_suite_stacks_stay_within_gather_limit(monkeypatch):
                                      (helix, 4, 4), (helix, 80, 17),
                                      ((NodeSet(np.arange(12.0)), None), 500, 113),
                                      ((NodeSet(np.linspace(0, 1, 64), None, 63), None), 20, 4)):
-        shapes = _suite_stacks(monkeypatch, ns, w, trials)
+        shapes = [s.shape for s in internals.suite_stacks(ns, w, trials)]
         assert sum(t for t, _, _ in shapes) == trials
         assert all(shape[1:] == (ns.size, ns.size) for shape in shapes)
-        assert all(held(t, ns.size) <= totalpos._GATHER_LIMIT or t == 1 for t, _, _ in shapes)
+        assert all(held(t, ns.size) <= internals.GATHER_LIMIT or t == 1 for t, _, _ in shapes)
         if stacked == 1:
             assert {t for t, _, _ in shapes} == {1}
         else:
             assert shapes[0][0] == stacked
     # equal nodes are merged before the stack is built: n rows, one column a run
     ns = NodeSet(np.r_[0:5, 4:11].astype(float))
-    assert {shape[1:] for shape in _suite_stacks(monkeypatch, ns, None, 40)} == {(12, 11)}
+    assert {s.shape[1:] for s in internals.suite_stacks(ns, None, 40)} == {(12, 11)}
 
 
 def test_ntp_suite_traced_peak_stays_near_the_ceiling():
@@ -1064,33 +811,31 @@ def test_ntp_suite_traced_peak_stays_near_the_ceiling():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 4 * 8 * totalpos._GATHER_LIMIT, (ns.size, peak)
+        assert peak <= 4 * 8 * internals.GATHER_LIMIT, (ns.size, peak)
 
 
 def test_verdict_sweep_over_helix_uniform_and_repeated_node_suites():
     # every trial of 8-trial helix suites at seeds 0-39 passes, and each of
     # those trials with its first two columns swapped is rejected; 8-trial
     # suites on 12 to 64 uniform nodes pass at seeds 0 and 1; and the
-    # suite on the CI's node set with a repeated node passes, its witness
-    # in the original columns, where its determinant is the mpmath one
+    # witness of the suite on the CI's node set with a repeated node (the
+    # corpus's ci-tp12-repeated) is in the original columns, where its
+    # determinant is the mpmath one
     mpmath = pytest.importorskip("mpmath")
     ns, w = datasets.helix_node_set(), datasets.helix_weights()
     swap = [1, 0, *range(2, ns.size)]
     for seed in range(40):
         assert verify_ntp_suite(ns, w, 8, seed).passed
-        assert not _tp_verdicts(_helix_trials(seed, 8)[:, :, swap])[0].any()
+        assert not any(v[0] for v in internals.stacked(_helix_trials(seed, 8)[:, :, swap]))
     for n in (12, 16, 24, 32, 40, 48, 64):
         uniform = NodeSet(np.linspace(0.0, 1.0, n), None, n - 1)
         assert all(verify_ntp_suite(uniform, None, 8, seed).passed for seed in (0, 1))
-    repeated = NodeSet(np.r_[0:5, 4:11].astype(float))
-    report = verify_ntp_suite(repeated, None, 40)
-    assert report.passed
+    suite = CORPUS["ci-tp12-repeated"].build()
+    report = verify_ntp_suite(*suite)
     rows, cols, det = report.worst_witness
     assert 5 not in cols  # the second of the equal nodes 4 and 5 is merged into the first
-    cases = [BOUNDARY_CASES[trial % 4] for trial in range(40)]
-    draws = reference_draws(0, range(40), cases, *repeated.domain, repeated.size)
-    exact = [mp_det(rational_collocation_matrix(repeated, None, params)[np.ix_(rows, cols)], 120)
-             for params, case in zip(draws, cases) if case == report.worst_case]
+    trials = [t for t in range(40) if BOUNDARY_CASES[t % 4] == report.worst_case]
+    exact = [mp_det(m[np.ix_(rows, cols)], 120) for m in suite_trials(*suite, trials)]
     assert any(det == pytest.approx(float(x), rel=1e-9, abs=1e-300) for x in exact)
 
 
@@ -1102,15 +847,12 @@ def test_ntp_suite_rejects_span_too_narrow_to_draw_from():
         verify_ntp_suite(ns, None, trials=1)
 
 
-_FAR_FROM_ZERO = [1e16, 1e16 + 200, 1e16 + 400, 1e16 + 600, 1e16 + 1000]
-
-
 def test_ntp_suite_draws_inside_a_domain_far_from_zero():
     # eps = 1e-6 * 1000 is below half an ulp of 1e16, so a0 + eps rounds to
     # a0; endpoint trials drew a0 next to the fixed a0 on 12 of these seeds.
     # Every trial passes: minors from closed forms and LAPACK failed 71 of
     # these 4000 trials, on 33 seeds, where the Laplace recursion fails none
-    ns = NodeSet(_FAR_FROM_ZERO)
+    ns = NodeSet(FAR_FROM_ZERO)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for seed in range(40):
@@ -1118,37 +860,68 @@ def test_ntp_suite_draws_inside_a_domain_far_from_zero():
             assert report.trials == 100 and report.passed, seed
 
 
-def test_ntp_suite_stacks_have_no_entry_above_one(monkeypatch):
+def test_ntp_suite_stacks_have_no_entry_above_one():
     # the stacked verdict judges a stack as given, with no row scaling: rows
     # of the rational basis sum to one, and for 0 <= x <= s IEEE division
     # gives x / s <= 1, so no suite hands it an entry above one
-    highest, judge = [], totalpos._tp_verdicts
-    monkeypatch.setattr(totalpos, "_tp_verdicts",
-                        lambda stack: highest.append(np.abs(stack).max()) or judge(stack))
     circle = datasets.circle_problem()
     for ns, w, trials, seed in ((circle.nodeset, circle.weights, 4000, 3),
                                 (datasets.helix_node_set(), datasets.helix_weights(), 40, 0),
                                 (NodeSet(np.linspace(0.0, 1.0, 64), None, 63), None, 8, 0),
                                 (NodeSet(np.r_[0:5, 4:11].astype(float)), None, 40, 0),
-                                (NodeSet(_FAR_FROM_ZERO), None, 100, 0)):
-        highest.clear()
-        assert verify_ntp_suite(ns, w, trials, seed).passed
-        assert highest and max(highest) <= 1.0, ns.size
+                                (NodeSet(FAR_FROM_ZERO), None, 100, 0)):
+        stacks = internals.suite_stacks(ns, w, trials, seed)
+        assert stacks and max(np.abs(s).max() for s in stacks) <= 1.0, ns.size
 
 
-def test_det_stack_singular_minor_is_zero_without_warning():
-    # a minor of the suite above at seed 0: LAPACK's LU divides by zero on
-    # it, and the determinant is the exact 0.0, as the Laplace expansion's
-    # over its zero first row is
-    minor = np.array([
-        [0.0, 0.0, 0.0, 0.0],
-        [9.209994418286336e-29, 8.482399718478832e-57, 7.812285406079259e-85,
-         6.626692752914273e-141],
-        [0.0, 1.38760708e-315, 1.2440686266793217e-210, 1.0],
-        [0.0, 0.0, 8.457338737195012e-262, 1.0],
-    ])
+@pytest.fixture
+def no_lapack(monkeypatch):
+    """Every function of np.linalg made to fail its caller."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the verdict reached np.linalg")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+def test_corpus_public_results_are_pinned(row, monkeypatch, no_lapack):
+    # each row's public result is its pin, with one rule over the whole
+    # corpus: no row reaches np.linalg, and no warning escapes
+    monkeypatch.setattr(totalpos, "DEFAULT_REL_TOL", row.tol)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        dets = det_stack(minor[None])
-        expanded = _laplace_orders(minor[None])[-1]
-    assert dets.tolist() == [0.0] and expanded.ravel().tolist() == [0.0]
+        if row.suite:
+            got = verify_ntp_suite(*row.build())
+        else:
+            got = is_totally_positive(row.build())
+            got = (got.is_tp, *got.witness[:2])
+    assert got == row.expect
+
+
+@pytest.mark.parametrize("row", ROWS, ids=lambda row: row.name)
+def test_corpus_oracle_verdicts_are_pinned(row):
+    assert oracle_verdict(row) == row.oracle
+
+
+def test_corpus_contradictions_are_the_named_rows():
+    # the rows where the library's verdict and the exact oracle's differ are
+    # exactly those that name a ROADMAP item, as they behave today:
+    # - tril-9 (item 19), TP: its unit first row is dropped, and on the
+    #   rectangular rest the zero rule decides nothing;
+    # - vandermonde-9-twin (item 19), TP with two equal columns: the zero
+    #   rule meets the elimination's rounding residue. So it does on 44 of
+    #   50 such matrices, and on none of the 50 they are made from;
+    # - sharp-12, -20 and -31 (items 19 and 23): every trial rejected, while
+    #   the oracle refutes none and finds 6 of sharp-12's 8 TP;
+    # - span-1e290-9 (item 23): every trial rejected, at a span inside
+    #   MAX_EXPONENT_SPAN, where the oracle finds each TP
+    differ = {row.name for row in ROWS if library_verdict(row) != row.oracle}
+    assert differ == {row.name for row in ROWS if row.item}
+    bases = [vandermonde(9, seed) for seed in range(50)]
+    assert [sum(not is_totally_positive(m).is_tp for m in mats)
+            for mats in (bases, [twin(m, seed % 8) for seed, m in enumerate(bases)])] == [0, 44]
+    ns = CORPUS["span-1e290-9"].build()[0]
+    assert ns.scale * (ns.domain[1] - ns.domain[0]) < MAX_EXPONENT_SPAN
+    assert [exact_tp(m) for m in suite_trials(*CORPUS["sharp-12"].build())].count(True) == 6
